@@ -2,7 +2,7 @@
 
 Modules:
     spatial    rigid-body math, manifold differences, forward kinematics
-    shuttle    shuttlecock flight, court geometry, racket impact
+    shuttle    shuttlecock flight model and its Jacobian, court, racket impact
     estimator  EKF over the ball state and strike-point planning
     goal       goal-conditioned state encoding (time-to-hit, phase masking)
     reward     tracking / return-quality / style reward kernels

@@ -8,9 +8,10 @@ Subcommands wire the library into file-to-file pipelines:
     expand    dataset JSON      -> strike manifold JSON
     score     episode CSV       -> metrics JSON
 
-Exit codes: 0 success, 1 bad config or input, 2 simulation timeout,
-3 infeasible plan. All numeric output is written at 9 significant digits
-so a rerun with the same config and seed is byte-identical. Set
+Exit codes: 0 success, 1 bad config or input (a numerical failure of the
+filter included), 2 simulation timeout, 3 infeasible plan or target
+volume. All numeric output is written at 9 significant digits so a rerun
+with the same config and seed is byte-identical. Set
 SHUTTLEKIT_LOG=debug|info|warning to control verbosity.
 """
 
@@ -27,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import amp, estimator, goal, retarget, reward, scenario, shuttle
+from . import estimator, goal, retarget, scenario, shuttle
 from .spatial import Box, Pose, load_chain
 
 log = logging.getLogger("shuttlekit")
@@ -68,8 +69,6 @@ class RunConfig:
     params: Optional[shuttle.ShuttleParams] = None
     court: Optional[shuttle.CourtGeometry] = None
     chain: Optional[object] = None
-    reward_cfg: Optional[reward.RewardConfig] = None
-    amp_cfg: Optional[amp.AmpConfig] = None
     sim: Optional[dict] = None
     track: Optional[dict] = None
     expand: Optional[dict] = None
@@ -107,11 +106,6 @@ def load_run_config(path: Optional[str]) -> RunConfig:
     cfg.params = resolve("params", shuttle.load_params)
     cfg.court = resolve("court", shuttle.load_court)
     cfg.chain = resolve("chain", load_chain)
-    cfg.reward_cfg = resolve("reward", reward.load_reward_config)
-    cfg.amp_cfg = resolve(
-        "amp",
-        lambda p: amp.AmpConfig(**json.load(open(p))),
-    )
     cfg.seed = int(data.get("seed", 0))
     cfg.out_dir = data.get("out_dir", ".")
     if not os.path.isabs(cfg.out_dir):
@@ -342,9 +336,13 @@ def main(argv=None) -> int:
         if args.command == "score":
             return cmd_score(cfg, args.episodes, out_dir)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError, ValueError, KeyError,
+            estimator.NumericalFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except scenario.InfeasibleTargetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
 
 
 def entry() -> None:

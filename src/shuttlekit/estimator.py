@@ -1,10 +1,9 @@
 """EKF over shuttle position/velocity plus interception planning.
 
-The process model is the same drag flight model the simulator integrates,
-with the skirt axis dropped from the filter state. The transition Jacobian
-is the exact derivative of the RK4 step, obtained by chaining the stage
-Jacobians, so it agrees with finite differences of the propagated mean to
-near machine precision.
+The process model and its Jacobian both come from `shuttle`: the mean is
+propagated by the simulator's RK4 step, with the skirt axis dropped from
+the filter state, and the covariance by `shuttle.transition_jacobian`,
+the exact derivative of that step.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .goal import StrikeTarget
-from .shuttle import ShuttleParams, Trajectory, _accel, _rk4_step
+from .shuttle import ShuttleParams, Trajectory, _rk4_step, transition_jacobian
 from .spatial import Box, Pose, quat_identity
 
 Array = np.ndarray
@@ -83,39 +82,6 @@ class InnovationStats:
     residual: Array
     innovation_cov: Array
     nis: float
-
-
-def _drag_jacobian(vel: Array, p: ShuttleParams) -> Array:
-    """d(accel)/d(velocity) for the quadratic drag model."""
-    speed = np.linalg.norm(vel)
-    if speed == 0.0 or p.drag_coeff == 0.0:
-        return np.zeros((3, 3))
-    k = p.drag_coeff / p.mass
-    return -k * (speed * np.eye(3) + np.outer(vel, vel) / speed)
-
-
-def _continuous_jacobian(vel: Array, p: ShuttleParams) -> Array:
-    a = np.zeros((6, 6))
-    a[:3, 3:] = np.eye(3)
-    a[3:, 3:] = _drag_jacobian(vel, p)
-    return a
-
-
-def transition_jacobian(mean: Array, p: ShuttleParams, dt: float) -> Array:
-    """Exact Jacobian of the RK4 step with respect to the state."""
-    vel = mean[3:]
-    eye = np.eye(6)
-    a1 = _continuous_jacobian(vel, p)
-    v2 = vel + 0.5 * dt * _accel(vel, p)
-    a2 = _continuous_jacobian(v2, p)
-    m2 = eye + 0.5 * dt * a1
-    v3 = vel + 0.5 * dt * _accel(v2, p)
-    a3 = _continuous_jacobian(v3, p)
-    m3 = eye + 0.5 * dt * a2 @ m2
-    v4 = vel + dt * _accel(v3, p)
-    a4 = _continuous_jacobian(v4, p)
-    m4 = eye + dt * a3 @ m3
-    return eye + (dt / 6.0) * (a1 + 2.0 * a2 @ m2 + 2.0 * a3 @ m3 + a4 @ m4)
 
 
 def process_noise(psd: float, dt: float) -> Array:
@@ -287,6 +253,9 @@ def load_measurements_csv(path) -> tuple[Array, Array]:
     if not lines:
         raise ValueError(f"no measurements in {path}")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines])
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: row {int(np.argmax(bad)) + 1} has a non-finite value")
     return data[:, 0], data[:, 1:4]
 
 

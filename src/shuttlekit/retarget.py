@@ -9,7 +9,6 @@ can be solved jointly on the first frame and are then held fixed.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -609,8 +608,3 @@ def problem_from_dict(
         optimize_scales=bool(data.get("optimize_scales", False)),
         fix_root=bool(data.get("fix_root", False)),
     )
-
-
-def load_problem(path) -> RetargetProblem:
-    with open(path) as f:
-        return problem_from_dict(json.load(f), base_dir=os.path.dirname(str(path)))

@@ -10,10 +10,9 @@ instant once ball physics is in the loop.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -88,7 +87,8 @@ def exp_kernel(err_sq: float, sigma: float) -> float:
     return math.exp(-err_sq / sigma)
 
 
-def _kernel_sum(err_sqs: Sequence[float], weights: Array, scales: Array) -> float:
+def _kernel_sum(err_sqs: Iterable[float], weights: Array, scales: Array) -> float:
+    err_sqs = list(err_sqs)
     if len(err_sqs) != len(weights):
         raise ValueError(
             f"got {len(err_sqs)} error components, config has {len(weights)}"
@@ -96,12 +96,28 @@ def _kernel_sum(err_sqs: Sequence[float], weights: Array, scales: Array) -> floa
     return float(sum(w * exp_kernel(e, s) for e, w, s in zip(err_sqs, weights, scales)))
 
 
-def _squared_norms(deltas: Sequence[Array]) -> list[float]:
-    out = []
+def _squared_norms(deltas: Sequence[Array]) -> Iterator[float]:
+    """Squared norm of each delta, computed lazily: a closed gate skips the work."""
     for d in deltas:
         d = np.asarray(d, dtype=np.float64).ravel()
-        out.append(float(np.dot(d, d)))
-    return out
+        yield float(np.dot(d, d))
+
+
+# The three temporal gates over squared errors, shared with score_episode_csv
+def _hit_from_sq(err_sqs: Iterable[float], tth: float, c: RewardConfig) -> float:
+    return math.exp(-abs(tth) / c.sigma_time) * _kernel_sum(err_sqs, c.hit_weights, c.hit_scales)
+
+
+def _sparse_hit_from_sq(err_sqs: Iterable[float], tth: float, c: RewardConfig) -> float:
+    if abs(tth) >= c.epsilon:
+        return 0.0
+    return _kernel_sum(err_sqs, c.hit_weights, c.hit_scales)
+
+
+def _recovery_from_sq(err_sqs: Iterable[float], tth: float, c: RewardConfig) -> float:
+    if tth >= 0.0:
+        return 0.0
+    return _kernel_sum(err_sqs, c.rec_weights, c.rec_scales)
 
 
 def hit_tracking_reward(deltas: Sequence[Array], tth: float, c: RewardConfig) -> float:
@@ -109,15 +125,12 @@ def hit_tracking_reward(deltas: Sequence[Array], tth: float, c: RewardConfig) ->
 
     exp(-|tth| / sigma_time) * sum_i w_i exp(-|delta_i|^2 / sigma_i).
     """
-    gate = math.exp(-abs(tth) / c.sigma_time)
-    return gate * _kernel_sum(_squared_norms(deltas), c.hit_weights, c.hit_scales)
+    return _hit_from_sq(_squared_norms(deltas), tth, c)
 
 
 def recovery_tracking_reward(deltas: Sequence[Array], tth: float, c: RewardConfig) -> float:
     """Root tracking reward, active only after impact (tth < 0), no decay."""
-    if tth >= 0.0:
-        return 0.0
-    return _kernel_sum(_squared_norms(deltas), c.rec_weights, c.rec_scales)
+    return _recovery_from_sq(_squared_norms(deltas), tth, c)
 
 
 def sparse_hit_tracking_reward(deltas: Sequence[Array], tth: float, c: RewardConfig) -> float:
@@ -126,9 +139,7 @@ def sparse_hit_tracking_reward(deltas: Sequence[Array], tth: float, c: RewardCon
     Outside the window the reward is exactly zero, |tth| == epsilon
     included; only the strike instant itself is rewarded.
     """
-    if abs(tth) >= c.epsilon:
-        return 0.0
-    return _kernel_sum(_squared_norms(deltas), c.hit_weights, c.hit_scales)
+    return _sparse_hit_from_sq(_squared_norms(deltas), tth, c)
 
 
 @dataclass(frozen=True)
@@ -232,11 +243,6 @@ def reward_config_from_dict(d) -> RewardConfig:
     )
 
 
-def load_reward_config(path) -> RewardConfig:
-    with open(path) as f:
-        return reward_config_from_dict(json.load(f))
-
-
 def score_episode_csv(path, c: RewardConfig) -> list[dict]:
     """Batch-evaluate rewards over an episode log.
 
@@ -253,16 +259,9 @@ def score_episode_csv(path, c: RewardConfig) -> list[dict]:
             tth = float(row["tth"])
             hit_sq = [float(row[f"hit_sq_{i}"]) for i in range(n_hit)]
             rec_sq = [float(row[f"rec_sq_{j}"]) for j in range(n_rec)]
-            gate = math.exp(-abs(tth) / c.sigma_time)
-            r_hit = gate * _kernel_sum(hit_sq, c.hit_weights, c.hit_scales)
-            if abs(tth) < c.epsilon:
-                r_hit_sparse = _kernel_sum(hit_sq, c.hit_weights, c.hit_scales)
-            else:
-                r_hit_sparse = 0.0
-            if tth < 0.0:
-                r_rec = _kernel_sum(rec_sq, c.rec_weights, c.rec_scales)
-            else:
-                r_rec = 0.0
+            r_hit = _hit_from_sq(hit_sq, tth, c)
+            r_hit_sparse = _sparse_hit_from_sq(hit_sq, tth, c)
+            r_rec = _recovery_from_sq(rec_sq, tth, c)
             r_style = style_reward(float(row["d"])) if "d" in row and row["d"] else 0.0
             out.append(
                 {

@@ -228,11 +228,12 @@ def serve_trajectory(
 
     Shooting method on the launch velocity: start from the drag-free
     ballistic aim and correct by the miss at the target time until the
-    flight passes within the solver tolerance. The returned state is
-    re-verified against the full simulation; if the iteration budget runs
-    out the target is declared infeasible. The court argument is accepted
-    for call-site symmetry with the rest of the pipeline; aiming does not
-    depend on it.
+    flight passes within the solver tolerance. Each iteration flies once;
+    the returned velocity is the one the last flight used, and if that
+    flight missed by more than `serve.tolerance` (the iteration budget ran
+    out) the target is declared infeasible.
+    The court argument is accepted for call-site symmetry with the rest of
+    the pipeline; aiming does not depend on it.
     """
     t_hit = float(target.time_offset)
     if t_hit <= 0.0:
@@ -243,14 +244,13 @@ def serve_trajectory(
     delta = target.position - origin
     # drag-free aim: p(t) = p0 + v0 t - g t^2/2 z
     v0 = delta / t_hit + np.array([0.0, 0.0, 0.5 * p.gravity * t_hit])
+    miss = target.position - _position_at(origin, v0, p, t_hit, serve.dt)
     for _ in range(serve.max_iterations):
-        miss = target.position - _position_at(origin, v0, p, t_hit, serve.dt)
         if np.linalg.norm(miss) < serve.solve_tolerance:
             break
         v0 = v0 + miss / t_hit
-    final_miss = np.linalg.norm(
-        target.position - _position_at(origin, v0, p, t_hit, serve.dt)
-    )
+        miss = target.position - _position_at(origin, v0, p, t_hit, serve.dt)
+    final_miss = np.linalg.norm(miss)
     if final_miss > serve.tolerance:
         raise InfeasibleTargetError(
             f"serve solver missed the target by {final_miss:.4f} m"

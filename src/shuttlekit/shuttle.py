@@ -133,17 +133,24 @@ class CourtResult:
     cleared_net: bool
 
 
-def _accel(vel: Array, p: ShuttleParams) -> Array:
-    a = np.array([0.0, 0.0, -p.gravity])
-    speed = np.sqrt(vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2])
-    if speed > 0.0 and p.drag_coeff > 0.0:
-        a -= (p.drag_coeff / p.mass) * speed * vel
-    return a
+def _drag_accel(vx: float, vy: float, vz: float, km: float, g: float):
+    """Acceleration at velocity (vx, vy, vz): gravity minus km |v| v, km = k / m."""
+    ks = km * math.sqrt(vx * vx + vy * vy + vz * vz)
+    return -ks * vx, -ks * vy, -g - ks * vz
+
+
+def _drag_jacobian(vel: Array, p: ShuttleParams) -> Array:
+    """d(accel)/d(velocity) of _drag_accel."""
+    speed = np.linalg.norm(vel)
+    if speed == 0.0 or p.drag_coeff == 0.0:
+        return np.zeros((3, 3))
+    k = p.drag_coeff / p.mass
+    return -k * (speed * np.eye(3) + np.outer(vel, vel) / speed)
 
 
 def shuttle_accel(s: ShuttleState, p: ShuttleParams) -> Array:
     """Acceleration (m/s^2): gravity minus (k/m) |v| v."""
-    return _accel(s.velocity, p)
+    return np.array(_drag_accel(*s.velocity.tolist(), p.drag_coeff / p.mass, p.gravity))
 
 
 def _rk4_step(pos: Array, vel: Array, p: ShuttleParams, dt: float):
@@ -156,20 +163,14 @@ def _rk4_step(pos: Array, vel: Array, p: ShuttleParams, dt: float):
     km = p.drag_coeff / p.mass
     x, y, z = float(pos[0]), float(pos[1]), float(pos[2])
     vx, vy, vz = float(vel[0]), float(vel[1]), float(vel[2])
-
-    def acc(ux, uy, uz):
-        s = math.sqrt(ux * ux + uy * uy + uz * uz)
-        ks = km * s
-        return -ks * ux, -ks * uy, -g - ks * uz
-
-    ax1, ay1, az1 = acc(vx, vy, vz)
+    ax1, ay1, az1 = _drag_accel(vx, vy, vz, km, g)
     h = 0.5 * dt
     v2x, v2y, v2z = vx + h * ax1, vy + h * ay1, vz + h * az1
-    ax2, ay2, az2 = acc(v2x, v2y, v2z)
+    ax2, ay2, az2 = _drag_accel(v2x, v2y, v2z, km, g)
     v3x, v3y, v3z = vx + h * ax2, vy + h * ay2, vz + h * az2
-    ax3, ay3, az3 = acc(v3x, v3y, v3z)
+    ax3, ay3, az3 = _drag_accel(v3x, v3y, v3z, km, g)
     v4x, v4y, v4z = vx + dt * ax3, vy + dt * ay3, vz + dt * az3
-    ax4, ay4, az4 = acc(v4x, v4y, v4z)
+    ax4, ay4, az4 = _drag_accel(v4x, v4y, v4z, km, g)
     w = dt / 6.0
     new_pos = np.array([
         x + w * (vx + 2.0 * v2x + 2.0 * v3x + v4x),
@@ -182,6 +183,31 @@ def _rk4_step(pos: Array, vel: Array, p: ShuttleParams, dt: float):
         vz + w * (az1 + 2.0 * az2 + 2.0 * az3 + az4),
     ])
     return new_pos, new_vel
+
+
+def _continuous_jacobian(vel: Array, p: ShuttleParams) -> Array:
+    a = np.zeros((6, 6))
+    a[:3, 3:] = np.eye(3)
+    a[3:, 3:] = _drag_jacobian(vel, p)
+    return a
+
+
+def transition_jacobian(mean: Array, p: ShuttleParams, dt: float) -> Array:
+    """Exact Jacobian of the RK4 step, chained over _rk4_step's stage velocities."""
+    km, g, h = p.drag_coeff / p.mass, p.gravity, 0.5 * dt
+    vel = mean[3:]
+    v2 = vel + h * np.array(_drag_accel(*vel.tolist(), km, g))
+    v3 = vel + h * np.array(_drag_accel(*v2.tolist(), km, g))
+    v4 = vel + dt * np.array(_drag_accel(*v3.tolist(), km, g))
+    eye = np.eye(6)
+    a1 = _continuous_jacobian(vel, p)
+    a2 = _continuous_jacobian(v2, p)
+    m2 = eye + h * a1
+    a3 = _continuous_jacobian(v3, p)
+    m3 = eye + h * a2 @ m2
+    a4 = _continuous_jacobian(v4, p)
+    m4 = eye + dt * a3 @ m3
+    return eye + (dt / 6.0) * (a1 + 2.0 * a2 @ m2 + 2.0 * a3 @ m3 + a4 @ m4)
 
 
 def _relax_axis(axis: Optional[Array], vel: Array, rate: float, dt: float) -> Optional[Array]:
@@ -215,7 +241,8 @@ def simulate_to_ground(
 
     The landing point is linearly interpolated in time across the step
     that crosses the ground; the trajectory keeps the final below-ground
-    sample so the crossing can be reproduced from the logged data.
+    sample so the crossing can be reproduced from the logged data. A state
+    that stops being finite raises ValueError naming the time.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -225,13 +252,11 @@ def simulate_to_ground(
     positions = [s.position]
     velocities = [s.velocity]
     pos, vel = s.position, s.velocity
-    axis = s.axis
     t = 0.0
     landing = None
     while t < t_max - 1e-12:
         h = min(dt, t_max - t)
         new_pos, new_vel = _rk4_step(pos, vel, p, h)
-        axis = _relax_axis(axis, new_vel, p.axis_damping, h)
         new_t = t + h
         times.append(new_t)
         positions.append(new_pos)
@@ -245,6 +270,11 @@ def simulate_to_ground(
             break
         pos, vel, t = new_pos, new_vel, new_t
     traj = Trajectory(np.array(times), np.array(positions), np.array(velocities))
+    # a non-finite state never becomes finite again, so the last sample tells
+    if not all(map(math.isfinite, positions[-1].tolist() + velocities[-1].tolist())):
+        state = np.hstack([traj.positions, traj.velocities])
+        first = int(np.argmin(np.isfinite(state).all(axis=1)))
+        raise ValueError(f"flight state stopped being finite at t = {times[first]:.9g} s")
     return FlightResult(traj, landing)
 
 

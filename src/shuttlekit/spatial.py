@@ -107,11 +107,6 @@ def quat_to_rotvec(q: Array) -> Array:
     return (angle / s) * q[1:]
 
 
-def _boxminus_unchecked(ref: Array, cur: Array) -> Array:
-    """quat_boxminus without unit validation, for already-validated inputs."""
-    return quat_to_rotvec(quat_mul(ref, quat_conj(cur)))
-
-
 def quat_boxminus(ref: Array, cur: Array) -> Array:
     """Rotation vector taking cur to ref: log(ref * cur^-1).
 
@@ -120,7 +115,7 @@ def quat_boxminus(ref: Array, cur: Array) -> Array:
     """
     ref = _quat(ref, "ref")
     cur = _quat(cur, "cur")
-    return _boxminus_unchecked(ref, cur)
+    return quat_to_rotvec(quat_mul(ref, quat_conj(cur)))
 
 
 def quat_boxplus(q: Array, delta: Array) -> Array:

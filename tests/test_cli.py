@@ -80,6 +80,14 @@ class TestSimulate:
         state_path.write_text(json.dumps({"position": [0, 0, 2.0], "velocity": [0, 0, 0]}))
         assert main(["simulate", "--config", str(bad), str(state_path)]) == 1
 
+    def test_non_finite_flight_exits_one_without_output(self, workdir, capsys):
+        state_path = workdir / "state.json"
+        state_path.write_text(json.dumps({"position": [0, 0, 2.0], "velocity": [1e200, 0, 1e200]}))
+        code = main(["simulate", "--config", str(workdir / "config.json"), str(state_path)])
+        assert code == 1
+        assert "error: flight state stopped being finite at t = " in capsys.readouterr().err
+        assert not (workdir / "out" / "trajectory.csv").exists()
+
     def test_rerun_byte_identical(self, workdir):
         state_path = workdir / "state.json"
         state_path.write_text(json.dumps({"position": [0, 0, 2.0], "velocity": [3.0, 0, 2.0]}))
@@ -128,6 +136,22 @@ class TestTrack:
         path = workdir / "empty.csv"
         path.write_text("t,x,y,z\n")
         assert main(["track", "--config", str(workdir / "config.json"), str(path)]) == 1
+
+    def test_non_finite_measurement_exits_one(self, workdir, capsys):
+        path = workdir / "bad.csv"
+        path.write_text("t,x,y,z\n0.0,6.0,0.0,2.0\n0.005,nan,0.0,2.02\n0.01,5.94,0.0,2.04\n")
+        assert main(["track", "--config", str(workdir / "config.json"), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.csv: row 2 " in err
+        assert not (workdir / "out" / "filter_log.csv").exists()
+
+    def test_singular_innovation_exits_one(self, workdir, capsys):
+        config = json.loads((workdir / "config.json").read_text())
+        config["track"].update(initial_pos_var=0.0, measurement_std=0.0)
+        (workdir / "config.json").write_text(json.dumps(config))
+        meas, _ = _write_measurements(workdir)
+        assert main(["track", "--config", str(workdir / "config.json"), str(meas)]) == 1
+        assert capsys.readouterr().err == "error: singular innovation covariance\n"
 
     def test_unreachable_band_exits_three(self, workdir):
         config = json.loads((workdir / "config.json").read_text())
@@ -221,6 +245,18 @@ class TestExpand:
         size = np.array([2.0, 0.4, 0.3])
         for p in points:
             assert np.all(np.abs(np.array(p["pos"]) - center) <= size / 2 + 1e-12)
+
+    def test_unreachable_volume_exits_three(self, workdir, capsys):
+        config = json.loads((workdir / "config.json").read_text())
+        config["expand"]["radius"] = 0.0
+        (workdir / "config.json").write_text(json.dumps(config))
+        path = workdir / "far.json"
+        path.write_text(json.dumps([{"pos": [40.0, 0.0, 1.1], "t": 1.0, "src": 0}]))
+        code = main(["expand", "--config", str(workdir / "config.json"), str(path),
+                     "--count", "3"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: could not place a sample")
+        assert not (workdir / "out" / "manifold.json").exists()
 
     def test_seed_flag_controls_output(self, workdir):
         path = _dataset(workdir)

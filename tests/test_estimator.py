@@ -56,17 +56,30 @@ class TestPredict:
         assert np.allclose(out.covariance, expected, atol=1e-12)
 
     def test_jacobian_matches_finite_differences(self, rng):
-        for _ in range(20):
-            mean = rng.normal(size=6) * np.array([1, 1, 1, 5, 5, 5])
-            f = transition_jacobian(mean, PARAMS, 0.005)
+        cases = [
+            (rng.normal(size=6) * np.array([1, 1, 1, 5, 5, 5]), PARAMS) for _ in range(20)
+        ]
+        # zero velocity takes the speed == 0 branch of the drag Jacobian at
+        # the first stage; single-axis velocities put signed zeros into the
+        # drag law; drag-free parameters zero the drag block at every stage
+        cases.append((np.array([0.5, -1.0, 2.0, 0.0, 0.0, 0.0]), PARAMS))
+        cases.append((np.array([0.5, -1.0, 2.0, -0.0, -0.0, -0.0]), PARAMS))
+        for axis in range(3):
+            for v in (6.0, -6.0):
+                mean = np.array([0.5, -1.0, 2.0, 0.0, 0.0, 0.0])
+                mean[3 + axis] = v
+                cases.append((mean, PARAMS))
+        cases += [(mean, DRAG_FREE) for mean, _ in cases[:5] + cases[20:24]]
+        for mean, params in cases:
+            f = transition_jacobian(mean, params, 0.005)
             fd = np.zeros((6, 6))
             h = 1e-6
             for k in range(6):
                 plus, minus = mean.copy(), mean.copy()
                 plus[k] += h
                 minus[k] -= h
-                pp, vp = _rk4_step(plus[:3], plus[3:], PARAMS, 0.005)
-                pm, vm = _rk4_step(minus[:3], minus[3:], PARAMS, 0.005)
+                pp, vp = _rk4_step(plus[:3], plus[3:], params, 0.005)
+                pm, vm = _rk4_step(minus[:3], minus[3:], params, 0.005)
                 fd[:, k] = (np.concatenate([pp, vp]) - np.concatenate([pm, vm])) / (2 * h)
             assert np.max(np.abs(f - fd)) / np.max(np.abs(fd)) < 1e-5
 
@@ -230,6 +243,12 @@ class TestTrackMeasurements:
         times, zs = load_measurements_csv(path)
         assert times.shape == (2,)
         assert np.allclose(zs[1], [1.1, 2.1, 3.1])
+
+    def test_measurement_csv_rejects_non_finite_row(self, tmp_path):
+        path = tmp_path / "meas.csv"
+        path.write_text("t,x,y,z\n0.0,1.0,2.0,3.0\n0.005,nan,2.1,3.1\n0.01,1.2,2.2,3.2\n")
+        with pytest.raises(ValueError, match=r"meas\.csv: row 2 "):
+            load_measurements_csv(path)
 
     def test_latency_shifts_timestamps(self):
         s0 = ShuttleState(np.array([0.0, 0.0, 3.0]), np.array([4.0, 0.0, 5.0]))

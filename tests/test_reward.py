@@ -315,3 +315,30 @@ class TestConfigAndBatch:
         assert rows[1]["total"] == pytest.approx(
             CFG.w_task * (rows[1]["hit"] + rows[1]["recovery"]) + CFG.w_style * 0.75
         )
+
+        # every gate edge, with squared errors that are exact squares, so each
+        # row equals the public kernels on deltas of length 0, 0.5, 1 and 1.5
+        eps = CFG.epsilon
+        tths = [0.0, -0.0, eps, -eps, 0.5 * eps, -0.5 * eps, 0.3, -0.2]
+        sq_of = {0.0: "0", 0.5: "0.25", 1.0: "1", 1.5: "2.25"}
+        lengths = list(sq_of)
+        lines = ["t,tth,hit_sq_0,hit_sq_1,rec_sq_0,rec_sq_1,rec_sq_2"]
+        for i, tth in enumerate(tths):
+            hit_len = [lengths[i % 4], lengths[(i + 1) % 4]]
+            rec_len = [lengths[(i + 2) % 4], lengths[(i + 3) % 4], lengths[i % 4]]
+            lines.append(",".join([str(0.1 * i), repr(tth)] + [sq_of[x] for x in hit_len + rec_len]))
+        path.write_text("\n".join(lines) + "\n")
+        rows = score_episode_csv(path, CFG)
+        assert len(rows) == len(tths)
+        for i, (tth, row) in enumerate(zip(tths, rows)):
+            hit = [np.array([lengths[i % 4], 0.0, 0.0]), np.array([0.0, lengths[(i + 1) % 4], 0.0])]
+            rec = [np.array([0.0, 0.0, lengths[(i + k) % 4]]) for k in (2, 3, 4)]
+            assert row["hit"] == hit_tracking_reward(hit, tth, CFG)
+            assert row["hit_sparse"] == sparse_hit_tracking_reward(hit, tth, CFG)
+            assert row["recovery"] == recovery_tracking_reward(rec, tth, CFG)
+            assert row["style"] == 0.0
+            assert row["total"] == CFG.w_task * (row["hit"] + row["recovery"])
+        # the sparse window is open strictly inside |tth| < epsilon
+        assert [r["hit_sparse"] > 0.0 for r in rows] == [True, True, False, False, True, True, False, False]
+        # recovery runs only after impact; -0.0 is not after impact
+        assert [r["recovery"] > 0.0 for r in rows] == [False, False, False, True, False, True, False, True]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from shuttlekit import scenario
 from shuttlekit.scenario import (
     EASY_VOLUME_SIZE,
     HARD_VOLUME_SIZE,
@@ -193,6 +194,25 @@ class TestServeTrajectory:
             if rem > 1e-9:
                 s = step(s, self.PARAMS, rem)
             assert np.linalg.norm(s.position - target.position) < 0.01
+
+    def test_one_flight_per_iteration(self, monkeypatch):
+        flown = []
+        position_at = scenario._position_at
+
+        def recording(origin, v0, *args):
+            flown.append(v0.copy())
+            return position_at(origin, v0, *args)
+
+        monkeypatch.setattr(scenario, "_position_at", recording)
+        target = ManifoldPoint(np.array([0.3, -0.1, 1.1]), 1.1, 0)
+        for cfg in (ServeConfig(), ServeConfig(max_iterations=2, tolerance=10.0)):
+            flown.clear()
+            state = serve_trajectory(target, COURT, self.PARAMS, None, cfg)
+            # every flight tries a new velocity, the last one is the result
+            assert 1 < len(flown) <= cfg.max_iterations + 1
+            assert all(not np.array_equal(a, b) for a, b in zip(flown, flown[1:]))
+            assert np.array_equal(flown[-1], state.velocity)
+        assert len(flown) == 3  # the iteration budget ran out after two corrections
 
     def test_zero_time_target_infeasible(self):
         target = ManifoldPoint(np.array([0.0, 0.0, 1.1]), 0.0, 0)

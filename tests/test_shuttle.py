@@ -142,6 +142,12 @@ class TestSimulateToGround:
         with pytest.raises(ValueError):
             simulate_to_ground(s, DRAG_FREE)
 
+    def test_non_finite_flight_raises_with_time(self):
+        # |v|^2 overflows on the first step, so every later sample is NaN
+        s = ShuttleState(np.array([0.0, 0.0, 2.0]), np.array([1e200, 0.0, 1e200]))
+        with pytest.raises(ValueError, match=r"stopped being finite at t = 0\.005 s"):
+            simulate_to_ground(s, PARAMS, dt=0.005, t_max=10.0)
+
 
 class TestRacketImpact:
     def test_one_dimensional_restitution(self):
