@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .goal import RobotState
-from .spatial import KinematicChain, Pose, quat_conj, quat_rotate
+from .spatial import KinematicChain, Pose, to_base_frame
 
 Array = np.ndarray
 
@@ -80,25 +80,22 @@ def frame_features(
     makes the features invariant to rigid transforms of the world.
     """
     chain_frames = set(chain.end_effector_names())
-    q_inv = quat_conj(state.root.orientation)
-    parts = [
-        quat_rotate(q_inv, state.root_twist.linear),
-        state.q,
-        np.array([state.base_height]),
-        state.projected_gravity,
-    ]
-    ee_pos = []
-    ee_vel = []
     for name in ee_order:
         if name not in chain_frames:
             raise ValueError(f"chain has no end effector named {name!r}")
         if name not in ee_poses or name not in ee_vels:
             raise ValueError(f"missing pose/velocity for end effector {name!r}")
-        ee_pos.append(quat_rotate(q_inv, ee_poses[name].position - state.root.position))
-        ee_vel.append(quat_rotate(q_inv, np.asarray(ee_vels[name], dtype=np.float64)))
-    parts.extend(ee_pos)
-    parts.extend(ee_vel)
-    return AmpFrame(np.concatenate(parts))
+    # world-frame rows: base velocity, E positions relative to the base, E velocities
+    root = state.root
+    rows = np.array([
+        state.root_twist.linear,
+        *(ee_poses[name].position - root.position for name in ee_order),
+        *(ee_vels[name] for name in ee_order),
+    ])
+    local = to_base_frame(rows, root, is_point=False)
+    return AmpFrame(np.concatenate(
+        (local[0], state.q, (state.base_height,), state.projected_gravity, local[1:].ravel())
+    ))
 
 
 def assemble_history(buffer: Sequence[AmpFrame], cfg: AmpConfig) -> AmpObservation:

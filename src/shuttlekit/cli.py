@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import estimator, goal, retarget, scenario, shuttle
-from .spatial import Box, Pose, load_chain
+from .spatial import Box, Pose, _round_floats, load_chain
 
 log = logging.getLogger("shuttlekit")
 
@@ -41,17 +40,6 @@ EXIT_INFEASIBLE = 3
 
 class ConfigError(ValueError):
     pass
-
-
-def _round_floats(obj):
-    """Limit every float to 9 significant digits for reproducible output."""
-    if isinstance(obj, float):
-        return float(format(obj, ".9g")) if math.isfinite(obj) else obj
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
 
 
 def _write_json(data, path) -> None:

@@ -7,8 +7,8 @@ target block is irrelevant to the current phase is masked to zero.
 
 from __future__ import annotations
 
+import bisect
 import json
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -18,13 +18,18 @@ from .spatial import (
     KinematicChain,
     Pose,
     Twist,
+    _matrix_entries,
+    _round_floats,
+    _rotvec_between,
     forward_kinematics,
-    quat_boxminus,
-    quat_conj,
-    quat_rotate,
+    to_base_frame,
 )
 
 Array = np.ndarray
+
+# CPython 3.11 does not cache `np.<name>` lookups (numpy defines a module
+# __getattr__), about 45 ns each; the per-tick encoder binds its two.
+_np_array, _np_zeros = np.array, np.zeros
 
 TTH_LIMIT = 2.0  # seconds; the time-to-hit observation is clipped to [-2, 2]
 
@@ -97,45 +102,19 @@ def pose_delta_in_base(target: Pose, current: Pose, base: Pose) -> Array:
     the world frame applied to all three poses. Scalar arithmetic
     throughout; this runs once per control tick.
     """
-    # world->base rotation: the matrix of the conjugate base quaternion
-    w, x, y, z = base.orientation.tolist()
-    xx, yy, zz = x * x, y * y, z * z
-    xy, xz, yz = x * y, x * z, y * z
-    wx, wy, wz = w * x, w * y, w * z
-    m00 = 1.0 - 2.0 * (yy + zz)
-    m01 = 2.0 * (xy + wz)
-    m02 = 2.0 * (xz - wy)
-    m10 = 2.0 * (xy - wz)
-    m11 = 1.0 - 2.0 * (xx + zz)
-    m12 = 2.0 * (yz + wx)
-    m20 = 2.0 * (xz + wy)
-    m21 = 2.0 * (yz - wx)
-    m22 = 1.0 - 2.0 * (xx + yy)
-
+    # world->base rotation: the transpose of the base matrix
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = _matrix_entries(base.orientation.tolist())
     tpx, tpy, tpz = target.position.tolist()
     cpx, cpy, cpz = current.position.tolist()
     px, py, pz = tpx - cpx, tpy - cpy, tpz - cpz
-
-    # relative orientation target * conj(current), canonical sign
-    tw, tx, ty, tz = target.orientation.tolist()
-    cw, cx, cy, cz = current.orientation.tolist()
-    rw = tw * cw + tx * cx + ty * cy + tz * cz
-    rx = -tw * cx + tx * cw - ty * cz + tz * cy
-    ry = -tw * cy + tx * cz + ty * cw - tz * cx
-    rz = -tw * cz - tx * cy + ty * cx + tz * cw
-    if rw < 0.0:
-        rw, rx, ry, rz = -rw, -rx, -ry, -rz
-    s = math.sqrt(rx * rx + ry * ry + rz * rz)
-    scale = 2.0 if s < 1e-12 else 2.0 * math.atan2(s, rw) / s
-    vx, vy, vz = scale * rx, scale * ry, scale * rz
-
-    return np.array((
-        m00 * px + m01 * py + m02 * pz,
-        m10 * px + m11 * py + m12 * pz,
-        m20 * px + m21 * py + m22 * pz,
-        m00 * vx + m01 * vy + m02 * vz,
-        m10 * vx + m11 * vy + m12 * vz,
-        m20 * vx + m21 * vy + m22 * vz,
+    vx, vy, vz = _rotvec_between(target.orientation.tolist(), current.orientation.tolist())
+    return _np_array((
+        r00 * px + r10 * py + r20 * pz,
+        r01 * px + r11 * py + r21 * pz,
+        r02 * px + r12 * py + r22 * pz,
+        r00 * vx + r10 * vy + r20 * vz,
+        r01 * vx + r11 * vy + r21 * vz,
+        r02 * vx + r12 * vy + r22 * vz,
     ))
 
 
@@ -165,10 +144,10 @@ def encode_goal(
     tth = time_to_hit(now, target.hit_time)
     if tth >= 0.0:
         hit_delta = pose_delta_in_base(target.hit_racket_pose, racket_pose, state.root)
-        recovery_delta = np.zeros(6)
+        recovery_delta = _np_zeros(6)
         phase = PHASE_PREPARATION
     else:
-        hit_delta = np.zeros(6)
+        hit_delta = _np_zeros(6)
         recovery_delta = pose_delta_in_base(target.recovery_root_pose, state.root, state.root)
         phase = PHASE_RECOVERY
     return GoalObservation(tth, hit_delta, recovery_delta, phase)
@@ -199,10 +178,11 @@ class ReferenceClip:
 
     def __post_init__(self):
         frames = tuple(self.frames)
-        times = [f.t for f in frames]
+        times = tuple(f.t for f in frames)
         if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
             raise ValueError("frame times must be strictly increasing")
         object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "_times", times)
         object.__setattr__(self, "hit_times", tuple(float(t) for t in self.hit_times))
         object.__setattr__(self, "recovery_times", tuple(float(t) for t in self.recovery_times))
 
@@ -211,8 +191,7 @@ class ReferenceClip:
 
     def frame_index_at(self, t: float) -> int:
         """Index of the last frame at or before t (clamped to [0, len-1])."""
-        times = np.array([f.t for f in self.frames])
-        i = int(np.searchsorted(times, t, side="right")) - 1
+        i = bisect.bisect_right(self._times, t) - 1
         return min(max(i, 0), len(self.frames) - 1)
 
 
@@ -239,21 +218,23 @@ def reference_window(clip: ReferenceClip, t: float, horizon: int) -> ReferenceWi
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     i = clip.frame_index_at(t)
+    last = len(clip) - 1
     base = clip.frames[i]
-    q_inv = quat_conj(base.root.orientation)
-    n = base.q.size
-    root_deltas = np.zeros((horizon, 12))
-    joint_deltas = np.zeros((horizon, n))
-    for k in range(1, horizon + 1):
-        fut = clip.frames[min(i + k, len(clip) - 1)]
-        root_deltas[k - 1, 0:3] = quat_rotate(q_inv, fut.root.position - base.root.position)
-        root_deltas[k - 1, 3:6] = quat_rotate(
-            q_inv, quat_boxminus(fut.root.orientation, base.root.orientation)
+    futs = [clip.frames[min(i + k, last)] for k in range(1, horizon + 1)]
+    base_quat = base.root.orientation.tolist()
+    # world-frame rows [dpos, drot, dlin, dang] per future frame, rotated at once
+    rows = np.array([
+        (
+            f.root.position - base.root.position,
+            _rotvec_between(f.root.orientation.tolist(), base_quat),
+            f.root_lin - base.root_lin,
+            f.root_ang - base.root_ang,
         )
-        root_deltas[k - 1, 6:9] = quat_rotate(q_inv, fut.root_lin - base.root_lin)
-        root_deltas[k - 1, 9:12] = quat_rotate(q_inv, fut.root_ang - base.root_ang)
-        joint_deltas[k - 1] = fut.q - base.q
-    return ReferenceWindow(root_deltas, joint_deltas)
+        for f in futs
+    ])
+    root_deltas = to_base_frame(rows.reshape(-1, 3), base.root, is_point=False)
+    joint_deltas = np.array([f.q - base.q for f in futs])
+    return ReferenceWindow(root_deltas.reshape(horizon, 12), joint_deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -306,5 +287,5 @@ def load_clip(path) -> ReferenceClip:
 
 def save_clip(clip: ReferenceClip, path) -> None:
     with open(path, "w") as f:
-        json.dump(clip_to_dict(clip), f, indent=2)
+        json.dump(_round_floats(clip_to_dict(clip)), f, indent=2)
         f.write("\n")

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .shuttle import CourtGeometry, ShuttleParams, ShuttleState, _rk4_step
-from .spatial import Box
+from .spatial import Box, _round_floats
 
 Array = np.ndarray
 
@@ -151,9 +152,18 @@ class RandomizationTable:
     terrain_height_noise: tuple[float, float] = (0.0, 0.05)
 
     def __post_init__(self):
-        for name, (lo, hi) in self.ranges().items():
+        ranges = self.ranges()
+        for name, (lo, hi) in ranges.items():
             if lo > hi:
                 raise ValueError(f"range for {name} has lo > hi")
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"range for {name} is not finite")
+        # draw tables, built once: sample_randomization runs per episode
+        lows = np.array([lo for lo, _ in ranges.values()], dtype=np.float64)
+        spans = np.array([hi for _, hi in ranges.values()], dtype=np.float64) - lows
+        object.__setattr__(self, "_names", tuple(ranges))
+        object.__setattr__(self, "_lows", lows)
+        object.__setattr__(self, "_spans", spans)
 
     def ranges(self) -> dict[str, tuple[float, float]]:
         """Per-parameter ranges; the shared x/y offset range is expanded."""
@@ -177,11 +187,9 @@ def sample_randomization(
     table: RandomizationTable, rng: np.random.Generator
 ) -> dict[str, float]:
     """Independent uniform draw of every parameter in the table."""
-    ranges = table.ranges()
-    los = np.array([lo for lo, _ in ranges.values()])
-    his = np.array([hi for _, hi in ranges.values()])
-    values = rng.uniform(los, his)
-    return dict(zip(ranges.keys(), values.tolist()))
+    # the arithmetic of rng.uniform(lows, highs), on the same stream
+    values = table._lows + table._spans * rng.random(table._spans.size)
+    return dict(zip(table._names, values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -328,7 +336,7 @@ def evaluate_episodes(
 
 def save_manifold(manifold: StrikeManifold, path) -> None:
     data = [
-        {"pos": pt.position.tolist(), "t": pt.time_offset, "src": pt.source}
+        _round_floats({"pos": pt.position.tolist(), "t": pt.time_offset, "src": pt.source})
         for pt in manifold.points
     ]
     with open(path, "w") as f:

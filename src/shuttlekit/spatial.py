@@ -8,6 +8,7 @@ Orientation errors are expressed as rotation vectors (axis * angle).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -68,23 +69,24 @@ def quat_conj(q: Array) -> Array:
 
 def quat_rotate(q: Array, v: Array) -> Array:
     """Rotate 3-vector v by unit quaternion q."""
-    qv = np.array([0.0, v[0], v[1], v[2]])
-    return quat_mul(quat_mul(q, qv), quat_conj(q))[1:]
+    return quat_to_matrix(q) @ v
+
+
+def _matrix_entries(q) -> tuple:
+    """Row-major rotation-matrix entries of a unit [w, x, y, z] float sequence."""
+    w, x, y, z = q
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
+    return (
+        1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy),
+        2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx),
+        2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy),
+    )
 
 
 def quat_to_matrix(q: Array) -> Array:
-    w, x, y, z = q
-    out = np.empty((3, 3))
-    out[0, 0] = 1 - 2 * (y * y + z * z)
-    out[0, 1] = 2 * (x * y - w * z)
-    out[0, 2] = 2 * (x * z + w * y)
-    out[1, 0] = 2 * (x * y + w * z)
-    out[1, 1] = 1 - 2 * (x * x + z * z)
-    out[1, 2] = 2 * (y * z - w * x)
-    out[2, 0] = 2 * (x * z - w * y)
-    out[2, 1] = 2 * (y * z + w * x)
-    out[2, 2] = 1 - 2 * (x * x + y * y)
-    return out
+    return np.array(_matrix_entries(np.asarray(q, dtype=np.float64).tolist())).reshape(3, 3)
 
 
 def quat_from_rotvec(w: Array) -> Array:
@@ -97,14 +99,20 @@ def quat_from_rotvec(w: Array) -> Array:
     return quat_canonical(np.array([np.cos(half), *(scale * w)]))
 
 
-def quat_to_rotvec(q: Array) -> Array:
-    """Logarithm map: quaternion to rotation vector with angle in [0, pi]."""
-    q = quat_canonical(q)
-    s = np.linalg.norm(q[1:])
-    if s < _EPS:
-        return 2.0 * q[1:]
-    angle = 2.0 * np.arctan2(s, q[0])
-    return (angle / s) * q[1:]
+def _rotvec_between(ref, cur) -> tuple:
+    """Rotation vector log(ref * cur^-1), angle in [0, pi], of two unit
+    [w, x, y, z] float sequences."""
+    tw, tx, ty, tz = ref
+    cw, cx, cy, cz = cur
+    rw = tw * cw + tx * cx + ty * cy + tz * cz
+    rx = -tw * cx + tx * cw - ty * cz + tz * cy
+    ry = -tw * cy + tx * cz + ty * cw - tz * cx
+    rz = -tw * cz - tx * cy + ty * cx + tz * cw
+    s = math.sqrt(rx * rx + ry * ry + rz * rz)
+    scale = 2.0 if s < _EPS else 2.0 * math.atan2(s, abs(rw)) / s
+    if rw < 0.0:  # the canonical (w >= 0) quaternion is -r, whose log is negated
+        scale = -scale
+    return scale * rx, scale * ry, scale * rz
 
 
 def quat_boxminus(ref: Array, cur: Array) -> Array:
@@ -115,7 +123,7 @@ def quat_boxminus(ref: Array, cur: Array) -> Array:
     """
     ref = _quat(ref, "ref")
     cur = _quat(cur, "cur")
-    return quat_to_rotvec(quat_mul(ref, quat_conj(cur)))
+    return np.array(_rotvec_between(ref.tolist(), cur.tolist()))
 
 
 def quat_boxplus(q: Array, delta: Array) -> Array:
@@ -163,8 +171,8 @@ class Pose:
         )
 
     def inverse(self) -> "Pose":
-        q_inv = quat_conj(self.orientation)
-        return Pose(-quat_rotate(q_inv, self.position), q_inv)
+        return Pose(-to_base_frame(self.position, self, is_point=False),
+                    quat_conj(self.orientation))
 
 
 @dataclass(frozen=True)
@@ -228,16 +236,19 @@ def state_boxminus(ref, cur, kind: str) -> Array:
 
 
 def to_base_frame(world_vec: Array, base: Pose, is_point: bool) -> Array:
-    """Re-express a world-frame quantity in the base frame.
+    """Re-express world-frame quantities in the base frame.
 
-    Points are translated then rotated; free vectors (velocities, gravity)
-    are only rotated.
+    `world_vec` is one (3,) vector or (k, 3) rows of them. Points are
+    translated then rotated; free vectors (velocities, gravity) are only
+    rotated.
     """
     v = np.asarray(world_vec, dtype=np.float64)
-    q_inv = quat_conj(base.orientation)
+    if v.ndim not in (1, 2) or v.shape[-1] != 3:
+        raise ValueError(f"expected shape (3,) or (k, 3), got {v.shape}")
     if is_point:
-        return quat_rotate(q_inv, v - base.position)
-    return quat_rotate(q_inv, v)
+        v = v - base.position
+    # rows times R is R^T applied to each row: the world->base rotation
+    return v @ quat_to_matrix(base.orientation)
 
 
 @dataclass(frozen=True)
@@ -337,6 +348,17 @@ def forward_kinematics(chain: KinematicChain, root: Pose, q) -> dict[str, Pose]:
         parent = root if ee.parent < 0 else poses[ee.parent]
         out[ee.name] = parent.compose(ee.offset)
     return out
+
+
+def _round_floats(obj):
+    """Limit every float to 9 significant digits for reproducible output."""
+    if isinstance(obj, float):
+        return float(format(obj, ".9g")) if math.isfinite(obj) else obj
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
 
 
 def chain_from_dict(data: Mapping) -> KinematicChain:

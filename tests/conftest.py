@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from shuttlekit.spatial import EndEffector, Joint, KinematicChain, Pose, quat_identity
+
+# Property tests draw the same examples on every run, keep no example
+# database, and have no per-example deadline on a loaded host.
+settings.register_profile("shuttlekit", derandomize=True, database=None, deadline=None)
+settings.load_profile("shuttlekit")
 
 
 def arm_chain() -> KinematicChain:

@@ -306,3 +306,55 @@ class TestScore:
             "0,1,0,0,0,1,1,1,8\n"
         )
         assert main(["score", "--config", str(workdir / "config.json"), str(path)]) == 0
+
+
+def _floats_in(path):
+    """Every number written to a CSV or JSON output file, as floats."""
+    if path.suffix == ".csv":
+        rows = path.read_text().splitlines()[1:]
+        return [float(v) for row in rows for v in row.split(",") if v]
+    out = []
+
+    def walk(x):
+        if isinstance(x, dict):
+            for v in x.values():
+                walk(v)
+        elif isinstance(x, list):
+            for v in x:
+                walk(v)
+        elif isinstance(x, (int, float)) and not isinstance(x, bool):
+            out.append(float(x))
+
+    walk(json.loads(path.read_text()))
+    return out
+
+
+def test_every_output_float_has_nine_significant_digits(workdir):
+    state = workdir / "state.json"
+    state.write_text(json.dumps({"position": [0, 0, 2.0], "velocity": [3.0, 0.1, 2.0]}))
+    meas, _ = _write_measurements(workdir)
+    episodes = workdir / "episodes.csv"
+    episodes.write_text(
+        "serve_id,intercepted,dx,dy,dz,landing,in_bounds,cleared_net,speed\n"
+        "0,1,0.1,0.0333333333333333,0,1,1,1,8.123456789123\n"
+        "1,0,,,,0,0,0,0\n"
+    )
+    commands = (
+        ("simulate", state),
+        ("track", meas),
+        ("retarget", _retarget_problem(workdir)),
+        ("expand", _dataset(workdir), "--count", "20"),
+        ("score", episodes),
+    )
+    for name, *args in commands:
+        assert main([name, "--config", str(workdir / "config.json"), *map(str, args)]) == 0
+    outputs = sorted((workdir / "out").iterdir())
+    assert {p.name for p in outputs} == {
+        "trajectory.csv", "landing.json", "filter_log.csv", "strike_target.json",
+        "motion_clip.json", "cost_report.json", "manifold.json", "metrics.json",
+    }
+    for path in outputs:
+        values = _floats_in(path)
+        assert values, path.name
+        for x in values:
+            assert float(format(x, ".9g")) == x, (path.name, x)

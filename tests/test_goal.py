@@ -226,6 +226,19 @@ class TestReferenceWindow:
             reference_window(ReferenceClip(()), 0.0, 1)
 
 
+class TestFrameIndexAt:
+    def test_matches_searchsorted(self):
+        times = np.array([0.0, 0.1, 0.25, 0.4])
+        frames = tuple(
+            ClipFrame(t, Pose.identity(), np.zeros(3), np.zeros(3), np.zeros(1)) for t in times
+        )
+        clip = ReferenceClip(frames)
+        queries = [-1.0, -np.inf, 0.0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.41, 7.0, np.inf, np.nan]
+        for t in queries:
+            expected = int(np.searchsorted(times, t, side="right")) - 1
+            assert clip.frame_index_at(t) == min(max(expected, 0), len(times) - 1), t
+
+
 class TestClipIo:
     def test_round_trip(self, tmp_path):
         clip = _linear_clip()

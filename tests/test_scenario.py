@@ -145,6 +145,20 @@ class TestRandomization:
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
             RandomizationTable(ground_friction=(1.0, 0.5))
+        for bad in ((0.0, np.inf), (np.nan, 1.0), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="restitution is not finite"):
+                RandomizationTable(restitution=bad)
+
+    def test_draw_matches_uniform_on_the_same_stream(self):
+        table = RandomizationTable(pd_gain_scale=(1.0, 1.0))
+        ranges = table.ranges()
+        lows = np.array([lo for lo, _ in ranges.values()])
+        highs = np.array([hi for _, hi in ranges.values()])
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(1000):
+            draw = sample_randomization(table, rng)
+            assert list(draw) == list(ranges)
+            assert list(draw.values()) == ref.uniform(lows, highs).tolist()
 
     def test_table_matches_published_ranges(self):
         ranges = RandomizationTable().ranges()

@@ -110,6 +110,21 @@ class TestToBaseFrame:
             local_v = to_base_frame(v, base, is_point=False)
             assert np.allclose(base.transform_vector(local_v), v, atol=1e-12)
 
+    def test_rows_match_single_vectors(self, rng):
+        base = random_pose(rng)
+        rows = rng.normal(size=(5, 3))
+        for is_point in (True, False):
+            out = to_base_frame(rows, base, is_point=is_point)
+            assert out.shape == (5, 3)
+            for row, local in zip(rows, out):
+                single = to_base_frame(row, base, is_point=is_point)
+                assert np.allclose(local, single, rtol=0.0, atol=1e-12)
+
+    def test_bad_shape_rejected(self):
+        for bad in (np.zeros(4), np.zeros((2, 4)), np.zeros((2, 3, 3))):
+            with pytest.raises(ValueError):
+                to_base_frame(bad, Pose.identity(), is_point=False)
+
 
 def _fk_matrix_oracle(chain, root, q):
     """Chained homogeneous-matrix forward kinematics."""
