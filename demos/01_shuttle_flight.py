@@ -3,6 +3,9 @@
 Run from the repository root:  python3 demos/01_shuttle_flight.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from shuttlekit.shuttle import (
@@ -62,5 +65,6 @@ verdict = lands_in_court(flight.landing.point, flight.trajectory, court)
 print(f"landing point {np.round(flight.landing.point, 2)}, "
       f"in bounds: {verdict.in_bounds}, cleared net: {verdict.cleared_net}")
 
-save_trajectory_csv(flight.trajectory, "/tmp/return_flight.csv")
-print("trajectory written to /tmp/return_flight.csv")
+out_path = os.path.join(tempfile.mkdtemp(), "return_flight.csv")
+save_trajectory_csv(flight.trajectory, out_path)
+print(f"trajectory written to {out_path}")

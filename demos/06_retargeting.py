@@ -7,6 +7,9 @@ trajectory from marker positions alone.
 Run from the repository root:  python3 demos/06_retargeting.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from shuttlekit.goal import save_clip
@@ -89,5 +92,6 @@ contacts = extract_contacts(aligned, chain, threshold=0.03)
 print(f"per-frame contacts (left, right):\n{contacts}")
 
 clip = solution_to_clip(aligned, [f.t for f in frames], hit_times=(0.35,))
-save_clip(clip, "/tmp/retargeted_clip.json")
-print("exported reference clip to /tmp/retargeted_clip.json")
+out_path = os.path.join(tempfile.mkdtemp(), "retargeted_clip.json")
+save_clip(clip, out_path)
+print(f"exported reference clip to {out_path}")

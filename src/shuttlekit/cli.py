@@ -55,7 +55,6 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "."
     params: Optional[shuttle.ShuttleParams] = None
-    court: Optional[shuttle.CourtGeometry] = None
     chain: Optional[object] = None
     sim: Optional[dict] = None
     track: Optional[dict] = None
@@ -92,7 +91,6 @@ def load_run_config(path: Optional[str]) -> RunConfig:
             raise ConfigError(f"cannot parse {ref}: {exc}") from exc
 
     cfg.params = resolve("params", shuttle.load_params)
-    cfg.court = resolve("court", shuttle.load_court)
     cfg.chain = resolve("chain", load_chain)
     cfg.seed = int(data.get("seed", 0))
     cfg.out_dir = data.get("out_dir", ".")

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .shuttle import CourtGeometry, ShuttleParams, ShuttleState, _rk4_step
+from .shuttle import DEFAULT_DT, CourtGeometry, ShuttleParams, ShuttleState, _rk4_step
 from .spatial import Box, _round_floats
 
 Array = np.ndarray
@@ -198,9 +198,7 @@ class ServeConfig:
 
     origin: Array = field(default_factory=lambda: np.array([6.0, 0.0, 2.0]))
     origin_jitter: Array = field(default_factory=lambda: np.zeros(3))
-    dt: float = 0.005
     tolerance: float = 0.01
-    solve_tolerance: float = 1e-3
     max_iterations: int = 60
 
     def __post_init__(self):
@@ -208,18 +206,18 @@ class ServeConfig:
         object.__setattr__(
             self, "origin_jitter", np.asarray(self.origin_jitter, dtype=np.float64)
         )
-        if self.dt <= 0 or self.tolerance <= 0 or self.solve_tolerance <= 0:
-            raise ValueError("dt and tolerances must be positive")
+        if self.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be non-negative")
 
 
-def _position_at(
-    origin: Array, v0: Array, p: ShuttleParams, t_end: float, dt: float
-) -> Array:
+def _position_at(origin: Array, v0: Array, p: ShuttleParams, t_end: float) -> Array:
     pos, vel = origin, v0
-    n_full = int(t_end / dt)
+    n_full = int(t_end / DEFAULT_DT)
     for _ in range(n_full):
-        pos, vel = _rk4_step(pos, vel, p, dt)
-    rem = t_end - n_full * dt
+        pos, vel = _rk4_step(pos, vel, p, DEFAULT_DT)
+    rem = t_end - n_full * DEFAULT_DT
     if rem > 1e-12:
         pos, vel = _rk4_step(pos, vel, p, rem)
     return pos
@@ -235,11 +233,11 @@ def serve_trajectory(
     """Launch state whose flight passes through the target at its time.
 
     Shooting method on the launch velocity: start from the drag-free
-    ballistic aim and correct by the miss at the target time until the
-    flight passes within the solver tolerance. Each iteration flies once;
-    the returned velocity is the one the last flight used, and if that
-    flight missed by more than `serve.tolerance` (the iteration budget ran
-    out) the target is declared infeasible.
+    ballistic aim and correct by the miss at the target time. The first
+    flight (at `DEFAULT_DT`) that passes within `serve.tolerance` of the
+    target gives the returned velocity; if none of the first
+    `serve.max_iterations + 1` flights does, the target is declared
+    infeasible.
     The court argument is accepted for call-site symmetry with the rest of
     the pipeline; aiming does not depend on it.
     """
@@ -252,20 +250,15 @@ def serve_trajectory(
     delta = target.position - origin
     # drag-free aim: p(t) = p0 + v0 t - g t^2/2 z
     v0 = delta / t_hit + np.array([0.0, 0.0, 0.5 * p.gravity * t_hit])
-    miss = target.position - _position_at(origin, v0, p, t_hit, serve.dt)
-    for _ in range(serve.max_iterations):
-        if np.linalg.norm(miss) < serve.solve_tolerance:
-            break
+    for _ in range(serve.max_iterations + 1):
+        miss = target.position - _position_at(origin, v0, p, t_hit)
+        miss_norm = np.linalg.norm(miss)
+        if miss_norm <= serve.tolerance:
+            speed = np.linalg.norm(v0)
+            axis = v0 / speed if speed > 1e-9 else None
+            return ShuttleState(origin, v0, axis)
         v0 = v0 + miss / t_hit
-        miss = target.position - _position_at(origin, v0, p, t_hit, serve.dt)
-    final_miss = np.linalg.norm(miss)
-    if final_miss > serve.tolerance:
-        raise InfeasibleTargetError(
-            f"serve solver missed the target by {final_miss:.4f} m"
-        )
-    speed = np.linalg.norm(v0)
-    axis = v0 / speed if speed > 1e-9 else None
-    return ShuttleState(origin, v0, axis)
+    raise InfeasibleTargetError(f"serve solver missed the target by {miss_norm:.4f} m")
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,9 @@ class CourtResult:
 
 def _drag_accel(vx: float, vy: float, vz: float, km: float, g: float):
     """Acceleration at velocity (vx, vy, vz): gravity minus km |v| v, km = k / m."""
+    if km == 0.0:
+        # no drag term: km * |v| would be 0 * inf = NaN once |v|^2 overflows
+        return 0.0, 0.0, -g
     ks = km * math.sqrt(vx * vx + vy * vy + vz * vz)
     return -ks * vx, -ks * vy, -g - ks * vz
 
@@ -185,29 +188,27 @@ def _rk4_step(pos: Array, vel: Array, p: ShuttleParams, dt: float):
     return new_pos, new_vel
 
 
-def _continuous_jacobian(vel: Array, p: ShuttleParams) -> Array:
-    a = np.zeros((6, 6))
-    a[:3, 3:] = np.eye(3)
-    a[3:, 3:] = _drag_jacobian(vel, p)
-    return a
-
-
 def transition_jacobian(mean: Array, p: ShuttleParams, dt: float) -> Array:
-    """Exact Jacobian of the RK4 step, chained over _rk4_step's stage velocities."""
+    """Exact Jacobian of the RK4 step, chained over _rk4_step's stage velocities.
+
+    d(pos, vel)/d(pos, vel) is [[I, B], [0, C]]; the 3x3 blocks N2-N4 are
+    d(stage velocity)/d(vel) and D1-D4 the drag Jacobians at the stages.
+    """
     km, g, h = p.drag_coeff / p.mass, p.gravity, 0.5 * dt
     vel = mean[3:]
     v2 = vel + h * np.array(_drag_accel(*vel.tolist(), km, g))
     v3 = vel + h * np.array(_drag_accel(*v2.tolist(), km, g))
     v4 = vel + dt * np.array(_drag_accel(*v3.tolist(), km, g))
-    eye = np.eye(6)
-    a1 = _continuous_jacobian(vel, p)
-    a2 = _continuous_jacobian(v2, p)
-    m2 = eye + h * a1
-    a3 = _continuous_jacobian(v3, p)
-    m3 = eye + h * a2 @ m2
-    a4 = _continuous_jacobian(v4, p)
-    m4 = eye + dt * a3 @ m3
-    return eye + (dt / 6.0) * (a1 + 2.0 * a2 @ m2 + 2.0 * a3 @ m3 + a4 @ m4)
+    d1, d2, d3, d4 = (_drag_jacobian(v, p) for v in (vel, v2, v3, v4))
+    eye = np.eye(3)
+    n2 = eye + h * d1
+    n3 = eye + h * d2 @ n2
+    n4 = eye + dt * d3 @ n3
+    w = dt / 6.0
+    jac = np.eye(6)
+    jac[:3, 3:] = w * (eye + 2.0 * n2 + 2.0 * n3 + n4)
+    jac[3:, 3:] = eye + w * (d1 + 2.0 * d2 @ n2 + 2.0 * d3 @ n3 + d4 @ n4)
+    return jac
 
 
 def _relax_axis(axis: Optional[Array], vel: Array, rate: float, dt: float) -> Optional[Array]:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from shuttlekit import scenario
@@ -24,6 +26,7 @@ from shuttlekit.scenario import (
     strike_volume,
 )
 from shuttlekit.shuttle import (
+    DEFAULT_DT,
     CourtGeometry,
     ShuttleParams,
     ShuttleState,
@@ -201,9 +204,9 @@ class TestServeTrajectory:
             # independent re-simulation at the full step rate
             s = state
             t = 0.0
-            while t + cfg.dt <= target.time_offset + 1e-12:
-                s = step(s, self.PARAMS, cfg.dt)
-                t += cfg.dt
+            while t + DEFAULT_DT <= target.time_offset + 1e-12:
+                s = step(s, self.PARAMS, DEFAULT_DT)
+                t += DEFAULT_DT
             rem = target.time_offset - t
             if rem > 1e-9:
                 s = step(s, self.PARAMS, rem)
@@ -219,14 +222,18 @@ class TestServeTrajectory:
 
         monkeypatch.setattr(scenario, "_position_at", recording)
         target = ManifoldPoint(np.array([0.3, -0.1, 1.1]), 1.1, 0)
-        for cfg in (ServeConfig(), ServeConfig(max_iterations=2, tolerance=10.0)):
-            flown.clear()
-            state = serve_trajectory(target, COURT, self.PARAMS, None, cfg)
-            # every flight tries a new velocity, the last one is the result
-            assert 1 < len(flown) <= cfg.max_iterations + 1
-            assert all(not np.array_equal(a, b) for a, b in zip(flown, flown[1:]))
-            assert np.array_equal(flown[-1], state.velocity)
-        assert len(flown) == 3  # the iteration budget ran out after two corrections
+        cfg = ServeConfig()
+        state = serve_trajectory(target, COURT, self.PARAMS, None, cfg)
+        # every flight tries a new velocity, the last one is the result
+        assert 1 < len(flown) <= cfg.max_iterations + 1
+        assert all(not np.array_equal(a, b) for a, b in zip(flown, flown[1:]))
+        assert np.array_equal(flown[-1], state.velocity)
+        flown.clear()
+        with pytest.raises(InfeasibleTargetError):
+            serve_trajectory(target, COURT, self.PARAMS, None, ServeConfig(max_iterations=2))
+        # the iteration budget ran out after two corrections
+        assert len(flown) == 3
+        assert all(not np.array_equal(a, b) for a, b in zip(flown, flown[1:]))
 
     def test_zero_time_target_infeasible(self):
         target = ManifoldPoint(np.array([0.0, 0.0, 1.1]), 0.0, 0)
@@ -241,6 +248,34 @@ class TestServeTrajectory:
         b = serve_trajectory(target, COURT, self.PARAMS, np.random.default_rng(3), cfg)
         assert np.array_equal(a.position, b.position)
         assert np.array_equal(a.velocity, b.velocity)
+
+    @settings(max_examples=30)
+    @given(
+        mode=st.sampled_from(["easy", "hard"]),
+        frac=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+        t_hit=st.floats(0.8, 1.4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_serve_contract(self, mode, frac, t_hit, seed):
+        # a launch is either refused or flies within tolerance of the target
+        volume = strike_volume(mode, CENTER)
+        target = ManifoldPoint(volume.center + np.array(frac) * volume.size, t_hit, 0)
+        cfg = ServeConfig(origin=np.array([6.0, 0.0, 2.0]),
+                          origin_jitter=np.array([0.5, 0.5, 0.3]))
+        rng = np.random.default_rng(seed)
+        try:
+            state = serve_trajectory(target, COURT, self.PARAMS, rng, cfg)
+        except InfeasibleTargetError:
+            return
+        # full steps at DEFAULT_DT, then the remainder step
+        n_full = int(t_hit / DEFAULT_DT)
+        s = state
+        for _ in range(n_full):
+            s = step(s, self.PARAMS, DEFAULT_DT)
+        rem = t_hit - n_full * DEFAULT_DT
+        if rem > 1e-12:
+            s = step(s, self.PARAMS, rem)
+        assert np.linalg.norm(s.position - target.position) <= cfg.tolerance
 
 
 class TestEvaluateEpisodes:

@@ -148,6 +148,14 @@ class TestSimulateToGround:
         with pytest.raises(ValueError, match=r"stopped being finite at t = 0\.005 s"):
             simulate_to_ground(s, PARAMS, dt=0.005, t_max=10.0)
 
+    def test_drag_free_flight_at_overflowing_speed_stays_finite(self):
+        # |v|^2 overflows, but without drag nothing depends on it
+        s = ShuttleState(np.array([0.0, 0.0, 2.0]), np.array([1e200, 0.0, 1e200]))
+        result = simulate_to_ground(s, DRAG_FREE, dt=0.005, t_max=0.01)
+        assert result.airborne_timeout
+        assert np.array_equal(result.trajectory.velocities[-1], [1e200, 0.0, 1e200])
+        assert result.trajectory.positions[-1] == pytest.approx([1e198, 0.0, 1e198], rel=1e-12)
+
 
 class TestRacketImpact:
     def test_one_dimensional_restitution(self):
