@@ -167,15 +167,16 @@ def cmd_track(cfg: RunConfig, measurements_path: str, out_dir: str) -> int:
             + [float(track.get("initial_vel_var", 1.0))] * 3
         ),
     )
+    latency = float(track.get("latency", 0.0))
     belief, rows = estimator.track_measurements(
-        times, zs, prior, params, noise, latency=float(track.get("latency", 0.0))
+        times, zs, prior, params, noise, latency=latency
     )
     estimator.save_filter_log_csv(rows, os.path.join(out_dir, "filter_log.csv"))
 
     horizon = float(track.get("horizon", 2.0))
     dt = float(track.get("dt", shuttle.DEFAULT_DT))
     traj = estimator.predict_trajectory(
-        belief, params, dt, horizon, t0=float(times[-1] - track.get("latency", 0.0))
+        belief, params, dt, horizon, t0=float(times[-1] - latency)
     )
     volume = None
     if "volume" in track:

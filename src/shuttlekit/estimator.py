@@ -8,7 +8,6 @@ the exact derivative of that step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -188,9 +187,7 @@ def select_hit_point(traj: Trajectory, criteria: HitCriteria) -> Optional[Strike
     zs = traj.positions[:, 2]
     feasible = (zs >= lo) & (zs <= hi)
     if criteria.volume is not None:
-        for i in np.flatnonzero(feasible):
-            if not criteria.volume.contains(traj.positions[i]):
-                feasible[i] = False
+        feasible &= criteria.volume.contains(traj.positions)
     idx = np.flatnonzero(feasible)
     if idx.size == 0:
         return None
@@ -265,15 +262,3 @@ def save_filter_log_csv(rows: Array, path) -> None:
         f.write("t,mx,my,mz,mvx,mvy,mvz,nis\n")
         for row in rows:
             f.write(",".join(format(v, ".9g") for v in row) + "\n")
-
-
-def noise_from_dict(d) -> NoiseConfig:
-    r = d["measurement_cov"]
-    if np.isscalar(r):
-        r = float(r) * np.eye(3)
-    return NoiseConfig(process_psd=float(d["process_psd"]), measurement_cov=np.asarray(r))
-
-
-def load_noise(path) -> NoiseConfig:
-    with open(path) as f:
-        return noise_from_dict(json.load(f))

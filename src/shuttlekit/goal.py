@@ -280,11 +280,6 @@ def clip_to_dict(clip: ReferenceClip) -> dict:
     }
 
 
-def load_clip(path) -> ReferenceClip:
-    with open(path) as f:
-        return clip_from_dict(json.load(f))
-
-
 def save_clip(clip: ReferenceClip, path) -> None:
     with open(path, "w") as f:
         json.dump(_round_floats(clip_to_dict(clip)), f, indent=2)

@@ -10,7 +10,7 @@ can be solved jointly on the first frame and are then held fixed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,6 +19,8 @@ from .goal import ClipFrame, ReferenceClip
 from .spatial import (
     KinematicChain,
     Pose,
+    _quat,
+    _rotvec_between,
     chain_from_dict,
     forward_kinematics,
     load_chain,
@@ -118,6 +120,22 @@ class RetargetProblem:
         for sphere in self.collision_spheres:
             if sphere.frame not in frame_names:
                 raise ValueError(f"collision sphere on unknown frame {sphere.frame!r}")
+        # what the residuals need of the problem alone, built once
+        segs, spheres = self.segments, self.collision_spheres
+        object.__setattr__(self, "_frame_names", frame_names)
+        object.__setattr__(self, "_limits", self.chain.joint_limits().T)
+        object.__setattr__(self, "_adjacent_segments", tuple(
+            (i, j) for i in range(len(segs)) for j in range(i + 1, len(segs))
+            if len(set(segs[i]) & set(segs[j])) == 1
+        ))
+        object.__setattr__(self, "_sphere_pairs", tuple(
+            (i, j, spheres[i].radius + spheres[j].radius)
+            for i in range(len(spheres)) for j in range(i + 1, len(spheres))
+            if spheres[i].frame != spheres[j].frame
+        ))
+        object.__setattr__(self, "_sqrt_weights", tuple(
+            np.sqrt(self.weights.for_term(t)) for t in TERM_ORDER
+        ))
 
 
 @dataclass(frozen=True)
@@ -168,76 +186,75 @@ def _angle_between(u: Array, v: Array) -> Optional[float]:
     return float(np.arccos(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0)))
 
 
-def _frame_blocks(
-    p: RetargetProblem,
-    frame: int,
-    root: Pose,
-    q: Array,
-    g_scale: float,
-    l_scales: Array,
-    prev: Optional[tuple[Pose, Array]],
-) -> ResidualReport:
+@dataclass(frozen=True)
+class _FrameTargets:
+    """One frame's targets in residual order, checked against the problem."""
+
+    keypoints: tuple  # (chain frame, target position), by keypoint name
+    segments: dict  # segment index -> (chain frame a, chain frame b, target a - b)
+    angles: tuple  # (segment i, segment j, target angle) of adjacent segments
+    rotations: tuple  # (chain frame, unit target quaternion as floats), by frame name
+
+
+def _frame_targets(p: RetargetProblem, frame: int) -> _FrameTargets:
     kf = p.frames[frame]
     for kp in kf.keypoints:
         if kp not in p.keypoint_map:
             raise ValueError(f"keypoint {kp!r} has no mapping onto the chain")
-    fk = forward_kinematics(p.chain, root, q)
-    s_g = g_scale
+    rotations = []
+    for name in sorted(kf.rotations):
+        if name not in p._frame_names:
+            raise ValueError(f"rotation target on unknown frame {name!r}")
+        rotations.append((name, _quat(kf.rotations[name], f"rotation target {name!r}").tolist()))
+    segments = {
+        si: (p.keypoint_map[a], p.keypoint_map[b], kf.keypoints[a] - kf.keypoints[b])
+        for si, (a, b) in enumerate(p.segments)
+        if a in kf.keypoints and b in kf.keypoints
+    }
+    angles = [
+        (i, j, _angle_between(segments[i][2], segments[j][2]))
+        for i, j in p._adjacent_segments if i in segments and j in segments
+    ]
+    return _FrameTargets(
+        tuple((p.keypoint_map[kp], kf.keypoints[kp]) for kp in sorted(kf.keypoints)),
+        segments,
+        tuple(a for a in angles if a[2] is not None),
+        tuple(rotations),
+    )
 
-    g_block = []
-    for kp in sorted(kf.keypoints):
-        g_block.append(fk[p.keypoint_map[kp]].position - s_g * kf.keypoints[kp])
+
+def _frame_blocks(
+    p: RetargetProblem, tg: _FrameTargets, root: Pose, q: Array, g_scale: float,
+    l_scales: Array, prev: Optional[tuple[Pose, Array]],
+) -> ResidualReport:
+    fk = forward_kinematics(p.chain, root, q)
+    g_block = [fk[name].position - g_scale * target for name, target in tg.keypoints]
     g_res = np.concatenate(g_block) if g_block else np.zeros(0)
 
     l_block = []
-    seg_fk: dict[int, Optional[Array]] = {}
-    seg_tg: dict[int, Optional[Array]] = {}
-    for si, (a, b) in enumerate(p.segments):
-        if a not in kf.keypoints or b not in kf.keypoints:
-            seg_fk[si] = seg_tg[si] = None
-            continue
-        vec_fk = fk[p.keypoint_map[a]].position - fk[p.keypoint_map[b]].position
-        vec_tg = kf.keypoints[a] - kf.keypoints[b]
-        seg_fk[si], seg_tg[si] = vec_fk, vec_tg
+    seg_fk: dict[int, Array] = {}
+    for si, (a, b, vec_tg) in tg.segments.items():
+        seg_fk[si] = vec_fk = fk[a].position - fk[b].position
         s_l = l_scales[si] if si < l_scales.size else 1.0
-        l_block.append(vec_fk - s_l * s_g * vec_tg)
-    for i in range(len(p.segments)):
-        for j in range(i + 1, len(p.segments)):
-            if seg_fk.get(i) is None or seg_fk.get(j) is None:
-                continue
-            shared = set(p.segments[i]) & set(p.segments[j])
-            if len(shared) != 1:
-                continue
-            ang_fk = _angle_between(seg_fk[i], seg_fk[j])
-            ang_tg = _angle_between(seg_tg[i], seg_tg[j])
-            if ang_fk is None or ang_tg is None:
-                continue
+        l_block.append(vec_fk - s_l * g_scale * vec_tg)
+    for i, j, ang_tg in tg.angles:
+        ang_fk = _angle_between(seg_fk[i], seg_fk[j])
+        if ang_fk is not None:
             l_block.append(np.array([ang_fk - ang_tg]))
     l_res = np.concatenate(l_block) if l_block else np.zeros(0)
 
-    r_block = []
-    for name in sorted(kf.rotations):
-        if name not in fk:
-            raise ValueError(f"rotation target on unknown frame {name!r}")
-        r_block.append(quat_boxminus(kf.rotations[name], fk[name].orientation))
-    r_res = np.concatenate(r_block) if r_block else np.zeros(0)
+    r_res = np.array([
+        _rotvec_between(q_tg, fk[name].orientation.tolist()) for name, q_tg in tg.rotations
+    ]).ravel()
 
-    c_block = []
     centers = [fk[s.frame].transform_point(s.offset) for s in p.collision_spheres]
-    for i in range(len(p.collision_spheres)):
-        for j in range(i + 1, len(p.collision_spheres)):
-            if p.collision_spheres[i].frame == p.collision_spheres[j].frame:
-                continue
-            gap = (
-                p.collision_spheres[i].radius
-                + p.collision_spheres[j].radius
-                - float(np.linalg.norm(centers[i] - centers[j]))
-            )
-            c_block.append(max(0.0, gap))
-    c_res = np.array(c_block) if c_block else np.zeros(0)
+    c_res = np.array([
+        max(0.0, radii - float(np.linalg.norm(centers[i] - centers[j])))
+        for i, j, radii in p._sphere_pairs
+    ])
 
-    lims = p.chain.joint_limits()
-    lim_res = np.maximum(0.0, lims[:, 0] - q) + np.maximum(0.0, q - lims[:, 1])
+    lo, hi = p._limits
+    lim_res = np.maximum(0.0, lo - q) + np.maximum(0.0, q - hi)
 
     if prev is None:
         s_res = np.zeros(0)
@@ -251,16 +268,7 @@ def _frame_blocks(
             ]
         )
 
-    return ResidualReport(
-        {
-            "global": g_res,
-            "local": l_res,
-            "ee_rotation": r_res,
-            "collision": c_res,
-            "limit": lim_res,
-            "smooth": s_res,
-        }
-    )
+    return ResidualReport(dict(zip(TERM_ORDER, (g_res, l_res, r_res, c_res, lim_res, s_res))))
 
 
 def evaluate_residuals(
@@ -284,15 +292,8 @@ def evaluate_residuals(
     prev = None
     if frame > 0:
         prev = (x.root_poses[frame - 1], x.joint_angles[frame - 1])
-    return _frame_blocks(
-        p,
-        frame,
-        x.root_poses[frame],
-        x.joint_angles[frame],
-        x.global_scale,
-        x.local_scales,
-        prev,
-    )
+    return _frame_blocks(p, _frame_targets(p, frame), x.root_poses[frame],
+                         x.joint_angles[frame], x.global_scale, x.local_scales, prev)
 
 
 def _term_costs(report: ResidualReport, w: RetargetWeights) -> dict[str, float]:
@@ -338,24 +339,21 @@ class _FrameIterate:
 def _weighted_residuals(
     p: RetargetProblem,
     it: _FrameIterate,
-    frame: int,
+    tg: _FrameTargets,
     prev: Optional[tuple[Pose, Array]],
 ) -> Array:
-    report = _frame_blocks(p, frame, it.root, it.q, it.g_scale, it.l_scales, prev)
+    report = _frame_blocks(p, tg, it.root, it.q, it.g_scale, it.l_scales, prev)
     stacked = report.stacked()
     if not np.all(np.isfinite(stacked)):
         bad = [t for t in TERM_ORDER if not np.all(np.isfinite(report.blocks[t]))]
         raise ValueError(f"non-finite residuals in terms: {bad}")
-    parts = [
-        np.sqrt(p.weights.for_term(t)) * report.blocks[t] for t in TERM_ORDER
-    ]
-    return np.concatenate(parts)
+    return np.concatenate([w * report.blocks[t] for w, t in zip(p._sqrt_weights, TERM_ORDER)])
 
 
 def _solve_frame(
     p: RetargetProblem,
     it: _FrameIterate,
-    frame: int,
+    tg: _FrameTargets,
     prev: Optional[tuple[Pose, Array]],
     max_iters: int = 200,
     rel_tol: float = 1e-8,
@@ -364,7 +362,7 @@ def _solve_frame(
     """Levenberg-Marquardt over one frame's increment vector."""
     h = 1e-6
     lam = 1e-3
-    r = _weighted_residuals(p, it, frame, prev)
+    r = _weighted_residuals(p, it, tg, prev)
     cost = float(np.dot(r, r))
     if cost_trace is not None:
         cost_trace.append(cost)
@@ -374,9 +372,9 @@ def _solve_frame(
         for k in range(dim):
             dplus = np.zeros(dim)
             dplus[k] = h
-            r_plus = _weighted_residuals(p, it.apply(dplus), frame, prev)
+            r_plus = _weighted_residuals(p, it.apply(dplus), tg, prev)
             dplus[k] = -h
-            r_minus = _weighted_residuals(p, it.apply(dplus), frame, prev)
+            r_minus = _weighted_residuals(p, it.apply(dplus), tg, prev)
             jac[:, k] = (r_plus - r_minus) / (2.0 * h)
         jtj = jac.T @ jac
         jtr = jac.T @ r
@@ -388,7 +386,7 @@ def _solve_frame(
                 lam *= 10.0
                 continue
             trial = it.apply(delta)
-            r_trial = _weighted_residuals(p, trial, frame, prev)
+            r_trial = _weighted_residuals(p, trial, tg, prev)
             trial_cost = float(np.dot(r_trial, r_trial))
             if trial_cost < cost:
                 converged = cost - trial_cost < rel_tol * max(cost, 1e-30)
@@ -428,6 +426,7 @@ def solve_retarget(
         l_scales = np.ones(n_seg)
     if l_scales.size != n_seg:
         raise ValueError("init local_scales must match the segment count")
+    targets = [_frame_targets(p, frame) for frame in range(len(p.frames))]
 
     it = _FrameIterate(
         root=init.root_poses[0],
@@ -441,17 +440,17 @@ def solve_retarget(
     joints: list[Array] = []
     costs = {t: 0.0 for t in TERM_ORDER}
     prev: Optional[tuple[Pose, Array]] = None
-    for frame in range(len(p.frames)):
+    for frame, tg in enumerate(targets):
         if p.fix_root and frame < init.n_frames:
             it.root = init.root_poses[frame]
         frame_trace: Optional[list] = None
         if cost_trace is not None:
             frame_trace = []
             cost_trace.append(frame_trace)
-        it = _solve_frame(p, it, frame, prev, cost_trace=frame_trace)
+        it = _solve_frame(p, it, tg, prev, cost_trace=frame_trace)
         roots.append(it.root)
         joints.append(it.q.copy())
-        report = _frame_blocks(p, frame, it.root, it.q, it.g_scale, it.l_scales, prev)
+        report = _frame_blocks(p, tg, it.root, it.q, it.g_scale, it.l_scales, prev)
         for t, c in _term_costs(report, p.weights).items():
             costs[t] += c
         prev = (it.root, it.q.copy())
@@ -595,6 +594,9 @@ def problem_from_dict(
             )
         )
     w = data.get("weights", {})
+    unknown = sorted(set(w) - {f.name for f in fields(RetargetWeights)})
+    if unknown:
+        raise ValueError(f"unknown weights key(s) {unknown}")
     return RetargetProblem(
         chain=chain,
         keypoint_map=dict(data["keypoint_map"]),

@@ -62,9 +62,8 @@ class StrikeManifold:
         points = tuple(self.points)
         if not points:
             raise ValueError("manifold must be non-empty")
-        for pt in points:
-            if not self.volume.contains(pt.position):
-                raise ValueError("manifold point lies outside the declared volume")
+        if not self.volume.contains(np.array([pt.position for pt in points])).all():
+            raise ValueError("manifold point lies outside the declared volume")
         object.__setattr__(self, "points", points)
 
 

@@ -206,8 +206,13 @@ class Box:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "size", size)
 
-    def contains(self, p: Array) -> bool:
-        return bool(np.all(np.abs(np.asarray(p) - self.center) <= 0.5 * self.size))
+    def contains(self, p: Array):
+        """One (3,) point -> bool, or (k, 3) rows -> (k,) bools; the boundary is inside."""
+        p = np.asarray(p, dtype=np.float64)
+        if p.ndim not in (1, 2) or p.shape[-1] != 3:
+            raise ValueError(f"expected shape (3,) or (k, 3), got {p.shape}")
+        inside = np.all(np.abs(p - self.center) <= 0.5 * self.size, axis=-1)
+        return bool(inside) if p.ndim == 1 else inside
 
 
 # Kinds accepted by state_boxminus: everything but orientation lives in a
@@ -340,8 +345,9 @@ def forward_kinematics(chain: KinematicChain, root: Pose, q) -> dict[str, Pose]:
     out: dict[str, Pose] = {}
     for i, joint in enumerate(chain.joints):
         parent = root if joint.parent < 0 else poses[joint.parent]
-        local = Pose(np.zeros(3), quat_from_rotvec(joint.axis * q[i]))
-        pose = parent.compose(joint.offset).compose(local)
+        rot = quat_mul(parent.orientation, joint.offset.orientation)
+        pose = Pose(parent.transform_point(joint.offset.position),
+                    quat_mul(rot, quat_from_rotvec(joint.axis * q[i])))
         poses.append(pose)
         out[joint.name] = pose
     for ee in chain.end_effectors:
@@ -411,9 +417,3 @@ def chain_to_dict(chain: KinematicChain) -> dict:
 def load_chain(path) -> KinematicChain:
     with open(path) as f:
         return chain_from_dict(json.load(f))
-
-
-def save_chain(chain: KinematicChain, path) -> None:
-    with open(path, "w") as f:
-        json.dump(chain_to_dict(chain), f, indent=2)
-        f.write("\n")

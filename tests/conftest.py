@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from shuttlekit.spatial import EndEffector, Joint, KinematicChain, Pose, quat_identity
 
@@ -8,6 +9,16 @@ from shuttlekit.spatial import EndEffector, Joint, KinematicChain, Pose, quat_id
 # database, and have no per-example deadline on a loaded host.
 settings.register_profile("shuttlekit", derandomize=True, database=None, deadline=None)
 settings.load_profile("shuttlekit")
+
+finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+vec3 = st.tuples(finite, finite, finite).map(np.array)
+unit_quats = (
+    st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 4)
+    .map(np.array)
+    .filter(lambda q: np.linalg.norm(q) > 0.1)
+    .map(lambda q: q / np.linalg.norm(q))
+)
+poses = st.builds(Pose, vec3, unit_quats)
 
 
 def arm_chain() -> KinematicChain:

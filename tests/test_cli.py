@@ -162,6 +162,19 @@ class TestTrack:
         assert code == 3
         assert json.loads((workdir / "out" / "strike_target.json").read_text()) == {}
 
+    def test_string_latency_reads_as_number(self, workdir):
+        meas, _ = _write_measurements(workdir)
+        args = ["track", "--config", str(workdir / "config.json"), str(meas)]
+        outputs = []
+        for latency in (0.01, "0.01"):
+            config = json.loads((workdir / "config.json").read_text())
+            config["track"]["latency"] = latency
+            (workdir / "config.json").write_text(json.dumps(config))
+            assert main(args) == 0
+            outputs.append([(workdir / "out" / f).read_bytes()
+                            for f in ("filter_log.csv", "strike_target.json")])
+        assert outputs[0] == outputs[1]
+
     def test_rerun_byte_identical(self, workdir):
         meas, _ = _write_measurements(workdir)
         args = ["track", "--config", str(workdir / "config.json"), str(meas)]
@@ -211,6 +224,15 @@ class TestRetarget:
         del data["keypoint_map"]["kp_hand"]
         path.write_text(json.dumps(data))
         assert main(["retarget", "--config", str(workdir / "config.json"), str(path)]) == 1
+
+    def test_unknown_weights_key_exits_one(self, workdir, capsys):
+        path = _retarget_problem(workdir)
+        data = json.loads(path.read_text())
+        data["weights"]["global"] = 2.0
+        path.write_text(json.dumps(data))
+        assert main(["retarget", "--config", str(workdir / "config.json"), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown weights key") and "'global'" in err
 
     def test_rerun_byte_identical(self, workdir):
         path = _retarget_problem(workdir)

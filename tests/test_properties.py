@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import finite, poses, unit_quats, vec3
 from shuttlekit.goal import ClipFrame, ReferenceClip, pose_delta_in_base, reference_window
 from shuttlekit.spatial import (
-    Pose,
     quat_boxminus,
     quat_boxplus,
     quat_conj,
@@ -21,15 +21,6 @@ from shuttlekit.spatial import (
     to_base_frame,
 )
 
-finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
-vec3 = st.tuples(finite, finite, finite).map(np.array)
-unit_quats = (
-    st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 4)
-    .map(np.array)
-    .filter(lambda q: np.linalg.norm(q) > 0.1)
-    .map(lambda q: q / np.linalg.norm(q))
-)
-poses = st.builds(Pose, vec3, unit_quats)
 # increments well inside the ball of radius pi, where log(exp(d)) = d
 small_rotvecs = vec3.filter(lambda d: np.linalg.norm(d) < 3.0)
 

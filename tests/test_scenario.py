@@ -75,6 +75,25 @@ class TestExpandManifold:
             assert pa.time_offset == pb.time_offset
             assert pa.source == pb.source
 
+    @settings(max_examples=30)
+    @given(
+        mode=st.sampled_from(["easy", "hard"]),
+        fracs=st.lists(st.tuples(*[st.floats(-0.7, 0.7)] * 3), min_size=1, max_size=4),
+        radius=st.floats(0.0, 0.6),
+        count=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_samples_stay_inside_volume(self, mode, fracs, radius, count, seed):
+        volume = strike_volume(mode, CENTER)
+        dataset = [(volume.center + np.array(f) * volume.size, 1.0) for f in fracs]
+        try:
+            manifold = expand_manifold(dataset, radius, 0.3, count, mode, seed, center=CENTER)
+        except InfeasibleTargetError:
+            return
+        positions = np.array([pt.position for pt in manifold.points])
+        assert positions.shape == (count, 3)
+        assert np.all(np.abs(positions - volume.center) <= 0.5 * volume.size)
+
     def test_samples_stay_within_radius_of_source(self):
         # a larger radius therefore covers every smaller-radius sample
         radius = 0.35

@@ -1,10 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from conftest import arm_chain, planar_two_link, random_pose, random_quat
+from conftest import arm_chain, planar_two_link, poses, random_pose, random_quat, vec3
 from shuttlekit.spatial import (
     Box,
+    EndEffector,
+    Joint,
+    KinematicChain,
     Pose,
     chain_from_dict,
     chain_to_dict,
@@ -150,6 +157,32 @@ def _fk_matrix_oracle(chain, root, q):
     return out
 
 
+axes = vec3.filter(lambda a: np.linalg.norm(a) > 0.1)
+
+
+@st.composite
+def chain_states(draw):
+    """A joint tree with random offsets (rotations included) and axes, a root and angles."""
+    n = draw(st.integers(1, 5))
+    joints = tuple(
+        Joint(f"j{i}", draw(st.integers(-1, i - 1)), draw(poses), draw(axes), (-7.0, 7.0))
+        for i in range(n)
+    )
+    end_effectors = tuple(
+        EndEffector(f"e{k}", draw(st.integers(-1, n - 1)), draw(poses))
+        for k in range(draw(st.integers(0, 3)))
+    )
+    angles = draw(st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=n, max_size=n))
+    return KinematicChain(joints, end_effectors), draw(poses), np.array(angles)
+
+
+ARM_STATE = (
+    arm_chain(),
+    Pose(np.array([0.3, -0.2, 0.5]), quat_from_rotvec(np.array([0.2, -0.4, 1.1]))),
+    np.array([0.7, -1.2, 0.4]),
+)
+
+
 class TestForwardKinematics:
     def test_zero_angles_sum_offsets(self):
         chain = planar_two_link()
@@ -161,35 +194,44 @@ class TestForwardKinematics:
         frames = forward_kinematics(chain, Pose.identity(), np.array([np.pi / 2, 0.0]))
         assert np.allclose(frames["tip"].position, [0.0, 2.0, 0.0], atol=1e-12)
 
-    def test_matches_homogeneous_matrix_oracle(self, rng):
-        chain = arm_chain()
-        for _ in range(50):
-            root = random_pose(rng)
-            q = rng.uniform(-1.5, 1.5, size=chain.n_joints)
-            frames = forward_kinematics(chain, root, q)
-            oracle = _fk_matrix_oracle(chain, root, q)
-            for name, pose in frames.items():
-                assert np.allclose(pose.position, oracle[name][:3, 3], atol=1e-10)
-                assert np.allclose(
-                    quat_to_matrix(pose.orientation), oracle[name][:3, :3], atol=1e-10
-                )
+    @given(chain_states())
+    @example(ARM_STATE)
+    def test_matches_homogeneous_matrix_oracle(self, state):
+        chain, root, q = state
+        frames = forward_kinematics(chain, root, q)
+        oracle = _fk_matrix_oracle(chain, root, q)
+        assert frames.keys() == oracle.keys()
+        for name, pose in frames.items():
+            assert np.allclose(pose.position, oracle[name][:3, 3], rtol=0.0, atol=1e-12)
+            assert np.allclose(
+                quat_to_matrix(pose.orientation), oracle[name][:3, :3], rtol=0.0, atol=1e-12
+            )
 
     def test_wrong_length_rejected(self):
         chain = planar_two_link()
         with pytest.raises(ValueError):
             forward_kinematics(chain, Pose.identity(), np.zeros(3))
 
-    def test_invariant_under_root_change(self, rng):
-        chain = arm_chain()
-        q = rng.uniform(-1.0, 1.0, size=chain.n_joints)
-        root = random_pose(rng)
+    @given(chain_states())
+    @example(ARM_STATE)
+    def test_invariant_under_root_change(self, state):
+        # the root is the frame the root-level offsets are given in: moving the
+        # chain by it, or folding it into those offsets, gives the same frames
+        chain, root, q = state
         moved = forward_kinematics(chain, root, q)
         local = forward_kinematics(chain, Pose.identity(), q)
+        folded = KinematicChain(
+            tuple(replace(j, offset=root.compose(j.offset)) if j.parent < 0 else j
+                  for j in chain.joints),
+            tuple(replace(e, offset=root.compose(e.offset)) if e.parent < 0 else e
+                  for e in chain.end_effectors),
+        )
+        refolded = forward_kinematics(folded, Pose.identity(), q)
         for name in moved:
-            recomposed = root.compose(local[name])
-            assert np.allclose(moved[name].position, recomposed.position, atol=1e-12)
-            dq = quat_boxminus(moved[name].orientation, recomposed.orientation)
-            assert np.linalg.norm(dq) < 1e-12
+            for other in (root.compose(local[name]), refolded[name]):
+                assert np.allclose(moved[name].position, other.position, rtol=0.0, atol=1e-12)
+                dq = quat_boxminus(moved[name].orientation, other.orientation)
+                assert np.linalg.norm(dq) < 1e-12
 
 
 class TestPose:
@@ -219,11 +261,32 @@ class TestPose:
 
 
 class TestBox:
+    BOX = Box(np.array([0.0, 0.0, 1.0]), np.array([2.0, 0.4, 0.3]))
+
     def test_contains(self):
-        box = Box(np.array([0.0, 0.0, 1.0]), np.array([2.0, 0.4, 0.3]))
+        box = self.BOX
         assert box.contains([0.9, 0.19, 1.1])
         assert not box.contains([1.1, 0.0, 1.0])
         assert box.contains([1.0, 0.2, 1.15])  # boundary inclusive
+
+    def test_rows_match_single_points(self):
+        rows = np.array([
+            [0.9, 0.19, 1.1],
+            [1.1, 0.0, 1.0],
+            [1.0, 0.2, 1.15],  # boundary, every axis
+            [-1.0, -0.2, 1.15],  # boundary, every axis
+            [0.0, -0.21, 1.0],
+        ])
+        inside = self.BOX.contains(rows)
+        assert inside.dtype == bool
+        assert inside.tolist() == [True, False, True, True, False]
+        assert inside.tolist() == [self.BOX.contains(p) for p in rows]
+        assert self.BOX.contains(np.zeros((0, 3))).shape == (0,)
+
+    def test_bad_shape_rejected(self):
+        for bad in (0.0, np.zeros(2), np.zeros(4), np.zeros((2, 2)), np.zeros((1, 2, 3))):
+            with pytest.raises(ValueError):
+                self.BOX.contains(bad)
 
 
 class TestChainIo:
