@@ -143,10 +143,6 @@ class Mlp:
         object.__setattr__(self, "biases", bs)
 
     @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
-
-    @property
     def input_size(self) -> int:
         return self.weights[0].shape[1]
 
@@ -218,35 +214,25 @@ def grad_wrt_input(m: Mlp, obs) -> Array:
     return _input_grads(m, _forward(m, x))[0]
 
 
-def _param_grads_of_output(
-    m: Mlp, acts: list[Array], coeff: Array
-) -> tuple[list[Array], list[Array]]:
-    """Gradients of sum_b coeff_b * D(x_b) with respect to weights/biases."""
-    n_layers = len(m.weights)
-    d_w = [np.zeros_like(w) for w in m.weights]
-    d_b = [np.zeros_like(b) for b in m.biases]
-    u = coeff[:, None]  # dL/dz_L
-    for l in range(n_layers - 1, -1, -1):
-        d_w[l] += u.T @ acts[l]
-        d_b[l] += u.sum(axis=0)
-        if l > 0:
-            u = (u @ m.weights[l]) * (1.0 - acts[l] ** 2)
-    return d_w, d_b
+def _param_grads(
+    m: Mlp, acts: list[Array], coeff: Array, g: Array
+) -> tuple[tuple[Array, ...], tuple[Array, ...]]:
+    """Gradients with respect to the parameters of
 
+        s = sum_b coeff_b * D(x_b) + sum_r g_r . grad_x D(x_r),
 
-def _param_grads_of_penalty(
-    m: Mlp, acts: list[Array], g: Array
-) -> tuple[list[Array], list[Array]]:
-    """Gradients of s = sum_b g_b . grad_x D(x_b) with respect to the
-    parameters, treating g as constant.
+    treating coeff and g as constant. The batch in acts holds the rows b;
+    the rows r of g are its first len(g) rows.
 
-    Implemented as a forward tangent pass seeded with g (a directional
-    derivative of D), then reverse accumulation through both the primal
-    and tangent computations. With g set to the actual input gradients,
-    this equals the parameter gradient of sum_b |grad_x D(x_b)|^2 / 2.
+    Implemented as a forward tangent pass over those rows seeded with g (a
+    directional derivative of D), then one reverse accumulation through
+    both the primal and tangent computations. With g set to c times the
+    actual input gradients, the second sum has the parameter gradient of
+    (c / 2) * sum_r |grad_x D(x_r)|^2.
     """
     n_layers = len(m.weights)
     last = n_layers - 1
+    n_tan = g.shape[0]
     # tangent forward: tz[l] before activation, t[l] after
     t = g
     tangents_in = []   # t_{l-1} feeding layer l
@@ -256,22 +242,22 @@ def _param_grads_of_penalty(
         tz = t @ m.weights[l].T
         tangents_out.append(tz)
         if l < last:
-            t = (1.0 - acts[l + 1] ** 2) * tz
-    d_w = [np.zeros_like(w) for w in m.weights]
-    d_b = [np.zeros_like(b) for b in m.biases]
-    batch = acts[0].shape[0]
-    lam = np.ones((batch, 1))  # ds/d(tz_l)
-    mu = np.zeros((batch, 1))  # ds/d(z_l)
+            t = (1.0 - acts[l + 1][:n_tan] ** 2) * tz
+    d_w = []
+    d_b = []
+    lam = np.ones((n_tan, 1))  # ds/d(tz_l)
+    mu = coeff[:, None]        # ds/d(z_l)
     for l in range(last, -1, -1):
-        d_w[l] += mu.T @ acts[l] + lam.T @ tangents_in[l]
-        d_b[l] += mu.sum(axis=0)
+        d_w.append(mu.T @ acts[l] + lam.T @ tangents_in[l])
+        d_b.append(mu.sum(axis=0))
         if l > 0:
             alpha = mu @ m.weights[l]   # ds/d(a_{l-1})
             tau = lam @ m.weights[l]    # ds/d(t_{l-1})
             h = 1.0 - acts[l] ** 2      # tanh'(z_{l-1})
-            mu = alpha * h + tau * (-2.0 * acts[l] * h) * tangents_out[l - 1]
-            lam = tau * h
-    return d_w, d_b
+            mu = alpha * h
+            mu[:n_tan] += tau * (-2.0 * acts[l][:n_tan] * h[:n_tan]) * tangents_out[l - 1]
+            lam = tau * h[:n_tan]
+    return tuple(d_w[::-1]), tuple(d_b[::-1])
 
 
 @dataclass(frozen=True)
@@ -304,32 +290,21 @@ def disc_loss_and_grads(
     n_real = x_real.shape[0]
     n_fake = x_fake.shape[0]
 
-    acts_real = _forward(m, x_real)
-    acts_fake = _forward(m, x_fake)
-    d_real = acts_real[-1][:, 0]
-    d_fake = acts_fake[-1][:, 0]
+    acts = _forward(m, np.concatenate((x_real, x_fake)))
+    d_real = acts[-1][:n_real, 0]
+    d_fake = acts[-1][n_real:, 0]
+    g = _input_grads(m, [a[:n_real] for a in acts])
 
     real_term = float(np.mean((d_real - 1.0) ** 2))
     fake_term = float(np.mean((d_fake + 1.0) ** 2))
-    gw_r, gb_r = _param_grads_of_output(m, acts_real, 2.0 * (d_real - 1.0) / n_real)
-    gw_f, gb_f = _param_grads_of_output(m, acts_fake, 2.0 * (d_fake + 1.0) / n_fake)
-
-    penalty_term = 0.0
-    gw_p = [np.zeros_like(w) for w in m.weights]
-    gb_p = [np.zeros_like(b) for b in m.biases]
-    if cfg.grad_penalty_weight > 0.0:
-        g = _input_grads(m, acts_real)
-        penalty_term = float(
-            cfg.grad_penalty_weight / 2.0 * np.mean(np.sum(g * g, axis=1))
-        )
-        # d/dtheta of (w_gp / (2 n)) sum_b |g_b|^2  =  (w_gp / n) * d(g . g_hat)/dtheta
-        scale = cfg.grad_penalty_weight / n_real
-        gw_p, gb_p = _param_grads_of_penalty(m, acts_real, g)
-        gw_p = [scale * w for w in gw_p]
-        gb_p = [scale * b for b in gb_p]
-
-    weight_grads = tuple(a + b + c for a, b, c in zip(gw_r, gw_f, gw_p))
-    bias_grads = tuple(a + b + c for a, b, c in zip(gb_r, gb_f, gb_p))
+    penalty_term = float(
+        cfg.grad_penalty_weight / 2.0 * np.mean(np.sum(g * g, axis=1))
+    )
+    # d/dtheta of (w_gp / (2 n)) sum_b |g_b|^2  =  d((w_gp / n) g . g_hat)/dtheta
+    coeff = np.concatenate((2.0 * (d_real - 1.0) / n_real, 2.0 * (d_fake + 1.0) / n_fake))
+    weight_grads, bias_grads = _param_grads(
+        m, acts, coeff, cfg.grad_penalty_weight / n_real * g
+    )
     return DiscriminatorLoss(
         loss=real_term + fake_term + penalty_term,
         real_term=real_term,

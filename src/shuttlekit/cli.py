@@ -77,6 +77,8 @@ def load_run_config(path: Optional[str]) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(key, loader):
@@ -96,11 +98,19 @@ def load_run_config(path: Optional[str]) -> RunConfig:
     cfg.out_dir = data.get("out_dir", ".")
     if not os.path.isabs(cfg.out_dir):
         cfg.out_dir = os.path.join(base, cfg.out_dir)
-    cfg.sim = data.get("sim", {})
-    cfg.track = data.get("track", {})
-    cfg.expand = data.get("expand", {})
-    cfg.score = data.get("score", {})
+    for name in ("sim", "track", "expand", "score"):
+        section = data.get(name, {})
+        if section is not None and not isinstance(section, dict):
+            raise ConfigError(f"config {name} must be an object")
+        setattr(cfg, name, section)
     return cfg
+
+
+def _float(cfg: RunConfig, section: str, key: str, default: float) -> float:
+    try:
+        return float((getattr(cfg, section) or {}).get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config {section}.{key} must be a number: {exc}") from exc
 
 
 def _require(value, what: str):
@@ -118,9 +128,8 @@ def cmd_simulate(cfg: RunConfig, state_path: str, out_dir: str) -> int:
         velocity=np.asarray(raw["velocity"]),
         axis=np.asarray(raw["axis"]) if "axis" in raw else None,
     )
-    sim = cfg.sim or {}
-    dt = float(sim.get("dt", shuttle.DEFAULT_DT))
-    t_max = float(sim.get("t_max", 10.0))
+    dt = _float(cfg, "sim", "dt", shuttle.DEFAULT_DT)
+    t_max = _float(cfg, "sim", "t_max", 10.0)
     result = shuttle.simulate_to_ground(state, params, dt=dt, t_max=t_max)
     shuttle.save_trajectory_csv(result.trajectory, os.path.join(out_dir, "trajectory.csv"))
     if result.landing is None:
@@ -151,11 +160,11 @@ def cmd_track(cfg: RunConfig, measurements_path: str, out_dir: str) -> int:
     times, zs = estimator.load_measurements_csv(measurements_path)
     if "measurement_cov" in track:
         r = np.asarray(track["measurement_cov"])
-        noise = estimator.NoiseConfig(float(track.get("process_psd", 1.0)), r)
+        noise = estimator.NoiseConfig(_float(cfg, "track", "process_psd", 1.0), r)
     else:
         noise = estimator.NoiseConfig.isotropic(
-            float(track.get("process_psd", 1.0)),
-            float(track.get("measurement_std", 0.005)),
+            _float(cfg, "track", "process_psd", 1.0),
+            _float(cfg, "track", "measurement_std", 0.005),
         )
     vel0 = np.zeros(3)
     if len(times) > 1 and times[1] > times[0]:
@@ -163,18 +172,18 @@ def cmd_track(cfg: RunConfig, measurements_path: str, out_dir: str) -> int:
     prior = estimator.EkfBelief(
         np.concatenate([zs[0], vel0]),
         np.diag(
-            [float(track.get("initial_pos_var", 0.01))] * 3
-            + [float(track.get("initial_vel_var", 1.0))] * 3
+            [_float(cfg, "track", "initial_pos_var", 0.01)] * 3
+            + [_float(cfg, "track", "initial_vel_var", 1.0)] * 3
         ),
     )
-    latency = float(track.get("latency", 0.0))
+    latency = _float(cfg, "track", "latency", 0.0)
     belief, rows = estimator.track_measurements(
         times, zs, prior, params, noise, latency=latency
     )
     estimator.save_filter_log_csv(rows, os.path.join(out_dir, "filter_log.csv"))
 
-    horizon = float(track.get("horizon", 2.0))
-    dt = float(track.get("dt", shuttle.DEFAULT_DT))
+    horizon = _float(cfg, "track", "horizon", 2.0)
+    dt = _float(cfg, "track", "dt", shuttle.DEFAULT_DT)
     traj = estimator.predict_trajectory(
         belief, params, dt, horizon, t0=float(times[-1] - latency)
     )
@@ -247,8 +256,8 @@ def cmd_expand(
     expand = cfg.expand or {}
     manifold = scenario.expand_manifold(
         [(p.position, p.time_offset) for p in points],
-        radius=float(expand.get("radius", 0.3)),
-        time_jitter=float(expand.get("time_jitter", 0.5)),
+        radius=_float(cfg, "expand", "radius", 0.3),
+        time_jitter=_float(cfg, "expand", "time_jitter", 0.5),
         count=count,
         mode=mode,
         seed=seed,
@@ -262,11 +271,10 @@ def cmd_score(cfg: RunConfig, episode_path: str, out_dir: str) -> int:
     logs = scenario.load_episode_csv(episode_path)
     if not logs:
         raise ConfigError("episode log is empty")
-    score = cfg.score or {}
     metrics = scenario.evaluate_episodes(
         logs,
-        in_bounds_weight=float(score.get("in_bounds_weight", 1.0)),
-        fault_weight=float(score.get("fault_weight", 0.25)),
+        in_bounds_weight=_float(cfg, "score", "in_bounds_weight", 1.0),
+        fault_weight=_float(cfg, "score", "fault_weight", 0.25),
     )
     _write_json(
         {"SR": metrics.sr, "MSE": metrics.mse, "IBR": metrics.ibr},
@@ -324,7 +332,7 @@ def main(argv=None) -> int:
             return cmd_score(cfg, args.episodes, out_dir)
         raise AssertionError(f"unhandled command {args.command}")
     except (ConfigError, OSError, json.JSONDecodeError, ValueError, KeyError,
-            estimator.NumericalFailureError) as exc:
+            TypeError, estimator.NumericalFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except scenario.InfeasibleTargetError as exc:

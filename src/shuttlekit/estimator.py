@@ -8,6 +8,7 @@ the exact derivative of that step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,6 +37,8 @@ class EkfBelief:
         cov = np.asarray(self.covariance, dtype=np.float64)
         if mean.shape != (6,):
             raise ValueError(f"mean must have shape (6,), got {mean.shape}")
+        if not all(map(math.isfinite, mean.tolist())):
+            raise ValueError("mean has non-finite components")
         if cov.shape != (6, 6):
             raise ValueError(f"covariance must have shape (6, 6), got {cov.shape}")
         if np.max(np.abs(cov - cov.T)) > 1e-9:
@@ -44,14 +47,6 @@ class EkfBelief:
             raise NumericalFailureError("covariance is not positive semidefinite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
-
-    @property
-    def position(self) -> Array:
-        return self.mean[:3]
-
-    @property
-    def velocity(self) -> Array:
-        return self.mean[3:]
 
 
 @dataclass(frozen=True)
@@ -225,6 +220,8 @@ def track_measurements(
         raise ValueError("need times (N,) and measurements (N, 3)")
     if times.size == 0:
         raise ValueError("empty measurement sequence")
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"timestamps shifted by latency {latency} are not all finite")
     if np.any(np.diff(times) <= 0):
         raise ValueError("timestamps must be strictly increasing")
     rows = np.empty((times.size, 8))

@@ -21,6 +21,7 @@ from .spatial import (
     Pose,
     _quat,
     _rotvec_between,
+    _vec3,
     chain_from_dict,
     forward_kinematics,
     load_chain,
@@ -68,7 +69,9 @@ class CollisionSphere:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", np.asarray(self.offset, dtype=np.float64))
+        object.__setattr__(
+            self, "offset", _vec3(self.offset, f"collision sphere offset on frame {self.frame!r}")
+        )
         if self.radius <= 0:
             raise ValueError("collision sphere radius must be positive")
 
@@ -85,7 +88,7 @@ class KeypointFrame:
         object.__setattr__(
             self,
             "keypoints",
-            {k: np.asarray(v, dtype=np.float64) for k, v in self.keypoints.items()},
+            {k: _vec3(v, f"keypoint {k!r}") for k, v in self.keypoints.items()},
         )
         object.__setattr__(
             self,
@@ -589,7 +592,7 @@ def problem_from_dict(
         frames.append(
             KeypointFrame(
                 t=float(f["t"]),
-                keypoints={k: np.asarray(v) for k, v in f["keypoints"].items()},
+                keypoints=f["keypoints"],
                 rotations=rotations,
             )
         )
@@ -597,14 +600,20 @@ def problem_from_dict(
     unknown = sorted(set(w) - {f.name for f in fields(RetargetWeights)})
     if unknown:
         raise ValueError(f"unknown weights key(s) {unknown}")
+    weights = {}
+    for key, value in w.items():
+        try:
+            weights[key] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"weights key {key!r} must be a number: {exc}") from exc
     return RetargetProblem(
         chain=chain,
         keypoint_map=dict(data["keypoint_map"]),
         frames=tuple(frames),
         segments=tuple(tuple(s) for s in data.get("segments", [])),
-        weights=RetargetWeights(**w),
+        weights=RetargetWeights(**weights),
         collision_spheres=tuple(
-            CollisionSphere(s["frame"], np.asarray(s["offset"]), float(s["radius"]))
+            CollisionSphere(s["frame"], s["offset"], float(s["radius"]))
             for s in data.get("collision_spheres", [])
         ),
         optimize_scales=bool(data.get("optimize_scales", False)),

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import humanoid_chain, random_pose
 from shuttlekit.amp import (
@@ -217,6 +220,23 @@ def _perfect_discriminator():
     )
 
 
+@st.composite
+def loss_problems(draw):
+    """A net of 1-3 layers, real and fake batches of independent sizes, and w_gp."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)) + [1]
+    params = st.floats(-1.5, 1.5)
+    m = Mlp(
+        tuple(draw(arrays(np.float64, (n_out, n_in), elements=params))
+              for n_in, n_out in zip(sizes, sizes[1:])),
+        tuple(draw(arrays(np.float64, n_out, elements=params)) for n_out in sizes[1:]),
+    )
+    rows = st.integers(1, 4).flatmap(
+        lambda n: arrays(np.float64, (n, sizes[0]), elements=st.floats(-2.0, 2.0))
+    )
+    w_gp = draw(st.one_of(st.just(0.0), st.floats(0.1, 10.0)))
+    return m, draw(rows), draw(rows), AmpConfig(grad_penalty_weight=w_gp)
+
+
 class TestDiscriminatorLoss:
     CFG = AmpConfig(history_length=5, grad_penalty_weight=3.0)
 
@@ -272,6 +292,24 @@ class TestDiscriminatorLoss:
                 bm[li][i] -= h
                 fd = (loss_with(m.weights, bp) - loss_with(m.weights, bm)) / (2 * h)
                 assert res.bias_grads[li][i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+    @given(loss_problems())
+    def test_every_gradient_matches_central_differences(self, problem):
+        m, real, fake, cfg = problem
+        res = disc_loss_and_grads(m, real, fake, cfg)
+        h = 1e-6
+        for grads, params, is_weight in ((res.weight_grads, m.weights, True),
+                                         (res.bias_grads, m.biases, False)):
+            for li, p in enumerate(params):
+                for idx in np.ndindex(p.shape):
+                    losses = []
+                    for step in (h, -h):
+                        moved = [x.copy() for x in params]
+                        moved[li][idx] += step
+                        net = Mlp(moved, m.biases) if is_weight else Mlp(m.weights, moved)
+                        losses.append(disc_loss_and_grads(net, real, fake, cfg).loss)
+                    fd = (losses[0] - losses[1]) / (2 * h)
+                    assert grads[li][idx] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
     def test_penalty_only_sees_real_samples(self, rng):
         m = mlp_init([4, 6, 1], rng)

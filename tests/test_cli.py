@@ -88,6 +88,28 @@ class TestSimulate:
         assert "error: flight state stopped being finite at t = " in capsys.readouterr().err
         assert not (workdir / "out" / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ({"sim": [1]}, "error: config sim must be an object"),
+        ([1], "must be a JSON object"),
+    ])
+    def test_config_of_wrong_shape_exits_one(self, workdir, capsys, config, message):
+        (workdir / "config.json").write_text(json.dumps(config))
+        state_path = workdir / "state.json"
+        state_path.write_text(json.dumps({"position": [0, 0, 2.0], "velocity": [0, 0, 0]}))
+        code = main(["simulate", "--config", str(workdir / "config.json"), str(state_path)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_list_t_max_exits_one(self, workdir, capsys):
+        config = json.loads((workdir / "config.json").read_text())
+        config["sim"]["t_max"] = [1.0]
+        (workdir / "config.json").write_text(json.dumps(config))
+        state_path = workdir / "state.json"
+        state_path.write_text(json.dumps({"position": [0, 0, 2.0], "velocity": [0, 0, 0]}))
+        code = main(["simulate", "--config", str(workdir / "config.json"), str(state_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: config sim.t_max must be a number")
+
     def test_rerun_byte_identical(self, workdir):
         state_path = workdir / "state.json"
         state_path.write_text(json.dumps({"position": [0, 0, 2.0], "velocity": [3.0, 0, 2.0]}))
@@ -175,6 +197,25 @@ class TestTrack:
                             for f in ("filter_log.csv", "strike_target.json")])
         assert outputs[0] == outputs[1]
 
+    def test_null_process_psd_exits_one(self, workdir, capsys):
+        config = json.loads((workdir / "config.json").read_text())
+        config["track"]["process_psd"] = None
+        (workdir / "config.json").write_text(json.dumps(config))
+        meas, _ = _write_measurements(workdir)
+        assert main(["track", "--config", str(workdir / "config.json"), str(meas)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config track.process_psd must be a number")
+
+    def test_nan_latency_exits_one(self, workdir, capsys):
+        config = json.loads((workdir / "config.json").read_text())
+        config["track"]["latency"] = float("nan")
+        (workdir / "config.json").write_text(json.dumps(config))
+        meas, _ = _write_measurements(workdir)
+        assert main(["track", "--config", str(workdir / "config.json"), str(meas)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: timestamps shifted by latency nan")
+        assert not (workdir / "out" / "filter_log.csv").exists()
+
     def test_rerun_byte_identical(self, workdir):
         meas, _ = _write_measurements(workdir)
         args = ["track", "--config", str(workdir / "config.json"), str(meas)]
@@ -233,6 +274,46 @@ class TestRetarget:
         assert main(["retarget", "--config", str(workdir / "config.json"), str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: unknown weights key") and "'global'" in err
+
+    def test_non_number_weight_exits_one(self, workdir, capsys):
+        path = _retarget_problem(workdir)
+        data = json.loads(path.read_text())
+        data["weights"]["global_pos"] = [1]
+        path.write_text(json.dumps(data))
+        assert main(["retarget", "--config", str(workdir / "config.json"), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: weights key 'global_pos' must be a number")
+
+    def test_numeric_string_weight_reads_as_number(self, workdir):
+        path = _retarget_problem(workdir)
+        args = ["retarget", "--config", str(workdir / "config.json"), str(path)]
+        outputs = []
+        for weight in (0.5, "0.5"):
+            data = json.loads(path.read_text())
+            data["weights"]["global_pos"] = weight
+            path.write_text(json.dumps(data))
+            assert main(args) == 0
+            outputs.append([(workdir / "out" / f).read_bytes()
+                            for f in ("motion_clip.json", "cost_report.json")])
+        assert outputs[0] == outputs[1]
+
+    def test_two_coordinate_keypoint_exits_one(self, workdir, capsys):
+        path = _retarget_problem(workdir)
+        data = json.loads(path.read_text())
+        data["frames"][1]["keypoints"]["kp_hand"] = [0.1, 0.2]
+        path.write_text(json.dumps(data))
+        assert main(["retarget", "--config", str(workdir / "config.json"), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: keypoint 'kp_hand' must have shape (3,)")
+
+    def test_two_coordinate_sphere_offset_exits_one(self, workdir, capsys):
+        path = _retarget_problem(workdir)
+        data = json.loads(path.read_text())
+        data["collision_spheres"] = [{"frame": "hand", "offset": [0.0, 0.0], "radius": 0.05}]
+        path.write_text(json.dumps(data))
+        assert main(["retarget", "--config", str(workdir / "config.json"), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: collision sphere offset on frame 'hand' must have shape")
 
     def test_rerun_byte_identical(self, workdir):
         path = _retarget_problem(workdir)

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import finite
 from shuttlekit.estimator import (
     EkfBelief,
     HitCriteria,
@@ -31,6 +35,21 @@ def _simulate_positions(state, params, dt, n):
         s = step(s, params, dt)
         out.append(np.concatenate([s.position, s.velocity]))
     return np.array(out)
+
+
+def spd_matrices(n):
+    """s (A A^T + 1e-3 I) with A in [-1, 1] and s from 1e-3 to 1e2."""
+    factors = arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0))
+    return st.builds(lambda a, s: s * (a @ a.T + 1e-3 * np.eye(n)), factors, st.floats(1e-3, 1e2))
+
+
+class TestBelief:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        mean = np.array([0.0, 0.0, 3.0, 4.0, 0.0, 4.0])
+        mean[4] = bad
+        with pytest.raises(ValueError, match="mean has non-finite components"):
+            EkfBelief(mean, np.eye(6))
 
 
 class TestPredict:
@@ -126,6 +145,16 @@ class TestUpdate:
             cov = b.covariance
             assert np.max(np.abs(cov - cov.T)) < 1e-9
             assert np.min(np.linalg.eigvalsh(cov)) > -1e-9
+
+    @given(spd_matrices(6), spd_matrices(3), arrays(np.float64, 6, elements=finite),
+           arrays(np.float64, 3, elements=finite))
+    def test_joseph_posterior_is_psd_and_below_prior(self, prior, r, mean, z):
+        post, _ = ekf_update(EkfBelief(mean, prior), z, NoiseConfig(0.0, r))
+        cov = post.covariance
+        tol = 1e-12 * np.linalg.norm(prior, 2)
+        assert np.array_equal(cov, cov.T)
+        assert np.min(np.linalg.eigvalsh(cov)) >= -tol
+        assert np.min(np.linalg.eigvalsh(prior - cov)) >= -tol
 
     def test_nis_consistency(self):
         rng = np.random.default_rng(4)
@@ -261,3 +290,13 @@ class TestTrackMeasurements:
         )
         assert np.allclose(lagged[:, 0], plain[:, 0] - 0.02)
         assert np.allclose(lagged[:, 1:], plain[:, 1:])  # same gaps, same estimates
+
+    @pytest.mark.parametrize("times, latency", [
+        ([0.0, np.nan, 0.01], 0.0),
+        ([0.0, 0.005, 0.01], np.nan),
+    ])
+    def test_non_finite_timestamps_rejected(self, times, latency):
+        zs = np.array([[0.0, 0.0, 3.0], [0.02, 0.0, 3.02], [0.04, 0.0, 3.04]])
+        prior = EkfBelief(np.array([0.0, 0.0, 3.0, 4.0, 0.0, 4.0]), np.eye(6) * 0.01)
+        with pytest.raises(ValueError, match="timestamps shifted by latency"):
+            track_measurements(times, zs, prior, PARAMS, NOISE, latency=latency)

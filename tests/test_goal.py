@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import humanoid_chain, random_pose
+from conftest import humanoid_chain, poses, random_pose
 from shuttlekit.goal import (
     PHASE_PREPARATION,
     PHASE_RECOVERY,
+    TTH_LIMIT,
     ClipFrame,
     ReferenceClip,
     RobotState,
@@ -62,6 +65,16 @@ class TestTimeToHit:
             prev = v
 
 
+times = st.floats(-5.0, 5.0)
+# (now, hit_time) pairs, with time-to-hit exactly +-0.0 and +-TTH_LIMIT among them
+time_pairs = st.one_of(
+    st.sampled_from([(0.0, 0.0), (0.0, -0.0), (0.0, TTH_LIMIT), (0.0, -TTH_LIMIT)]),
+    times.map(lambda t: (t, t)),
+    st.tuples(times, times),
+)
+OFF_TARGET = Pose(np.array([0.1, -0.2, 0.3]), quat_from_rotvec(np.array([0.3, 0.2, -0.1])))
+
+
 class TestEncodeGoal:
     def _target(self, rng):
         return StrikeTarget(
@@ -90,6 +103,26 @@ class TestEncodeGoal:
         obs = encode_goal(make_state(), target, now=0.0, racket_pose=random_pose(rng))
         assert obs.phase == PHASE_PREPARATION
         assert np.all(obs.recovery_delta == 0.0)
+
+    @given(poses, poses, poses, poses, time_pairs)
+    @example(OFF_TARGET, Pose.identity(), OFF_TARGET, Pose.identity(), (0.0, 0.0))
+    @example(OFF_TARGET, Pose.identity(), OFF_TARGET, Pose.identity(), (0.0, -0.0))
+    def test_exactly_the_inactive_block_is_masked(self, root, racket, hit, recovery, pair):
+        now, hit_time = pair
+        tth = time_to_hit(now, hit_time)
+        obs = encode_goal(make_state(root=root), StrikeTarget(hit_time, hit, recovery), now,
+                          racket_pose=racket)
+        assert obs.tth == tth
+        if tth >= 0.0:
+            assert obs.phase == PHASE_PREPARATION
+            active, inactive = obs.hit_delta, obs.recovery_delta
+            expected = pose_delta_in_base(hit, racket, root)
+        else:
+            assert obs.phase == PHASE_RECOVERY
+            active, inactive = obs.recovery_delta, obs.hit_delta
+            expected = pose_delta_in_base(recovery, root, root)
+        assert not any(inactive.tolist())
+        assert np.array_equal(active, expected)
 
     def test_on_target_racket_gives_zero_delta(self, rng):
         racket = random_pose(rng)
