@@ -193,17 +193,17 @@ def disc_forward_batch(m: Mlp, batch) -> Array:
     return _forward(m, x)[-1][:, 0]
 
 
-def _input_grads(m: Mlp, acts: list[Array]) -> Array:
-    """Batched dD/dx via reverse accumulation; returns (B, input_size)."""
-    batch = acts[0].shape[0]
-    u = np.ones((batch, 1))
+def _input_grads(m: Mlp, acts: list[Array], derivs: list[Array]) -> list[tuple[Array, Array]]:
+    """D's adjoints over the rows of acts, given derivs[l] = tanh'(z_l): entry l
+    is (dD/dz_l, dD/da_{l-1}) with a_{l-1} = acts[l], so entry 0 ends in dD/dx."""
+    u = np.ones((acts[0].shape[0], 1))
+    adjoints = []
     for l in range(len(m.weights) - 1, -1, -1):
-        v = u @ m.weights[l]  # dD/da_{l-1}
+        v = u @ m.weights[l]
+        adjoints.append((u, v))
         if l > 0:
-            u = v * (1.0 - acts[l] ** 2)
-        else:
-            return v
-    raise AssertionError("unreachable")
+            u = v * derivs[l - 1]
+    return adjoints[::-1]
 
 
 def grad_wrt_input(m: Mlp, obs) -> Array:
@@ -211,52 +211,50 @@ def grad_wrt_input(m: Mlp, obs) -> Array:
     x = _as_batch(obs)
     if x.shape != (1, m.input_size):
         raise ValueError(f"expected one observation of length {m.input_size}")
-    return _input_grads(m, _forward(m, x))[0]
+    acts = _forward(m, x)
+    return _input_grads(m, acts, [1.0 - a ** 2 for a in acts[1:-1]])[0][1][0]
 
 
 def _param_grads(
-    m: Mlp, acts: list[Array], coeff: Array, g: Array
+    m: Mlp, acts: list[Array], derivs: list[Array], adjoints: list, coeff: Array, g: Array
 ) -> tuple[tuple[Array, ...], tuple[Array, ...]]:
     """Gradients with respect to the parameters of
 
         s = sum_b coeff_b * D(x_b) + sum_r g_r . grad_x D(x_r),
 
-    treating coeff and g as constant. The batch in acts holds the rows b;
-    the rows r of g are its first len(g) rows.
+    treating coeff and g as constant. The batch in acts holds the rows b,
+    with tanh'(z_l) in derivs[l]; the rows r of g are its first len(g) rows.
 
     Implemented as a forward tangent pass over those rows seeded with g (a
     directional derivative of D), then one reverse accumulation through
-    both the primal and tangent computations. With g set to c times the
-    actual input gradients, the second sum has the parameter gradient of
-    (c / 2) * sum_r |grad_x D(x_r)|^2.
+    both; the tangent's adjoints are D's adjoints on the rows r. With g set
+    to c times the input gradients, the second sum has the parameter
+    gradient of (c / 2) * sum_r |grad_x D(x_r)|^2.
     """
-    n_layers = len(m.weights)
-    last = n_layers - 1
+    last = len(m.weights) - 1
     n_tan = g.shape[0]
     # tangent forward: tz[l] before activation, t[l] after
     t = g
     tangents_in = []   # t_{l-1} feeding layer l
     tangents_out = []  # tz_l
-    for l in range(n_layers):
+    for l in range(last + 1):
         tangents_in.append(t)
         tz = t @ m.weights[l].T
         tangents_out.append(tz)
         if l < last:
-            t = (1.0 - acts[l + 1][:n_tan] ** 2) * tz
+            t = derivs[l][:n_tan] * tz
     d_w = []
     d_b = []
-    lam = np.ones((n_tan, 1))  # ds/d(tz_l)
     mu = coeff[:, None]        # ds/d(z_l)
     for l in range(last, -1, -1):
+        lam, tau = adjoints[l]  # ds/d(tz_l), ds/d(t_{l-1})
         d_w.append(mu.T @ acts[l] + lam.T @ tangents_in[l])
         d_b.append(mu.sum(axis=0))
         if l > 0:
             alpha = mu @ m.weights[l]   # ds/d(a_{l-1})
-            tau = lam @ m.weights[l]    # ds/d(t_{l-1})
-            h = 1.0 - acts[l] ** 2      # tanh'(z_{l-1})
+            h = derivs[l - 1]           # tanh'(z_{l-1})
             mu = alpha * h
             mu[:n_tan] += tau * (-2.0 * acts[l][:n_tan] * h[:n_tan]) * tangents_out[l - 1]
-            lam = tau * h[:n_tan]
     return tuple(d_w[::-1]), tuple(d_b[::-1])
 
 
@@ -293,7 +291,9 @@ def disc_loss_and_grads(
     acts = _forward(m, np.concatenate((x_real, x_fake)))
     d_real = acts[-1][:n_real, 0]
     d_fake = acts[-1][n_real:, 0]
-    g = _input_grads(m, [a[:n_real] for a in acts])
+    derivs = [1.0 - a ** 2 for a in acts[1:-1]]
+    adjoints = _input_grads(m, [a[:n_real] for a in acts], [h[:n_real] for h in derivs])
+    g = adjoints[0][1]
 
     real_term = float(np.mean((d_real - 1.0) ** 2))
     fake_term = float(np.mean((d_fake + 1.0) ** 2))
@@ -303,7 +303,7 @@ def disc_loss_and_grads(
     # d/dtheta of (w_gp / (2 n)) sum_b |g_b|^2  =  d((w_gp / n) g . g_hat)/dtheta
     coeff = np.concatenate((2.0 * (d_real - 1.0) / n_real, 2.0 * (d_fake + 1.0) / n_fake))
     weight_grads, bias_grads = _param_grads(
-        m, acts, coeff, cfg.grad_penalty_weight / n_real * g
+        m, acts, derivs, adjoints, coeff, cfg.grad_penalty_weight / n_real * g
     )
     return DiscriminatorLoss(
         loss=real_term + fake_term + penalty_term,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -84,6 +85,8 @@ def load_run_config(path: Optional[str]) -> RunConfig:
     def resolve(key, loader):
         if key not in data:
             return None
+        if not isinstance(data[key], str):
+            raise ConfigError(f"config {key} must be a file path, got {data[key]!r}")
         ref = os.path.join(base, data[key])
         if not os.path.exists(ref):
             raise ConfigError(f"config references missing file: {ref}")
@@ -94,8 +97,13 @@ def load_run_config(path: Optional[str]) -> RunConfig:
 
     cfg.params = resolve("params", shuttle.load_params)
     cfg.chain = resolve("chain", load_chain)
-    cfg.seed = int(data.get("seed", 0))
+    try:
+        cfg.seed = int(data.get("seed", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config seed must be an integer: {exc}") from exc
     cfg.out_dir = data.get("out_dir", ".")
+    if not isinstance(cfg.out_dir, str):
+        raise ConfigError(f"config out_dir must be a directory path, got {cfg.out_dir!r}")
     if not os.path.isabs(cfg.out_dir):
         cfg.out_dir = os.path.join(base, cfg.out_dir)
     for name in ("sim", "track", "expand", "score"):
@@ -108,9 +116,25 @@ def load_run_config(path: Optional[str]) -> RunConfig:
 
 def _float(cfg: RunConfig, section: str, key: str, default: float) -> float:
     try:
-        return float((getattr(cfg, section) or {}).get(key, default))
+        value = float((getattr(cfg, section) or {}).get(key, default))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config {section}.{key} must be a number: {exc}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"config {section}.{key} must be finite, got {value}")
+    return value
+
+
+def _numbers(table: dict, where: str, key: str, shape: tuple, default=None) -> np.ndarray:
+    """table[key] as a finite float array of the given shape; `where` names the table."""
+    if key not in table and default is None:
+        raise ConfigError(f"config {where}.{key} is missing")
+    try:
+        value = np.asarray(table.get(key, default), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config {where}.{key} must hold numbers: {exc}") from exc
+    if value.shape != shape or not np.isfinite(value).all():
+        raise ConfigError(f"config {where}.{key} must be finite numbers of shape {shape}")
+    return value
 
 
 def _require(value, what: str):
@@ -159,7 +183,7 @@ def cmd_track(cfg: RunConfig, measurements_path: str, out_dir: str) -> int:
     track = cfg.track or {}
     times, zs = estimator.load_measurements_csv(measurements_path)
     if "measurement_cov" in track:
-        r = np.asarray(track["measurement_cov"])
+        r = _numbers(track, "track", "measurement_cov", (3, 3))
         noise = estimator.NoiseConfig(_float(cfg, "track", "process_psd", 1.0), r)
     else:
         noise = estimator.NoiseConfig.isotropic(
@@ -177,25 +201,28 @@ def cmd_track(cfg: RunConfig, measurements_path: str, out_dir: str) -> int:
         ),
     )
     latency = _float(cfg, "track", "latency", 0.0)
+    horizon = _float(cfg, "track", "horizon", 2.0)
+    dt = _float(cfg, "track", "dt", shuttle.DEFAULT_DT)
+    volume = None
+    if "volume" in track:
+        if not isinstance(track["volume"], dict):
+            raise ConfigError("config track.volume must be an object with center and size")
+        volume = Box(
+            _numbers(track["volume"], "track.volume", "center", (3,)),
+            _numbers(track["volume"], "track.volume", "size", (3,)),
+        )
+    criteria = estimator.HitCriteria(
+        height_band=tuple(_numbers(track, "track", "height_band", (2,), (1.0, 1.3)).tolist()),
+        volume=volume,
+        preference=track.get("preference", "earliest"),
+    )
     belief, rows = estimator.track_measurements(
         times, zs, prior, params, noise, latency=latency
     )
     estimator.save_filter_log_csv(rows, os.path.join(out_dir, "filter_log.csv"))
 
-    horizon = _float(cfg, "track", "horizon", 2.0)
-    dt = _float(cfg, "track", "dt", shuttle.DEFAULT_DT)
     traj = estimator.predict_trajectory(
         belief, params, dt, horizon, t0=float(times[-1] - latency)
-    )
-    volume = None
-    if "volume" in track:
-        volume = Box(
-            np.asarray(track["volume"]["center"]), np.asarray(track["volume"]["size"])
-        )
-    criteria = estimator.HitCriteria(
-        height_band=tuple(track.get("height_band", (1.0, 1.3))),
-        volume=volume,
-        preference=track.get("preference", "earliest"),
     )
     target = estimator.select_hit_point(traj, criteria)
     target_path = os.path.join(out_dir, "strike_target.json")
@@ -261,7 +288,7 @@ def cmd_expand(
         count=count,
         mode=mode,
         seed=seed,
-        center=tuple(expand.get("center", scenario.DEFAULT_VOLUME_CENTER)),
+        center=tuple(_numbers(expand, "expand", "center", (3,), scenario.DEFAULT_VOLUME_CENTER)),
     )
     scenario.save_manifold(manifold, os.path.join(out_dir, "manifold.json"))
     return EXIT_OK
@@ -276,6 +303,9 @@ def cmd_score(cfg: RunConfig, episode_path: str, out_dir: str) -> int:
         in_bounds_weight=_float(cfg, "score", "in_bounds_weight", 1.0),
         fault_weight=_float(cfg, "score", "fault_weight", 0.25),
     )
+    # MSE is NaN, by definition, only when no serve was intercepted
+    if not (math.isfinite(metrics.ibr) and (math.isfinite(metrics.mse) or metrics.sr == 0.0)):
+        raise ValueError(f"{episode_path}: metrics overflow (MSE {metrics.mse}, IBR {metrics.ibr})")
     _write_json(
         {"SR": metrics.sr, "MSE": metrics.mse, "IBR": metrics.ibr},
         os.path.join(out_dir, "metrics.json"),

@@ -73,8 +73,6 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class InnovationStats:
-    residual: Array
-    innovation_cov: Array
     nis: float
 
 
@@ -122,7 +120,7 @@ def ekf_update(
     cov = i_kh @ p_cov @ i_kh.T + gain @ n.measurement_cov @ gain.T
     cov = 0.5 * (cov + cov.T)
     nis = float(residual @ s_inv_r)
-    return EkfBelief(mean, cov), InnovationStats(residual, s, nis)
+    return EkfBelief(mean, cov), InnovationStats(nis)
 
 
 def predict_trajectory(
@@ -246,7 +244,15 @@ def load_measurements_csv(path) -> tuple[Array, Array]:
         lines = [ln for ln in f.read().splitlines()[1:] if ln.strip()]
     if not lines:
         raise ValueError(f"no measurements in {path}")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines])
+    rows = []
+    for k, ln in enumerate(lines, start=1):
+        try:
+            rows.append([float(v) for v in ln.split(",")])
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {k}: {exc}") from exc
+        if len(rows[-1]) != 4:
+            raise ValueError(f"{path}: row {k} has {len(rows[-1])} cells, expected 4 (t,x,y,z)")
+    data = np.array(rows)
     bad = ~np.isfinite(data).all(axis=1)
     if bad.any():
         raise ValueError(f"{path}: row {int(np.argmax(bad)) + 1} has a non-finite value")

@@ -35,6 +35,8 @@ TERM_ORDER = ("global", "local", "ee_rotation", "collision", "limit", "smooth")
 
 LOCAL_SCALE_BOUNDS = (0.5, 2.0)
 GLOBAL_SCALE_BOUNDS = (0.1, 10.0)
+_LM_MAX_ITERS = 200
+_LM_REL_TOL = 1e-8  # stop once an accepted step lowers the cost by less than this fraction
 
 
 @dataclass(frozen=True)
@@ -358,8 +360,6 @@ def _solve_frame(
     it: _FrameIterate,
     tg: _FrameTargets,
     prev: Optional[tuple[Pose, Array]],
-    max_iters: int = 200,
-    rel_tol: float = 1e-8,
     cost_trace: Optional[list] = None,
 ) -> _FrameIterate:
     """Levenberg-Marquardt over one frame's increment vector."""
@@ -370,7 +370,7 @@ def _solve_frame(
     if cost_trace is not None:
         cost_trace.append(cost)
     dim = it.dim()
-    for _ in range(max_iters):
+    for _ in range(_LM_MAX_ITERS):
         jac = np.zeros((r.size, dim))
         for k in range(dim):
             dplus = np.zeros(dim)
@@ -392,7 +392,7 @@ def _solve_frame(
             r_trial = _weighted_residuals(p, trial, tg, prev)
             trial_cost = float(np.dot(r_trial, r_trial))
             if trial_cost < cost:
-                converged = cost - trial_cost < rel_tol * max(cost, 1e-30)
+                converged = cost - trial_cost < _LM_REL_TOL * max(cost, 1e-30)
                 it, r, cost = trial, r_trial, trial_cost
                 if cost_trace is not None:
                     cost_trace.append(cost)

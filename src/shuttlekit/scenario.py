@@ -89,12 +89,19 @@ def expand_manifold(
         raise ValueError("dataset is empty")
     if count < 1:
         raise ValueError("count must be at least 1")
-    if radius < 0 or time_jitter < 0:
-        raise ValueError("radius and time_jitter must be non-negative")
+    if not (0.0 <= radius < math.inf and 0.0 <= time_jitter < math.inf):
+        raise ValueError("radius and time_jitter must be finite and non-negative")
     volume = strike_volume(mode, center)
     rng = np.random.default_rng(seed)
     base_pos = [np.asarray(p, dtype=np.float64).tolist() for p, _ in dataset_points]
     base_t = [float(t) for _, t in dataset_points]
+    for i, (pos, t) in enumerate(zip(base_pos, base_t)):
+        if np.shape(pos) != (3,) or not all(math.isfinite(v) for v in (*pos, t)):
+            raise ValueError(
+                f"dataset point {i} needs 3 finite coordinates and a finite time, got {pos}, {t}"
+            )
+        if not math.isfinite(abs(t) + 2.0 * time_jitter):
+            raise ValueError(f"dataset point {i}: time {t} jittered by {time_jitter} overflows")
     cx, cy, cz = volume.center.tolist()
     hx, hy, hz = (0.5 * volume.size).tolist()
     n_src = len(base_pos)
@@ -339,10 +346,20 @@ def save_manifold(manifold: StrikeManifold, path) -> None:
 def load_manifold_points(path) -> list[ManifoldPoint]:
     with open(path) as f:
         data = json.load(f)
-    return [
-        ManifoldPoint(np.asarray(d["pos"]), float(d["t"]), int(d.get("src", 0)))
-        for d in data
-    ]
+    points = []
+    for i, d in enumerate(data):
+        try:
+            points.append(ManifoldPoint(np.asarray(d["pos"]), float(d["t"]), int(d.get("src", 0))))
+        except KeyError as exc:
+            raise ValueError(f"{path}: entry {i} has no {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: entry {i}: {exc}") from exc
+    return points
+
+
+_EPISODE_COLUMNS = (
+    "serve_id", "intercepted", "dx", "dy", "dz", "landing", "in_bounds", "cleared_net", "speed"
+)
 
 
 def save_episode_csv(logs: Sequence[EpisodeRecord], path) -> None:
@@ -351,7 +368,7 @@ def save_episode_csv(logs: Sequence[EpisodeRecord], path) -> None:
     The offset columns are empty for serves that were not intercepted.
     """
     with open(path, "w") as f:
-        f.write("serve_id,intercepted,dx,dy,dz,landing,in_bounds,cleared_net,speed\n")
+        f.write(",".join(_EPISODE_COLUMNS) + "\n")
         for r in logs:
             if r.intercepted:
                 off = [format(v, ".9g") for v in r.impact_offset]
@@ -374,17 +391,20 @@ def save_episode_csv(logs: Sequence[EpisodeRecord], path) -> None:
 
 
 def load_episode_csv(path) -> list[EpisodeRecord]:
+    """Read save_episode_csv's columns; a bad or non-finite cell names its row."""
     out = []
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            intercepted = bool(int(row["intercepted"]))
-            offset = None
-            if intercepted:
-                offset = np.array(
-                    [float(row["dx"]), float(row["dy"]), float(row["dz"])]
-                )
-            out.append(
-                EpisodeRecord(
+        reader = csv.DictReader(f)
+        missing = [c for c in _EPISODE_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        for k, row in enumerate(reader, start=1):
+            try:
+                intercepted = bool(int(row["intercepted"]))
+                offset = None
+                if intercepted:
+                    offset = [float(row["dx"]), float(row["dy"]), float(row["dz"])]
+                record = EpisodeRecord(
                     serve_id=int(row["serve_id"]),
                     intercepted=intercepted,
                     impact_offset=offset,
@@ -393,5 +413,9 @@ def load_episode_csv(path) -> list[EpisodeRecord]:
                     cleared_net=bool(int(row["cleared_net"])),
                     return_speed=float(row["speed"]),
                 )
-            )
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: row {k}: {exc}") from exc
+            if not all(map(math.isfinite, (*(offset or ()), record.return_speed))):
+                raise ValueError(f"{path}: row {k} has a non-finite value")
+            out.append(record)
     return out

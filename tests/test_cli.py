@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import arm_chain
 from shuttlekit.cli import main
@@ -213,7 +220,7 @@ class TestTrack:
         meas, _ = _write_measurements(workdir)
         assert main(["track", "--config", str(workdir / "config.json"), str(meas)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: timestamps shifted by latency nan")
+        assert err.startswith("error: config track.latency must be finite, got nan")
         assert not (workdir / "out" / "filter_log.csv").exists()
 
     def test_rerun_byte_identical(self, workdir):
@@ -461,3 +468,220 @@ def test_every_output_float_has_nine_significant_digits(workdir):
         assert values, path.name
         for x in values:
             assert float(format(x, ".9g")) == x, (path.name, x)
+
+
+# ---------------------------------------------------------------------------
+# Boundary checks: bad config values and file cells exit 1 with a message that
+# names the key, the row or the entry, before anything is written.
+
+EPISODES = (
+    "serve_id,intercepted,dx,dy,dz,landing,in_bounds,cleared_net,speed\n"
+    "0,1,0.1,0,0,1,1,1,8\n"
+    "1,0,,,,0,0,0,0\n"
+)
+
+
+def _patch_config(workdir, **top):
+    config = json.loads((workdir / "config.json").read_text())
+    for key, value in top.items():
+        if isinstance(value, dict):
+            config.setdefault(key, {}).update(value)
+        else:
+            config[key] = value
+    (workdir / "config.json").write_text(json.dumps(config))
+
+
+def _input_for(workdir, command):
+    if command == "track":
+        return _write_measurements(workdir)[0]
+    if command == "expand":
+        return _dataset(workdir)
+    path = workdir / "episodes.csv"
+    path.write_text(EPISODES)
+    return path
+
+
+def _exit_one(workdir, capsys, command, path):
+    code = main([command, "--config", str(workdir / "config.json"), str(path)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (workdir / "out").exists() or not any((workdir / "out").iterdir())
+    return err
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("command, section, key", [
+        ("expand", "expand", "time_jitter"),
+        ("score", "score", "fault_weight"),
+        ("track", "track", "process_psd"),
+        ("track", "track", "horizon"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_config_number_exits_one(self, workdir, capsys, command, section,
+                                                key, value):
+        _patch_config(workdir, **{section: {key: value}})
+        err = _exit_one(workdir, capsys, command, _input_for(workdir, command))
+        assert err.startswith(f"error: config {section}.{key} must be finite, got {value}")
+
+    def test_nan_dataset_time_exits_one(self, workdir, capsys):
+        path = workdir / "dataset.json"
+        path.write_text(json.dumps([{"pos": [0.2, 0.1, 1.1], "t": 1.0},
+                                    {"pos": [0.0, 0.0, 1.1], "t": float("nan")}]))
+        err = _exit_one(workdir, capsys, "expand", path)
+        assert err.startswith("error: dataset point 1 needs 3 finite coordinates and a finite time")
+
+    def test_nan_dataset_position_exits_one(self, workdir, capsys):
+        path = workdir / "dataset.json"
+        path.write_text(json.dumps([{"pos": [0.0, float("nan"), 1.1], "t": 1.0}]))
+        err = _exit_one(workdir, capsys, "expand", path)
+        assert err.startswith("error: dataset point 0 needs 3 finite coordinates")
+
+    @pytest.mark.parametrize("row", ["0,1,nan,0,0,1,1,1,8", "0,1,0.1,0,0,1,1,1,-inf"],
+                             ids=["nan-offset", "inf-speed"])
+    def test_non_finite_episode_cell_exits_one(self, workdir, capsys, row):
+        path = workdir / "episodes.csv"
+        path.write_text(EPISODES.replace("0,1,0.1,0,0,1,1,1,8", row))
+        err = _exit_one(workdir, capsys, "score", path)
+        assert err.startswith(f"error: {path}: row 1 has a non-finite value")
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("top, key", [
+        ({"seed": "abc"}, "config seed "),
+        ({"seed": None}, "config seed "),
+        ({"chain": 5}, "config chain "),
+        ({"out_dir": 5}, "config out_dir "),
+    ], ids=["seed-abc", "seed-null", "chain-int", "out_dir-int"])
+    def test_bad_top_level_value_names_it(self, workdir, capsys, top, key):
+        _patch_config(workdir, **top)
+        err = _exit_one(workdir, capsys, "score", _input_for(workdir, "score"))
+        assert err.startswith(f"error: {key}")
+
+    @pytest.mark.parametrize("track, key", [
+        ({"height_band": 5}, "track.height_band"),
+        ({"height_band": [1.0]}, "track.height_band"),
+        ({"volume": {"center": [0.0, 0.0, 1.1]}}, "track.volume.size"),
+        ({"measurement_cov": [["a"] * 3] * 3}, "track.measurement_cov"),
+    ], ids=["band-scalar", "band-one-number", "volume-no-size", "cov-strings"])
+    def test_bad_track_value_names_it(self, workdir, capsys, track, key):
+        _patch_config(workdir, track=track)
+        err = _exit_one(workdir, capsys, "track", _input_for(workdir, "track"))
+        assert err.startswith(f"error: config {key} ")
+
+    @pytest.mark.parametrize("line, message", [
+        ("0.005,abc,0.0,2.02", "row 2: could not convert string to float: 'abc'"),
+        ("0.005,5.97,2.02", "row 2 has 3 cells, expected 4"),
+    ], ids=["cell-abc", "three-cells"])
+    def test_bad_measurement_row_names_it(self, workdir, capsys, line, message):
+        path = workdir / "meas.csv"
+        path.write_text(f"t,x,y,z\n0.0,6.0,0.0,2.0\n{line}\n0.01,5.94,0.0,2.04\n")
+        err = _exit_one(workdir, capsys, "track", path)
+        assert err.startswith(f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("text, message", [
+        (EPISODES.replace("1,0,,,,", "1,x,,,,"), "row 2: invalid literal"),
+        (EPISODES.replace("0,1,0.1,", "0,1,,"), "row 1: could not convert string to float"),
+        ("serve_id,intercepted,dx,dy,dz,landing,in_bounds,cleared_net\n0,0,,,,0,0,0\n",
+         "missing column(s) speed"),
+    ], ids=["intercepted-x", "empty-offset", "no-speed-column"])
+    def test_bad_episode_row_names_it(self, workdir, capsys, text, message):
+        path = workdir / "episodes.csv"
+        path.write_text(text)
+        err = _exit_one(workdir, capsys, "score", path)
+        assert err.startswith(f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("entries, message", [
+        ([{"pos": [0.2, 0.1, 1.1], "t": 1.0}, {"pos": [0.0, 1.1], "t": 1.0}],
+         "dataset point 1 needs 3 finite coordinates"),
+        ([{"pos": [0.2, 0.1, 1.1], "t": 1.0}, {"pos": [0.0, 0.0, 1.1]}], "entry 1 has no 't'"),
+    ], ids=["two-coordinate-pos", "no-t"])
+    def test_bad_dataset_entry_names_it(self, workdir, capsys, entries, message):
+        path = workdir / "dataset.json"
+        path.write_text(json.dumps(entries))
+        err = _exit_one(workdir, capsys, "expand", path)
+        assert message in err
+
+
+# ---------------------------------------------------------------------------
+# CLI behaviour on generated inputs
+
+near = st.floats(-0.5, 0.5)
+wide = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def expand_and_score_inputs(draw):
+    """A dataset, an episode log and expand.time_jitter / score.fault_weight.
+
+    Every number is finite except, in about half of the examples, one of
+    them, which is NaN or +-Infinity. Finite numbers are mostly small; the
+    dataset points sit around the default easy strike volume.
+    """
+    n_points, n_rows = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    values = [draw(st.one_of(near, near, near, wide)) for _ in range(4 * (n_points + n_rows) + 2)]
+    non_finite_at = draw(st.integers(-len(values), len(values) - 1))
+    if non_finite_at >= 0:
+        values[non_finite_at] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    dataset = [{"pos": [values[4 * i], values[4 * i + 1], values[4 * i + 2] + 1.1],
+                "t": values[4 * i + 3], "src": i} for i in range(n_points)]
+    rows, read = [], []  # read: the episode numbers the loader parses
+    for k in range(n_rows):
+        dx, dy, dz, speed = values[4 * (n_points + k):4 * (n_points + k) + 4]
+        hit, land, inb, clear = (int(draw(st.booleans())) for _ in range(4))
+        offset = [repr(dx), repr(dy), repr(dz)] if hit else ["", "", ""]
+        rows.append(",".join([str(k), str(hit), *offset, str(land), str(inb), str(clear),
+                              repr(speed)]))
+        read += [dx, dy, dz, speed] if hit else [speed]
+    return dataset, rows, read, abs(values[-2]), values[-1]
+
+
+def _numbers_in(x):
+    if isinstance(x, dict):
+        return [v for key in x for v in _numbers_in(x[key])]
+    if isinstance(x, list):
+        return [v for item in x for v in _numbers_in(item)]
+    return [x] if isinstance(x, float) else []
+
+
+@settings(max_examples=50)
+@given(expand_and_score_inputs())
+def test_cli_on_generated_inputs_stops_non_finite_numbers_at_the_boundary(inputs):
+    dataset, rows, read, time_jitter, fault_weight = inputs
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        config = d / "config.json"
+        config.write_text(json.dumps({"expand": {"radius": 0.4, "time_jitter": time_jitter},
+                                      "score": {"fault_weight": fault_weight}}))
+        (d / "dataset.json").write_text(json.dumps(dataset))
+        (d / "episodes.csv").write_text("\n".join([EPISODES.splitlines()[0], *rows]) + "\n")
+        expand_values = [v for p in dataset for v in (*p["pos"], p["t"])] + [time_jitter]
+        for command, args, given_values in (
+            ("expand", [d / "dataset.json", "--count", "5"], expand_values),
+            ("score", [d / "episodes.csv"], read + [fault_weight]),
+        ):
+            out = d / command
+            argv = [command, "--config", str(config), "--out", str(out), *map(str, args)]
+            runs = []
+            for _ in range(2):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 3), (command, code)
+                runs.append([p.read_bytes() for p in sorted(out.iterdir())] if out.exists() else [])
+                if code != 0:
+                    assert err.getvalue().startswith("error: "), (command, err.getvalue())
+                    assert not runs[-1], command  # nothing written
+                    break
+            if not all(map(math.isfinite, given_values)):
+                assert code == 1, (command, code)
+            if code != 0:
+                continue
+            assert runs[0] == runs[1], command
+            for data in runs[0]:
+                written = json.loads(data)
+                numbers = _numbers_in(written)
+                if command == "score" and written["SR"] == 0.0:
+                    assert math.isnan(written["MSE"])  # documented: no interception, no MSE
+                    numbers.remove(written["MSE"])
+                assert all(map(math.isfinite, numbers)), (command, written)
