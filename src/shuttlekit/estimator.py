@@ -90,11 +90,11 @@ def ekf_predict(b: EkfBelief, p: ShuttleParams, n: NoiseConfig, dt: float) -> Ek
     """Propagate mean through the flight model and covariance by F P F^T + Q."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    pos, vel = _rk4_step(b.mean[:3], b.mean[3:], p, dt)
+    mean = _rk4_step(b.mean.tolist(), p, dt)
     f = transition_jacobian(b.mean, p, dt)
     cov = f @ b.covariance @ f.T + process_noise(n.process_psd, dt)
     cov = 0.5 * (cov + cov.T)
-    return EkfBelief(np.concatenate([pos, vel]), cov)
+    return EkfBelief(np.array(mean), cov)
 
 
 def ekf_update(
@@ -130,16 +130,11 @@ def predict_trajectory(
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     steps = int(np.floor(horizon / dt + 1e-12))
-    times = [t0]
-    positions = [b.mean[:3].copy()]
-    velocities = [b.mean[3:].copy()]
-    pos, vel = b.mean[:3], b.mean[3:]
-    for k in range(steps):
-        pos, vel = _rk4_step(pos, vel, p, dt)
-        times.append(t0 + (k + 1) * dt)
-        positions.append(pos)
-        velocities.append(vel)
-    return Trajectory(np.array(times), np.array(positions), np.array(velocities))
+    states = [b.mean.tolist()]
+    for _ in range(steps):
+        states.append(_rk4_step(states[-1], p, dt))
+    data = np.array(states)
+    return Trajectory(t0 + dt * np.arange(steps + 1), data[:, :3], data[:, 3:])
 
 
 @dataclass(frozen=True)

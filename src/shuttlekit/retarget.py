@@ -9,6 +9,7 @@ can be solved jointly on the first frame and are then held fixed.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
@@ -49,9 +50,10 @@ class RetargetWeights:
     smoothness: float = 1.0
 
     def __post_init__(self):
-        for term in TERM_ORDER:
-            if self.for_term(term) < 0:
-                raise ValueError("cost weights must be non-negative")
+        for f in fields(self):
+            w = getattr(self, f.name)
+            if not 0.0 <= w < math.inf:
+                raise ValueError(f"weights key {f.name!r} must be finite and non-negative, got {w}")
 
     def for_term(self, term: str) -> float:
         return {
@@ -74,8 +76,11 @@ class CollisionSphere:
         object.__setattr__(
             self, "offset", _vec3(self.offset, f"collision sphere offset on frame {self.frame!r}")
         )
-        if self.radius <= 0:
-            raise ValueError("collision sphere radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(
+                f"collision sphere radius on frame {self.frame!r} must be positive and finite, "
+                f"got {self.radius}"
+            )
 
 
 @dataclass(frozen=True)
@@ -114,6 +119,9 @@ class RetargetProblem:
         object.__setattr__(self, "frames", tuple(self.frames))
         object.__setattr__(self, "segments", tuple(tuple(s) for s in self.segments))
         object.__setattr__(self, "collision_spheres", tuple(self.collision_spheres))
+        for i, kf in enumerate(self.frames):
+            if not math.isfinite(kf.t):
+                raise ValueError(f"frame {i} has a non-finite time t = {kf.t}")
         frame_names = {j.name for j in self.chain.joints}
         frame_names.update(self.chain.end_effector_names())
         for kp, frame in self.keypoint_map.items():

@@ -112,7 +112,7 @@ def expand_manifold(
             bx, by, bz = base_pos[src]
             if radius > 0.0:
                 dx, dy, dz = rng.normal(size=3).tolist()
-                norm = np.sqrt(dx * dx + dy * dy + dz * dz)
+                norm = math.sqrt(dx * dx + dy * dy + dz * dz)
                 if norm < 1e-12:
                     continue
                 # radius scaled by u^(1/3): uniform density inside the ball
@@ -219,14 +219,14 @@ class ServeConfig:
 
 
 def _position_at(origin: Array, v0: Array, p: ShuttleParams, t_end: float) -> Array:
-    pos, vel = origin, v0
+    state = origin.tolist() + v0.tolist()
     n_full = int(t_end / DEFAULT_DT)
     for _ in range(n_full):
-        pos, vel = _rk4_step(pos, vel, p, DEFAULT_DT)
+        state = _rk4_step(state, p, DEFAULT_DT)
     rem = t_end - n_full * DEFAULT_DT
     if rem > 1e-12:
-        pos, vel = _rk4_step(pos, vel, p, rem)
-    return pos
+        state = _rk4_step(state, p, rem)
+    return np.array(state[:3])
 
 
 def serve_trajectory(
@@ -313,9 +313,9 @@ def evaluate_episodes(
     hits = [r for r in logs if r.intercepted]
     sr = len(hits) / len(logs)
     if hits:
-        mse = float(
-            np.mean([np.dot(r.impact_offset, r.impact_offset) for r in hits])
-        )
+        # an overflow yields MSE = inf, which callers check; numpy's warning adds nothing
+        with np.errstate(over="ignore"):
+            mse = float(np.mean([np.dot(r.impact_offset, r.impact_offset) for r in hits]))
     else:
         mse = float("nan")
     score = 0.0

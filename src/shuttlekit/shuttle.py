@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -44,6 +44,10 @@ class ShuttleParams:
     restitution_skirt: float = 0.5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.mass <= 0:
             raise ValueError("mass must be positive")
         if self.drag_coeff < 0:
@@ -156,16 +160,16 @@ def shuttle_accel(s: ShuttleState, p: ShuttleParams) -> Array:
     return np.array(_drag_accel(*s.velocity.tolist(), p.drag_coeff / p.mass, p.gravity))
 
 
-def _rk4_step(pos: Array, vel: Array, p: ShuttleParams, dt: float):
-    """One RK4 step of (pos, vel) under gravity + quadratic drag.
+def _rk4_step(state, p: ShuttleParams, dt: float) -> tuple:
+    """One RK4 step of the flight state (x, y, z, vx, vy, vz) under gravity + quadratic drag.
 
-    Scalar arithmetic throughout; this sits in the inner loop of every
-    simulation, filter predict, and serve solve.
+    Six floats in, a tuple of six floats out, scalar arithmetic throughout;
+    this sits in the inner loop of every simulation, filter predict, and
+    serve solve, whose callers convert to and from arrays once per flight.
     """
     g = p.gravity
     km = p.drag_coeff / p.mass
-    x, y, z = float(pos[0]), float(pos[1]), float(pos[2])
-    vx, vy, vz = float(vel[0]), float(vel[1]), float(vel[2])
+    x, y, z, vx, vy, vz = state
     ax1, ay1, az1 = _drag_accel(vx, vy, vz, km, g)
     h = 0.5 * dt
     v2x, v2y, v2z = vx + h * ax1, vy + h * ay1, vz + h * az1
@@ -175,17 +179,14 @@ def _rk4_step(pos: Array, vel: Array, p: ShuttleParams, dt: float):
     v4x, v4y, v4z = vx + dt * ax3, vy + dt * ay3, vz + dt * az3
     ax4, ay4, az4 = _drag_accel(v4x, v4y, v4z, km, g)
     w = dt / 6.0
-    new_pos = np.array([
+    return (
         x + w * (vx + 2.0 * v2x + 2.0 * v3x + v4x),
         y + w * (vy + 2.0 * v2y + 2.0 * v3y + v4y),
         z + w * (vz + 2.0 * v2z + 2.0 * v3z + v4z),
-    ])
-    new_vel = np.array([
         vx + w * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
         vy + w * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4),
         vz + w * (az1 + 2.0 * az2 + 2.0 * az3 + az4),
-    ])
-    return new_pos, new_vel
+    )
 
 
 def transition_jacobian(mean: Array, p: ShuttleParams, dt: float) -> Array:
@@ -230,9 +231,10 @@ def step(s: ShuttleState, p: ShuttleParams, dt: float) -> ShuttleState:
     """Advance the shuttle by dt using classical 4th-order Runge-Kutta."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    pos, vel = _rk4_step(s.position, s.velocity, p, dt)
+    state = _rk4_step(s.position.tolist() + s.velocity.tolist(), p, dt)
+    vel = np.array(state[3:])
     axis = _relax_axis(s.axis, vel, p.axis_damping, dt)
-    return ShuttleState(pos, vel, axis)
+    return ShuttleState(np.array(state[:3]), vel, axis)
 
 
 def simulate_to_ground(
@@ -250,33 +252,27 @@ def simulate_to_ground(
     if s.position[2] <= 0:
         raise ValueError("initial position must be above the ground")
     times = [0.0]
-    positions = [s.position]
-    velocities = [s.velocity]
-    pos, vel = s.position, s.velocity
+    states = [s.position.tolist() + s.velocity.tolist()]
     t = 0.0
     landing = None
     while t < t_max - 1e-12:
         h = min(dt, t_max - t)
-        new_pos, new_vel = _rk4_step(pos, vel, p, h)
+        state = _rk4_step(states[-1], p, h)
         new_t = t + h
         times.append(new_t)
-        positions.append(new_pos)
-        velocities.append(new_vel)
-        if new_pos[2] <= 0.0:
-            frac = pos[2] / (pos[2] - new_pos[2])
-            landing = Landing(
-                time=t + frac * h,
-                point=pos + frac * (new_pos - pos),
-            )
+        states.append(state)
+        if state[2] <= 0.0:
+            pos = np.array(states[-2][:3])
+            frac = pos[2] / (pos[2] - state[2])
+            landing = Landing(time=t + frac * h, point=pos + frac * (np.array(state[:3]) - pos))
             break
-        pos, vel, t = new_pos, new_vel, new_t
-    traj = Trajectory(np.array(times), np.array(positions), np.array(velocities))
+        t = new_t
+    data = np.array(states)
     # a non-finite state never becomes finite again, so the last sample tells
-    if not all(map(math.isfinite, positions[-1].tolist() + velocities[-1].tolist())):
-        state = np.hstack([traj.positions, traj.velocities])
-        first = int(np.argmin(np.isfinite(state).all(axis=1)))
+    if not all(map(math.isfinite, states[-1])):
+        first = int(np.argmin(np.isfinite(data).all(axis=1)))
         raise ValueError(f"flight state stopped being finite at t = {times[first]:.9g} s")
-    return FlightResult(traj, landing)
+    return FlightResult(Trajectory(np.array(times), data[:, :3], data[:, 3:]), landing)
 
 
 def racket_impact(
@@ -362,22 +358,6 @@ def params_from_dict(d) -> ShuttleParams:
     )
 
 
-def court_from_dict(d) -> CourtGeometry:
-    return CourtGeometry(
-        net_height=float(d["net_height"]),
-        net_x=float(d["net_x"]),
-        x_min=float(d["x_min"]),
-        x_max=float(d["x_max"]),
-        y_min=float(d["y_min"]),
-        y_max=float(d["y_max"]),
-    )
-
-
 def load_params(path) -> ShuttleParams:
     with open(path) as f:
         return params_from_dict(json.load(f))
-
-
-def load_court(path) -> CourtGeometry:
-    with open(path) as f:
-        return court_from_dict(json.load(f))

@@ -92,9 +92,9 @@ def test_criterion_2_estimator():
             plus, minus = mean.copy(), mean.copy()
             plus[k] += h
             minus[k] -= h
-            pp, vp = shuttle._rk4_step(plus[:3], plus[3:], PARAMS, 0.005)
-            pm, vm = shuttle._rk4_step(minus[:3], minus[3:], PARAMS, 0.005)
-            fd[:, k] = (np.concatenate([pp, vp]) - np.concatenate([pm, vm])) / (2 * h)
+            fp = shuttle._rk4_step(plus.tolist(), PARAMS, 0.005)
+            fm = shuttle._rk4_step(minus.tolist(), PARAMS, 0.005)
+            fd[:, k] = (np.array(fp) - np.array(fm)) / (2 * h)
         worst = max(worst, float(np.max(np.abs(f - fd)) / np.max(np.abs(fd))))
     c.check(f"Jacobian matches finite differences (worst {worst:.2e})", worst < 1e-5)
 
@@ -432,11 +432,11 @@ def test_criterion_8_end_to_end():
         launch = scenario.serve_trajectory(pt, court, params, rng, serve_cfg)
         t_hit = pt.time_offset
         n_total = int(np.ceil((t_hit + 0.3) / dt))
-        pos, vel = launch.position, launch.velocity
-        true_positions = [pos]
+        state = launch.position.tolist() + launch.velocity.tolist()
+        true_positions = [state[:3]]
         for _ in range(n_total):
-            pos, vel = shuttle._rk4_step(pos, vel, params, dt)
-            true_positions.append(pos)
+            state = shuttle._rk4_step(state, params, dt)
+            true_positions.append(state[:3])
         true_positions = np.array(true_positions)
         times = np.arange(len(true_positions)) * dt
 

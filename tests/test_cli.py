@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -544,6 +545,45 @@ class TestNonFiniteInputs:
         path.write_text(EPISODES.replace("0,1,0.1,0,0,1,1,1,8", row))
         err = _exit_one(workdir, capsys, "score", path)
         assert err.startswith(f"error: {path}: row 1 has a non-finite value")
+
+
+    def test_overflowing_offset_exits_one_without_a_warning(self, workdir, capsys):
+        path = workdir / "episodes.csv"
+        path.write_text(EPISODES.replace("0,1,0.1,", "0,1,1e200,"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = _exit_one(workdir, capsys, "score", path)
+        assert err.startswith(f"error: {path}: metrics overflow (MSE inf"), err
+        assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("key, command", [("mass", "simulate"), ("drag_coeff", "track")])
+    def test_non_finite_shuttle_param_names_it(self, workdir, capsys, key, command):
+        (workdir / "params.json").write_text(json.dumps({**PARAMS, key: float("nan")}))
+        if command == "simulate":
+            path = workdir / "state.json"
+            path.write_text(json.dumps({"position": [0, 0, 2.0], "velocity": [3.0, 0, 2.0]}))
+        else:
+            path = _input_for(workdir, command)
+        err = _exit_one(workdir, capsys, command, path)
+        assert err.startswith(
+            f"error: cannot parse {workdir / 'params.json'}: {key} must be finite, got nan"
+        ), err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["frames"][1].update(t=float("nan")), "frame 1 has a non-finite time"),
+        (lambda d: d.update(collision_spheres=[
+            {"frame": "hand", "offset": [0.0, 0.0, 0.0], "radius": float("nan")}]),
+         "collision sphere radius on frame 'hand' must be positive and finite, got nan"),
+        (lambda d: d["weights"].update(global_pos=float("nan")),
+         "weights key 'global_pos' must be finite and non-negative, got nan"),
+    ], ids=["frame-t", "sphere-radius", "weight"])
+    def test_non_finite_retarget_value_names_it(self, workdir, capsys, edit, message):
+        path = _retarget_problem(workdir)
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        err = _exit_one(workdir, capsys, "retarget", path)
+        assert err.startswith(f"error: {message}"), err
 
 
 class TestMalformedInputs:

@@ -22,6 +22,14 @@ PARAMS = ShuttleParams(mass=0.005, drag_coeff=0.001)
 DRAG_FREE = ShuttleParams(mass=0.005, drag_coeff=0.0)
 
 
+class TestParams:
+    @pytest.mark.parametrize("key", ["mass", "drag_coeff", "axis_damping", "gravity"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_param_rejected_by_name(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
+            ShuttleParams(**{"mass": 0.005, "drag_coeff": 0.001, key: value})
+
+
 class TestShuttleAccel:
     def test_at_rest_pure_gravity(self):
         s = ShuttleState(np.array([0.0, 0.0, 2.0]), np.zeros(3))
