@@ -203,6 +203,9 @@ def cmd_track(cfg: RunConfig, measurements_path: str, out_dir: str) -> int:
     latency = _float(cfg, "track", "latency", 0.0)
     horizon = _float(cfg, "track", "horizon", 2.0)
     dt = _float(cfg, "track", "dt", shuttle.DEFAULT_DT)
+    for key, value in (("horizon", horizon), ("dt", dt)):
+        if value <= 0:
+            raise ConfigError(f"config track.{key} must be positive, got {value}")
     volume = None
     if "volume" in track:
         if not isinstance(track["volume"], dict):

@@ -41,9 +41,9 @@ class EkfBelief:
             raise ValueError("mean has non-finite components")
         if cov.shape != (6, 6):
             raise ValueError(f"covariance must have shape (6, 6), got {cov.shape}")
-        if np.max(np.abs(cov - cov.T)) > 1e-9:
+        if abs(cov - cov.T).max() > 1e-9:
             raise NumericalFailureError("covariance is not symmetric")
-        if np.min(np.linalg.eigvalsh(cov)) < -1e-9:
+        if np.linalg.eigvalsh(cov)[0] < -1e-9:  # eigenvalues come in ascending order
             raise NumericalFailureError("covariance is not positive semidefinite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
@@ -78,12 +78,11 @@ class InnovationStats:
 
 def process_noise(psd: float, dt: float) -> Array:
     """White-noise-acceleration discretization, per-axis [dt^3/3, dt^2/2; dt^2/2, dt]."""
-    q = np.zeros((6, 6))
-    q[:3, :3] = psd * dt**3 / 3.0 * np.eye(3)
-    q[:3, 3:] = psd * dt**2 / 2.0 * np.eye(3)
-    q[3:, :3] = q[:3, 3:]
-    q[3:, 3:] = psd * dt * np.eye(3)
-    return q
+    a, b, c = psd * dt**3 / 3.0, psd * dt**2 / 2.0, psd * dt
+    return np.array((
+        (a, 0.0, 0.0, b, 0.0, 0.0), (0.0, a, 0.0, 0.0, b, 0.0), (0.0, 0.0, a, 0.0, 0.0, b),
+        (b, 0.0, 0.0, c, 0.0, 0.0), (0.0, b, 0.0, 0.0, c, 0.0), (0.0, 0.0, b, 0.0, 0.0, c),
+    ))
 
 
 def ekf_predict(b: EkfBelief, p: ShuttleParams, n: NoiseConfig, dt: float) -> EkfBelief:
@@ -104,22 +103,28 @@ def ekf_update(
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (3,):
         raise ValueError("measurement must have shape (3,)")
-    if not np.all(np.isfinite(z)):
+    if not all(map(math.isfinite, z.tolist())):
         raise ValueError("measurement must be finite")
     p_cov = b.covariance
-    s = p_cov[:3, :3] + n.measurement_cov
+    # S^-1 by its adjugate: one 3x3 inverse serves the gain and the NIS
+    (s0, s1, s2), (s3, s4, s5), (s6, s7, s8) = (p_cov[:3, :3] + n.measurement_cov).tolist()
+    c0, c3, c6 = s4 * s8 - s5 * s7, s5 * s6 - s3 * s8, s3 * s7 - s4 * s6
+    det = s0 * c0 + s1 * c3 + s2 * c6
+    if det == 0.0 or not math.isfinite(det):
+        raise NumericalFailureError("singular innovation covariance")
+    s_inv = np.array((
+        (c0, s2 * s7 - s1 * s8, s1 * s5 - s2 * s4),
+        (c3, s0 * s8 - s2 * s6, s2 * s3 - s0 * s5),
+        (c6, s1 * s6 - s0 * s7, s0 * s4 - s1 * s3),
+    )) / det
     residual = z - b.mean[:3]
-    try:
-        s_inv_r = np.linalg.solve(s, residual)
-        gain = np.linalg.solve(s, p_cov[:3, :]).T  # P H^T S^-1
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError("singular innovation covariance") from exc
+    gain = p_cov[:, :3] @ s_inv  # P H^T S^-1
     mean = b.mean + gain @ residual
     i_kh = np.eye(6)
     i_kh[:, :3] -= gain
     cov = i_kh @ p_cov @ i_kh.T + gain @ n.measurement_cov @ gain.T
     cov = 0.5 * (cov + cov.T)
-    nis = float(residual @ s_inv_r)
+    nis = float(residual @ s_inv @ residual)
     return EkfBelief(mean, cov), InnovationStats(nis)
 
 
@@ -127,8 +132,10 @@ def predict_trajectory(
     b: EkfBelief, p: ShuttleParams, dt: float, horizon: float, t0: float = 0.0
 ) -> Trajectory:
     """Noise-free mean propagation, sampled at t0, t0+dt, ... up to t0+horizon."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     steps = int(np.floor(horizon / dt + 1e-12))
     states = [b.mean.tolist()]
     for _ in range(steps):

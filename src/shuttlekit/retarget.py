@@ -122,6 +122,11 @@ class RetargetProblem:
         for i, kf in enumerate(self.frames):
             if not math.isfinite(kf.t):
                 raise ValueError(f"frame {i} has a non-finite time t = {kf.t}")
+            if i and not kf.t > self.frames[i - 1].t:
+                raise ValueError(
+                    f"frame times must be strictly increasing: frame {i} has t = {kf.t} "
+                    f"after t = {self.frames[i - 1].t}"
+                )
         frame_names = {j.name for j in self.chain.joints}
         frame_names.update(self.chain.end_effector_names())
         for kp, frame in self.keypoint_map.items():
@@ -591,7 +596,13 @@ def problem_from_dict(
             raise ValueError("problem needs 'chain' or 'chain_file'")
     racket_frame = data.get("racket_frame")
     frames = []
-    for f in data["frames"]:
+    for i, f in enumerate(data["frames"]):
+        if "t" not in f:
+            raise ValueError(f"frame {i} has no 't'")
+        try:
+            t = float(f["t"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"frame {i} time 't' must be a number: {exc}") from exc
         rotations = {k: np.asarray(v) for k, v in f.get("rotations", {}).items()}
         if "racket_quat" in f:
             if racket_frame is None:
@@ -599,7 +610,7 @@ def problem_from_dict(
             rotations[racket_frame] = np.asarray(f["racket_quat"])
         frames.append(
             KeypointFrame(
-                t=float(f["t"]),
+                t=t,
                 keypoints=f["keypoints"],
                 rotations=rotations,
             )

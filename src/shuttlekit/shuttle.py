@@ -146,13 +146,28 @@ def _drag_accel(vx: float, vy: float, vz: float, km: float, g: float):
     return -ks * vx, -ks * vy, -g - ks * vz
 
 
-def _drag_jacobian(vel: Array, p: ShuttleParams) -> Array:
-    """d(accel)/d(velocity) of _drag_accel."""
-    speed = np.linalg.norm(vel)
-    if speed == 0.0 or p.drag_coeff == 0.0:
-        return np.zeros((3, 3))
-    k = p.drag_coeff / p.mass
-    return -k * (speed * np.eye(3) + np.outer(vel, vel) / speed)
+def _drag_jacobian(vx: float, vy: float, vz: float, km: float) -> tuple:
+    """d(accel)/d(velocity) of _drag_accel, row-major: -km (|v| I + v v^T / |v|)."""
+    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if speed == 0.0 or km == 0.0:
+        return (0.0,) * 9
+    a, b = -km * speed, -km / speed
+    xy, xz, yz = b * vx * vy, b * vx * vz, b * vy * vz
+    return (a + b * vx * vx, xy, xz, xy, a + b * vy * vy, yz, xz, yz, a + b * vz * vz)
+
+
+def _mat3_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two row-major 3x3 matrices, each held as 9 floats."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+    )
+
+
+_EYE3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def shuttle_accel(s: ShuttleState, p: ShuttleParams) -> Array:
@@ -193,23 +208,32 @@ def transition_jacobian(mean: Array, p: ShuttleParams, dt: float) -> Array:
     """Exact Jacobian of the RK4 step, chained over _rk4_step's stage velocities.
 
     d(pos, vel)/d(pos, vel) is [[I, B], [0, C]]; the 3x3 blocks N2-N4 are
-    d(stage velocity)/d(vel) and D1-D4 the drag Jacobians at the stages.
+    d(stage velocity)/d(vel) and D1-D4 the drag Jacobians at the stages,
+    each held as 9 row-major floats, like _rk4_step's scalar state.
     """
     km, g, h = p.drag_coeff / p.mass, p.gravity, 0.5 * dt
-    vel = mean[3:]
-    v2 = vel + h * np.array(_drag_accel(*vel.tolist(), km, g))
-    v3 = vel + h * np.array(_drag_accel(*v2.tolist(), km, g))
-    v4 = vel + dt * np.array(_drag_accel(*v3.tolist(), km, g))
-    d1, d2, d3, d4 = (_drag_jacobian(v, p) for v in (vel, v2, v3, v4))
-    eye = np.eye(3)
-    n2 = eye + h * d1
-    n3 = eye + h * d2 @ n2
-    n4 = eye + dt * d3 @ n3
+    vel = mean[3:].tolist()
+    v2 = [v + h * a for v, a in zip(vel, _drag_accel(*vel, km, g))]
+    v3 = [v + h * a for v, a in zip(vel, _drag_accel(*v2, km, g))]
+    v4 = [v + dt * a for v, a in zip(vel, _drag_accel(*v3, km, g))]
+    d1, d2, d3, d4 = (_drag_jacobian(*v, km) for v in (vel, v2, v3, v4))
+    n2 = [e + h * d for e, d in zip(_EYE3, d1)]
+    d2n2 = _mat3_mul(d2, n2)
+    n3 = [e + h * x for e, x in zip(_EYE3, d2n2)]
+    d3n3 = _mat3_mul(d3, n3)
+    n4 = [e + dt * x for e, x in zip(_EYE3, d3n3)]
     w = dt / 6.0
-    jac = np.eye(6)
-    jac[:3, 3:] = w * (eye + 2.0 * n2 + 2.0 * n3 + n4)
-    jac[3:, 3:] = eye + w * (d1 + 2.0 * d2 @ n2 + 2.0 * d3 @ n3 + d4 @ n4)
-    return jac
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = (
+        w * (e + 2.0 * x + 2.0 * y + z) for e, x, y, z in zip(_EYE3, n2, n3, n4)
+    )
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = (
+        e + w * (d + 2.0 * x + 2.0 * y + z)
+        for e, d, x, y, z in zip(_EYE3, d1, d2n2, d3n3, _mat3_mul(d4, n4))
+    )
+    return np.array((
+        (1.0, 0.0, 0.0, b0, b1, b2), (0.0, 1.0, 0.0, b3, b4, b5), (0.0, 0.0, 1.0, b6, b7, b8),
+        (0.0, 0.0, 0.0, c0, c1, c2), (0.0, 0.0, 0.0, c3, c4, c5), (0.0, 0.0, 0.0, c6, c7, c8),
+    ))
 
 
 def _relax_axis(axis: Optional[Array], vel: Array, rate: float, dt: float) -> Optional[Array]:

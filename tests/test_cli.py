@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import arm_chain
+from shuttlekit import retarget
 from shuttlekit.cli import main
 from shuttlekit.shuttle import ShuttleParams, ShuttleState, simulate_to_ground
 from shuttlekit.spatial import Pose, chain_to_dict, forward_kinematics, quat_identity
@@ -608,6 +609,38 @@ class TestMalformedInputs:
         _patch_config(workdir, track=track)
         err = _exit_one(workdir, capsys, "track", _input_for(workdir, "track"))
         assert err.startswith(f"error: config {key} ")
+
+    @pytest.mark.parametrize("key, value", [
+        ("dt", 0), ("dt", -0.005), ("horizon", 0), ("horizon", -1.0),
+    ])
+    def test_non_positive_track_step_or_horizon_writes_nothing(self, workdir, capsys, key,
+                                                               value):
+        _patch_config(workdir, track={key: value})
+        err = _exit_one(workdir, capsys, "track", _input_for(workdir, "track"))
+        assert err.startswith(f"error: config track.{key} must be positive, got {float(value)}")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["frames"][1].pop("t"), "frame 1 has no 't'"),
+        (lambda d: d["frames"][1].update(t="abc"),
+         "frame 1 time 't' must be a number: could not convert string to float: 'abc'"),
+        (lambda d: d["frames"][2].update(t=0.1),
+         "frame times must be strictly increasing: frame 2 has t = 0.1 after t = 0.1"),
+        (lambda d: d["frames"][2].update(t=0.05),
+         "frame times must be strictly increasing: frame 2 has t = 0.05 after t = 0.1"),
+    ], ids=["no-t", "t-abc", "t-repeated", "t-decreasing"])
+    def test_bad_retarget_frame_time_names_the_frame(self, workdir, capsys, monkeypatch, edit,
+                                                    message):
+        path = _retarget_problem(workdir)
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a frame was solved before the frame times were checked")
+
+        monkeypatch.setattr(retarget, "solve_retarget", no_solve)
+        err = _exit_one(workdir, capsys, "retarget", path)
+        assert err.startswith(f"error: {message}"), err
 
     @pytest.mark.parametrize("line, message", [
         ("0.005,abc,0.0,2.02", "row 2: could not convert string to float: 'abc'"),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -37,10 +37,35 @@ def _simulate_positions(state, params, dt, n):
     return np.array(out)
 
 
+def _central_differences(mean, params, dt, h):
+    """d(_rk4_step)/d(state) by central differences with step h."""
+    fd = np.zeros((6, 6))
+    for k in range(6):
+        plus, minus = mean.copy(), mean.copy()
+        plus[k] += h
+        minus[k] -= h
+        fp = _rk4_step(plus.tolist(), params, dt)
+        fm = _rk4_step(minus.tolist(), params, dt)
+        fd[:, k] = (np.array(fp) - np.array(fm)) / (2 * h)
+    return fd
+
+
 def spd_matrices(n):
     """s (A A^T + 1e-3 I) with A in [-1, 1] and s from 1e-3 to 1e2."""
     factors = arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0))
     return st.builds(lambda a, s: s * (a @ a.T + 1e-3 * np.eye(n)), factors, st.floats(1e-3, 1e2))
+
+
+@st.composite
+def measurement_sequences(draw):
+    """Strictly increasing times, noisy straight-line positions and a latency."""
+    gaps = draw(st.lists(st.floats(1e-3, 2e-2), max_size=15))
+    times = np.cumsum([draw(st.floats(0.0, 1.0))] + gaps)
+    start = draw(arrays(np.float64, 3, elements=finite))
+    vel = draw(arrays(np.float64, 3, elements=st.floats(-20.0, 20.0)))
+    noise = draw(arrays(np.float64, (times.size, 3), elements=st.floats(-0.01, 0.01)))
+    zs = start + (times - times[0])[:, None] * vel + noise
+    return times, zs, draw(st.floats(0.0, 0.05))
 
 
 class TestBelief:
@@ -50,6 +75,16 @@ class TestBelief:
         mean[4] = bad
         with pytest.raises(ValueError, match="mean has non-finite components"):
             EkfBelief(mean, np.eye(6))
+
+    def test_asymmetric_covariance_rejected(self):
+        cov = np.eye(6)
+        cov[0, 4] = 1e-8
+        with pytest.raises(NumericalFailureError, match="covariance is not symmetric"):
+            EkfBelief(np.zeros(6), cov)
+
+    def test_indefinite_covariance_rejected(self):
+        with pytest.raises(NumericalFailureError, match="not positive semidefinite"):
+            EkfBelief(np.zeros(6), np.diag([1.0, 1.0, 1.0, 1.0, -1e-8, 1.0]))
 
 
 class TestPredict:
@@ -91,16 +126,30 @@ class TestPredict:
         cases += [(mean, DRAG_FREE) for mean, _ in cases[:5] + cases[20:24]]
         for mean, params in cases:
             f = transition_jacobian(mean, params, 0.005)
-            fd = np.zeros((6, 6))
-            h = 1e-6
-            for k in range(6):
-                plus, minus = mean.copy(), mean.copy()
-                plus[k] += h
-                minus[k] -= h
-                fp = _rk4_step(plus.tolist(), params, 0.005)
-                fm = _rk4_step(minus.tolist(), params, 0.005)
-                fd[:, k] = (np.array(fp) - np.array(fm)) / (2 * h)
+            fd = _central_differences(mean, params, 0.005, 1e-6)
             assert np.max(np.abs(f - fd)) / np.max(np.abs(fd)) < 1e-5
+
+    # velocity components are often exactly zero, and some examples are drag-free
+    @settings(max_examples=200)
+    @given(
+        arrays(np.float64, 3, elements=finite),
+        st.tuples(*[st.one_of(st.floats(-40.0, 40.0), st.just(0.0))] * 3),
+        st.floats(1e-3, 2e-2),
+        st.one_of(st.floats(1e-4, 5e-3), st.just(0.0)),
+    )
+    @example(np.zeros(3), (0.0, 0.0, 0.0), 2e-2, 1e-3)
+    @example(np.zeros(3), (-0.0, 0.0, -0.0), 1e-3, 5e-3)
+    @example(np.zeros(3), (12.0, -3.0, 20.0), 2e-2, 0.0)
+    def test_jacobian_property_against_central_differences(self, pos, vel, dt, drag_coeff):
+        params = ShuttleParams(mass=0.005, drag_coeff=drag_coeff)
+        mean = np.concatenate([pos, vel])
+        f = transition_jacobian(mean, params, dt)
+        fd = _central_differences(mean, params, dt, 1e-6)
+        # generic states agree to about 6e-9; the drag law is not twice
+        # differentiable at zero velocity, where central differences err by O(km h dt)
+        assert np.max(np.abs(f - fd)) / np.max(np.abs(fd)) < 1e-7
+        assert np.array_equal(f[3:, :3], np.zeros((3, 3)))
+        assert np.array_equal(f[:3, :3], np.eye(3))
 
     def test_bad_dt(self):
         b = EkfBelief(np.zeros(6), np.eye(6))
@@ -185,11 +234,38 @@ class TestUpdate:
     def test_singular_innovation_errors(self):
         b = EkfBelief(np.zeros(6), np.zeros((6, 6)))
         degenerate = NoiseConfig(0.0, np.zeros((3, 3)))
-        with pytest.raises(NumericalFailureError):
+        with pytest.raises(NumericalFailureError, match="singular innovation covariance"):
             ekf_update(b, np.zeros(3), degenerate)
+
+    def test_rank_deficient_innovation_errors(self):
+        cov = np.zeros((6, 6))
+        cov[:3, :3] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # rank 2
+        degenerate = NoiseConfig(0.0, np.zeros((3, 3)))
+        with pytest.raises(NumericalFailureError, match="singular innovation covariance"):
+            ekf_update(EkfBelief(np.zeros(6), cov), np.zeros(3), degenerate)
+
+    @pytest.mark.parametrize("z, message", [
+        ([1.0, 2.0], "measurement must have shape"),
+        ([[1.0, 2.0, 3.0]], "measurement must have shape"),
+        ([np.nan, 2.0, 3.0], "measurement must be finite"),
+        ([1.0, -np.inf, 3.0], "measurement must be finite"),
+    ])
+    def test_bad_measurement_rejected(self, z, message):
+        b = EkfBelief(np.array([1.0, 2.0, 3.0, 0.5, 0.5, 0.5]), np.eye(6) * 0.1)
+        with pytest.raises(ValueError, match=message):
+            ekf_update(b, z, NOISE)
 
 
 class TestPredictTrajectory:
+    @pytest.mark.parametrize("dt, horizon, message", [
+        *[(dt, 0.5, "dt must be positive") for dt in (0.0, -0.005, np.nan, np.inf)],
+        *[(0.005, h, "horizon must be positive") for h in (0.0, -1.0, np.nan, np.inf)],
+    ])
+    def test_bad_step_or_horizon_rejected(self, dt, horizon, message):
+        b = EkfBelief(np.array([0.0, 0.0, 5.0, 3.0, 0.0, 2.0]), np.eye(6) * 0.01)
+        with pytest.raises(ValueError, match=message):
+            predict_trajectory(b, PARAMS, dt, horizon)
+
     def test_matches_simulator(self):
         b = EkfBelief(np.array([0.0, 0.0, 5.0, 3.0, 0.0, 2.0]), np.eye(6) * 0.01)
         traj = predict_trajectory(b, PARAMS, 0.005, 0.5)
@@ -298,6 +374,23 @@ class TestTrackMeasurements:
         )
         assert np.allclose(lagged[:, 0], plain[:, 0] - 0.02)
         assert np.allclose(lagged[:, 1:], plain[:, 1:])  # same gaps, same estimates
+
+    @given(measurement_sequences())
+    def test_runs_the_public_predict_and_update(self, sequence):
+        times, zs, latency = sequence
+        prior = EkfBelief(np.concatenate([zs[0], np.zeros(3)]), np.diag([0.01] * 3 + [25.0] * 3))
+        belief, rows = track_measurements(times, zs, prior, PARAMS, NOISE, latency=latency)
+        shifted = times - latency
+        b, expected = prior, []
+        for i in range(times.size):
+            if i > 0:
+                b = ekf_predict(b, PARAMS, NOISE, float(shifted[i] - shifted[i - 1]))
+            b, stats = ekf_update(b, zs[i], NOISE)
+            expected.append([shifted[i], *b.mean, stats.nis])
+        # bit for bit: the log is exactly what the public calls return
+        assert rows.tobytes() == np.array(expected).tobytes()
+        assert belief.mean.tobytes() == b.mean.tobytes()
+        assert belief.covariance.tobytes() == b.covariance.tobytes()
 
     @pytest.mark.parametrize("times, latency", [
         ([0.0, np.nan, 0.01], 0.0),
