@@ -9,7 +9,6 @@ checkable against finite differences.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -313,38 +312,3 @@ def disc_loss_and_grads(
         weight_grads=weight_grads,
         bias_grads=bias_grads,
     )
-
-
-# ---------------------------------------------------------------------------
-# File formats
-
-
-def save_mlp(m: Mlp, path) -> None:
-    data = {
-        "layers": [
-            {"w": w.tolist(), "b": b.tolist()} for w, b in zip(m.weights, m.biases)
-        ]
-    }
-    with open(path, "w") as f:
-        json.dump(data, f)
-        f.write("\n")
-
-
-def load_mlp(path) -> Mlp:
-    with open(path) as f:
-        data = json.load(f)
-    weights = tuple(np.asarray(layer["w"]) for layer in data["layers"])
-    biases = tuple(np.asarray(layer["b"]) for layer in data["layers"])
-    return Mlp(weights, biases)
-
-
-def save_observations_csv(batch: Sequence[AmpObservation], path) -> None:
-    """One observation per row, plain comma-separated values."""
-    with open(path, "w") as f:
-        for obs in batch:
-            f.write(",".join(format(v, ".9g") for v in obs.features) + "\n")
-
-
-def load_observations_csv(path) -> list[AmpObservation]:
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    return [AmpObservation(row) for row in data]

@@ -41,9 +41,12 @@ class EkfBelief:
             raise ValueError("mean has non-finite components")
         if cov.shape != (6, 6):
             raise ValueError(f"covariance must have shape (6, 6), got {cov.shape}")
-        if abs(cov - cov.T).max() > 1e-9:
+        # written so that NaN fails: a NaN or infinite entry makes the asymmetry NaN
+        if not abs(cov - cov.T).max() <= 1e-9:
+            if not np.isfinite(cov).all():
+                raise NumericalFailureError("covariance has non-finite entries")
             raise NumericalFailureError("covariance is not symmetric")
-        if np.linalg.eigvalsh(cov)[0] < -1e-9:  # eigenvalues come in ascending order
+        if not np.linalg.eigvalsh(cov)[0] >= -1e-9:  # eigenvalues come in ascending order
             raise NumericalFailureError("covariance is not positive semidefinite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
@@ -57,13 +60,13 @@ class NoiseConfig:
     measurement_cov: Array
 
     def __post_init__(self):
-        if self.process_psd < 0:
-            raise ValueError("process_psd must be non-negative")
+        if not self.process_psd >= 0:  # NaN fails too
+            raise ValueError(f"process_psd must be non-negative, got {self.process_psd}")
         r = np.asarray(self.measurement_cov, dtype=np.float64)
         if r.shape != (3, 3):
             raise ValueError("measurement_cov must have shape (3, 3)")
-        if np.max(np.abs(r - r.T)) > 1e-9 or np.min(np.linalg.eigvalsh(r)) < -1e-12:
-            raise ValueError("measurement_cov must be symmetric PSD")
+        if not np.max(np.abs(r - r.T)) <= 1e-9 or np.min(np.linalg.eigvalsh(r)) < -1e-12:
+            raise ValueError("measurement_cov must be finite and symmetric PSD")
         object.__setattr__(self, "measurement_cov", r)
 
     @staticmethod

@@ -230,19 +230,6 @@ def termination_check(
 # File formats
 
 
-def reward_config_from_dict(d) -> RewardConfig:
-    return RewardConfig(
-        hit_weights=np.asarray(d["hit_weights"]),
-        hit_scales=np.asarray(d["hit_scales"]),
-        rec_weights=np.asarray(d["rec_weights"]),
-        rec_scales=np.asarray(d["rec_scales"]),
-        sigma_time=float(d["sigma_time"]),
-        epsilon=float(d["epsilon"]),
-        w_task=float(d.get("w_task", 1.0)),
-        w_style=float(d.get("w_style", 1.0)),
-    )
-
-
 def score_episode_csv(path, c: RewardConfig) -> list[dict]:
     """Batch-evaluate rewards over an episode log.
 

@@ -170,11 +170,6 @@ def _mat3_mul(a: tuple, b: tuple) -> tuple:
 _EYE3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
-def shuttle_accel(s: ShuttleState, p: ShuttleParams) -> Array:
-    """Acceleration (m/s^2): gravity minus (k/m) |v| v."""
-    return np.array(_drag_accel(*s.velocity.tolist(), p.drag_coeff / p.mass, p.gravity))
-
-
 def _rk4_step(state, p: ShuttleParams, dt: float) -> tuple:
     """One RK4 step of the flight state (x, y, z, vx, vy, vz) under gravity + quadratic drag.
 
@@ -364,11 +359,6 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
         for t, pos, vel in zip(traj.times, traj.positions, traj.velocities):
             row = [t, *pos, *vel]
             f.write(",".join(format(v, ".9g") for v in row) + "\n")
-
-
-def load_trajectory_csv(path) -> Trajectory:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return Trajectory(data[:, 0], data[:, 1:4], data[:, 4:7])
 
 
 def params_from_dict(d) -> ShuttleParams:

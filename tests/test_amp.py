@@ -10,18 +10,13 @@ from conftest import humanoid_chain, random_pose
 from shuttlekit.amp import (
     AmpConfig,
     AmpFrame,
-    AmpObservation,
     Mlp,
     assemble_history,
     disc_forward,
     disc_loss_and_grads,
     frame_features,
     grad_wrt_input,
-    load_mlp,
-    load_observations_csv,
     mlp_init,
-    save_mlp,
-    save_observations_csv,
 )
 from shuttlekit.goal import RobotState
 from shuttlekit.spatial import Pose, Twist, forward_kinematics, quat_identity
@@ -346,20 +341,3 @@ class TestDiscriminatorLoss:
         with pytest.raises(ValueError):
             disc_loss_and_grads(m, [np.ones(3)], [], self.CFG)
 
-
-class TestIo:
-    def test_mlp_json_round_trip(self, rng, tmp_path):
-        m = mlp_init([4, 6, 1], rng)
-        path = tmp_path / "disc.json"
-        save_mlp(m, path)
-        loaded = load_mlp(path)
-        x = rng.normal(size=4)
-        assert disc_forward(loaded, x) == pytest.approx(disc_forward(m, x))
-
-    def test_observation_csv_round_trip(self, rng, tmp_path):
-        batch = [AmpObservation(rng.normal(size=6)) for _ in range(3)]
-        path = tmp_path / "obs.csv"
-        save_observations_csv(batch, path)
-        loaded = load_observations_csv(path)
-        assert len(loaded) == 3
-        assert np.allclose(loaded[1].features, batch[1].features, atol=1e-7)

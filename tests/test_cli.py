@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import arm_chain
-from shuttlekit import retarget
+from shuttlekit import cli, retarget
 from shuttlekit.cli import main
 from shuttlekit.shuttle import ShuttleParams, ShuttleState, simulate_to_ground
 from shuttlekit.spatial import Pose, chain_to_dict, forward_kinematics, quat_identity
@@ -508,7 +509,7 @@ def _exit_one(workdir, capsys, command, path):
     err = capsys.readouterr().err
     assert code == 1, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert not (workdir / "out").exists() or not any((workdir / "out").iterdir())
+    assert not (workdir / "out").exists()
     return err
 
 
@@ -593,7 +594,10 @@ class TestMalformedInputs:
         ({"seed": None}, "config seed "),
         ({"chain": 5}, "config chain "),
         ({"out_dir": 5}, "config out_dir "),
-    ], ids=["seed-abc", "seed-null", "chain-int", "out_dir-int"])
+        ({"parmas": "params.json"}, "config key 'parmas' is unknown"),
+        ({"reward": {"sigma_time": 0.5}}, "config key 'reward' is unknown"),
+        ({"amp": {"history_length": 5}}, "config key 'amp' is unknown"),
+    ], ids=["seed-abc", "seed-null", "chain-int", "out_dir-int", "parmas", "reward", "amp"])
     def test_bad_top_level_value_names_it(self, workdir, capsys, top, key):
         _patch_config(workdir, **top)
         err = _exit_one(workdir, capsys, "score", _input_for(workdir, "score"))
@@ -604,11 +608,47 @@ class TestMalformedInputs:
         ({"height_band": [1.0]}, "track.height_band"),
         ({"volume": {"center": [0.0, 0.0, 1.1]}}, "track.volume.size"),
         ({"measurement_cov": [["a"] * 3] * 3}, "track.measurement_cov"),
-    ], ids=["band-scalar", "band-one-number", "volume-no-size", "cov-strings"])
+        ({"initial_pos_var": -0.01}, "track.initial_pos_var must be non-negative, got"),
+        ({"initial_vel_var": -1.0}, "track.initial_vel_var must be non-negative, got"),
+        ({"preference": "latest"}, "track.preference must be one of"),
+        ({"procss_psd": 1e-4}, "key 'track.procss_psd' is unknown"),
+        ({"volume": {"center": [0.0, 0.0], "size": [2.0, 0.4, 0.3]}}, "track.volume.center"),
+        ({"volume": {"center": [0.0, 0.0, 1.1], "size": [2.0, 0.4, 0.3], "extent": 1.0}},
+         "key 'track.volume.extent' is unknown"),
+        ({"horizon": 10**400}, "track.horizon must be a number:"),
+        ({"height_band": [1.0, 10**400]}, "track.height_band must hold numbers:"),
+    ], ids=["band-scalar", "band-one-number", "volume-no-size", "cov-strings", "pos-var-negative",
+            "vel-var-negative", "preference-latest", "procss_psd", "volume-center-2d",
+            "volume-extra-key", "horizon-huge-int", "band-huge-int"])
     def test_bad_track_value_names_it(self, workdir, capsys, track, key):
         _patch_config(workdir, track=track)
         err = _exit_one(workdir, capsys, "track", _input_for(workdir, "track"))
         assert err.startswith(f"error: config {key} ")
+
+    @pytest.mark.parametrize("track, message", [
+        ({"height_band": [1.3, 1.0]}, "height band must satisfy lo < hi"),
+        ({"volume": {"center": [0.0, 0.0, 1.1], "size": [-1.0, 0.4, 0.3]}},
+         "box size must be non-negative"),
+        ({"measurement_cov": [[1.0, 0, 0], [0, -1.0, 0], [0, 0, 1.0]]},
+         "measurement_cov must be finite and symmetric PSD"),
+    ], ids=["band-reversed", "volume-negative-size", "cov-indefinite"])
+    def test_track_value_the_library_rejects_writes_nothing(self, workdir, capsys, track,
+                                                             message):
+        _patch_config(workdir, track=track)
+        err = _exit_one(workdir, capsys, "track", _input_for(workdir, "track"))
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "track"])
+    def test_command_without_params_exits_one_before_output(self, workdir, capsys, command):
+        config = json.loads((workdir / "config.json").read_text())
+        del config["params"]
+        (workdir / "config.json").write_text(json.dumps(config))
+        path = workdir / "state.json"
+        path.write_text(json.dumps({"position": [0, 0, 2.0], "velocity": [3.0, 0, 2.0]}))
+        if command == "track":
+            path = _input_for(workdir, command)
+        err = _exit_one(workdir, capsys, command, path)
+        assert err == f"error: {command} needs a 'params' file in the run config\n"
 
     @pytest.mark.parametrize("key, value", [
         ("dt", 0), ("dt", -0.005), ("horizon", 0), ("horizon", -1.0),
@@ -674,6 +714,51 @@ class TestMalformedInputs:
         path.write_text(json.dumps(entries))
         err = _exit_one(workdir, capsys, "expand", path)
         assert message in err
+
+
+# A value of the wrong kind for every key in the table and, where the key is
+# bounded, one just outside its bound. The whole config is checked before any
+# command runs, so `score` stops on a bad `sim` or `track` value too.
+def _bad_values(default, bound):
+    if isinstance(bound, dict):
+        return [5]  # a nested table given as a number
+    if isinstance(default, str):
+        return [5, "sideways"]
+    if isinstance(default, float):
+        return [[1.0]] + {cli.POSITIVE: [0.0], cli.NON_NEGATIVE: [-1e-9]}.get(bound, [])
+    return ["abc"]
+
+
+TABLE_CASES = [
+    pytest.param(section, key, value, id=f"{section}.{key}-{value!r}")
+    for section, spec in cli.SECTIONS.items()
+    for key, (default, bound) in spec.items()
+    for value in _bad_values(default, bound)
+]
+
+
+@pytest.mark.parametrize("section, key, value", TABLE_CASES)
+def test_bad_table_value_exits_one_before_any_command(workdir, capsys, section, key, value):
+    _patch_config(workdir, **{section: {key: value}})
+    code = main(["score", "--config", str(workdir / "config.json"),
+                 str(_input_for(workdir, "score"))])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"error: config {section}.{key} "), err
+    assert not (workdir / "out").exists()
+
+
+def test_readme_lists_every_config_key():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("### Run config keys", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^\| `([a-z_.]+)` \|", section, flags=re.M)
+    expected = [k for k in cli.TOP_LEVEL if k not in cli.SECTIONS]
+    for name, spec in cli.SECTIONS.items():
+        for key, (_, bound) in spec.items():
+            expected.append(f"{name}.{key}")
+            if isinstance(bound, dict):
+                expected += [f"{name}.{key}.{sub}" for sub in bound]
+    assert sorted(listed) == sorted(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,31 @@ class TestBelief:
         with pytest.raises(NumericalFailureError, match="not positive semidefinite"):
             EkfBelief(np.zeros(6), np.diag([1.0, 1.0, 1.0, 1.0, -1e-8, 1.0]))
 
+    @pytest.mark.parametrize("i", range(6))
+    def test_nan_on_covariance_diagonal_rejected(self, i):
+        cov = np.eye(6)
+        cov[i, i] = np.nan
+        with pytest.raises(NumericalFailureError, match="^covariance has non-finite entries$"):
+            EkfBelief(np.zeros(6), cov)
+
+    def test_symmetric_nan_pair_rejected(self):
+        cov = np.eye(6)
+        cov[1, 3] = cov[3, 1] = np.nan
+        with pytest.raises(NumericalFailureError, match="^covariance has non-finite entries$"):
+            EkfBelief(np.zeros(6), cov)
+
+
+class TestNoiseConfig:
+    def test_nan_process_psd_rejected(self):
+        with pytest.raises(ValueError, match="^process_psd must be non-negative, got nan$"):
+            NoiseConfig(np.nan, np.eye(3))
+
+    def test_nan_measurement_cov_rejected(self):
+        r = np.eye(3)
+        r[1, 1] = np.nan
+        with pytest.raises(ValueError, match="^measurement_cov must be finite and symmetric PSD$"):
+            NoiseConfig(1.0, r)
+
 
 class TestPredict:
     def test_mean_follows_simulator(self):

@@ -13,7 +13,6 @@ from shuttlekit.reward import (
     hit_quality_reward,
     hit_tracking_reward,
     recovery_tracking_reward,
-    reward_config_from_dict,
     score_episode_csv,
     sparse_hit_tracking_reward,
     style_reward,
@@ -283,21 +282,6 @@ class TestConfigAndBatch:
             RewardConfig([1.0], [1.0], [1.0], [1.0], -0.5, 0.05)
         with pytest.raises(ValueError):
             RewardConfig([1.0, 1.0], [1.0], [1.0], [1.0], 0.5, 0.05)
-
-    def test_config_round_trip(self):
-        data = {
-            "hit_weights": [0.6, 0.4],
-            "hit_scales": [0.5, 0.25],
-            "rec_weights": [1.0],
-            "rec_scales": [0.3],
-            "sigma_time": 0.5,
-            "epsilon": 0.05,
-            "w_task": 0.7,
-            "w_style": 0.3,
-        }
-        cfg = reward_config_from_dict(data)
-        assert cfg.sigma_time == 0.5
-        assert np.allclose(cfg.hit_weights, [0.6, 0.4])
 
     def test_score_episode_csv(self, tmp_path):
         path = tmp_path / "episode.csv"
