@@ -12,7 +12,8 @@ Modules:
     cli        batch command-line pipelines
 """
 
-from . import amp, cli, estimator, goal, retarget, reward, scenario, shuttle, spatial
+# `cli` is not imported here, so `python -m shuttlekit.cli` runs it only once.
+from . import amp, estimator, goal, retarget, reward, scenario, shuttle, spatial
 
 __all__ = [
     "amp",

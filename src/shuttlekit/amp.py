@@ -70,7 +70,6 @@ def frame_features(
     ee_poses: Mapping[str, Pose],
     ee_vels: Mapping[str, Array],
     chain: KinematicChain,
-    ee_order: Sequence[str] = DEFAULT_EE_ORDER,
 ) -> AmpFrame:
     """Assemble one discriminator frame from a robot state.
 
@@ -79,7 +78,7 @@ def frame_features(
     makes the features invariant to rigid transforms of the world.
     """
     chain_frames = set(chain.end_effector_names())
-    for name in ee_order:
+    for name in DEFAULT_EE_ORDER:
         if name not in chain_frames:
             raise ValueError(f"chain has no end effector named {name!r}")
         if name not in ee_poses or name not in ee_vels:
@@ -88,8 +87,8 @@ def frame_features(
     root = state.root
     rows = np.array([
         state.root_twist.linear,
-        *(ee_poses[name].position - root.position for name in ee_order),
-        *(ee_vels[name] for name in ee_order),
+        *(ee_poses[name].position - root.position for name in DEFAULT_EE_ORDER),
+        *(ee_vels[name] for name in DEFAULT_EE_ORDER),
     ])
     local = to_base_frame(rows, root, is_point=False)
     return AmpFrame(np.concatenate(

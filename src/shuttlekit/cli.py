@@ -114,6 +114,8 @@ def _check(table, spec: dict, where: str, required: bool = False) -> dict:
         elif isinstance(default, str):
             if value not in bound:
                 raise ConfigError(f"config {name} must be one of {bound}, got {value!r}")
+        elif any(isinstance(v, bool) for v in np.asarray(value, dtype=object).ravel()):
+            raise ConfigError(f"config {name} must hold numbers, got {value!r}")
         elif isinstance(default, float):
             try:
                 value = float(value)
@@ -137,9 +139,11 @@ def _check(table, spec: dict, where: str, required: bool = False) -> dict:
 
 @dataclass
 class RunConfig:
-    """The checked run config: resolved asset objects and every section's values."""
+    """The checked run config: resolved assets, section values, and `track`'s built objects."""
 
     sections: dict
+    noise: estimator.NoiseConfig
+    criteria: estimator.HitCriteria
     seed: int = 0
     out_dir: str = "."
     params: Optional[shuttle.ShuttleParams] = None
@@ -166,8 +170,11 @@ def load_run_config(path: Optional[str]) -> RunConfig:
             raise ConfigError(f"config {path} must be a JSON object")
         base = os.path.dirname(os.path.abspath(path))
     _known(data, TOP_LEVEL, "")
+    seed = data.get("seed", 0)
     try:
-        seed = int(data.get("seed", 0))
+        if isinstance(seed, bool) or isinstance(seed, float) and not seed.is_integer():
+            raise ValueError(f"got {seed!r}")
+        seed = int(seed)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config seed must be an integer: {exc}") from exc
     out_dir = data.get("out_dir", ".")
@@ -177,6 +184,20 @@ def load_run_config(path: Optional[str]) -> RunConfig:
         name: _check({} if data.get(name) is None else data[name], spec, name)
         for name, spec in SECTIONS.items()
     }
+    # the library constructors hold the checks no SECTIONS bound can state
+    track, volume = sections["track"], sections["track"]["volume"]
+    key = "measurement_std" if track["measurement_cov"] is None else "measurement_cov"
+    try:
+        noise = (estimator.NoiseConfig.isotropic(track["process_psd"], track["measurement_std"])
+                 if key == "measurement_std"
+                 else estimator.NoiseConfig(track["process_psd"], track["measurement_cov"]))
+        key = "volume.size"
+        box = None if volume is None else Box(volume["center"], volume["size"])
+        key = "height_band"
+        criteria = estimator.HitCriteria(
+            tuple(track["height_band"].tolist()), box, track["preference"])
+    except ValueError as exc:
+        raise ConfigError(f"config track.{key}: {exc}") from exc
 
     def resolve(key, loader):
         if key not in data:
@@ -192,7 +213,7 @@ def load_run_config(path: Optional[str]) -> RunConfig:
             raise ConfigError(f"cannot parse {ref}: {exc}") from exc
 
     return RunConfig(
-        sections, seed, os.path.join(base, out_dir),
+        sections, noise, criteria, seed, os.path.join(base, out_dir),
         resolve("params", shuttle.load_params), resolve("chain", load_chain),
     )
 
@@ -200,11 +221,17 @@ def load_run_config(path: Optional[str]) -> RunConfig:
 def cmd_simulate(cfg: RunConfig, state_path: str, out_dir: str) -> int:
     with open(state_path) as f:
         raw = json.load(f)
-    state = shuttle.ShuttleState(
-        position=np.asarray(raw["position"]),
-        velocity=np.asarray(raw["velocity"]),
-        axis=np.asarray(raw["axis"]) if "axis" in raw else None,
-    )
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{state_path}: state must be a JSON object")
+    for key in ("position", "velocity"):
+        if key not in raw:
+            raise ConfigError(f"{state_path}: state key {key!r} is missing")
+    try:
+        state = shuttle.ShuttleState(
+            raw["position"], raw["velocity"], raw["axis"] if "axis" in raw else None
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{state_path}: state {exc}") from exc
     sim = cfg.sections["sim"]
     result = shuttle.simulate_to_ground(state, cfg.params, dt=sim["dt"], t_max=sim["t_max"])
     os.makedirs(out_dir, exist_ok=True)  # only once the command has something to write
@@ -234,10 +261,6 @@ def _pose_to_dict(pose: Pose) -> dict:
 def cmd_track(cfg: RunConfig, measurements_path: str, out_dir: str) -> int:
     track = cfg.sections["track"]
     times, zs = estimator.load_measurements_csv(measurements_path)
-    if track["measurement_cov"] is None:
-        noise = estimator.NoiseConfig.isotropic(track["process_psd"], track["measurement_std"])
-    else:
-        noise = estimator.NoiseConfig(track["process_psd"], track["measurement_cov"])
     vel0 = np.zeros(3)
     if len(times) > 1 and times[1] > times[0]:
         vel0 = (zs[1] - zs[0]) / (times[1] - times[0])
@@ -246,14 +269,8 @@ def cmd_track(cfg: RunConfig, measurements_path: str, out_dir: str) -> int:
         np.diag([track["initial_pos_var"]] * 3 + [track["initial_vel_var"]] * 3),
     )
     latency = track["latency"]
-    volume = track["volume"]
-    criteria = estimator.HitCriteria(
-        height_band=tuple(track["height_band"].tolist()),
-        volume=None if volume is None else Box(volume["center"], volume["size"]),
-        preference=track["preference"],
-    )
     belief, rows = estimator.track_measurements(
-        times, zs, prior, cfg.params, noise, latency=latency
+        times, zs, prior, cfg.params, cfg.noise, latency=latency
     )
     os.makedirs(out_dir, exist_ok=True)
     estimator.save_filter_log_csv(rows, os.path.join(out_dir, "filter_log.csv"))
@@ -261,7 +278,7 @@ def cmd_track(cfg: RunConfig, measurements_path: str, out_dir: str) -> int:
     traj = estimator.predict_trajectory(
         belief, cfg.params, track["dt"], track["horizon"], t0=float(times[-1] - latency)
     )
-    target = estimator.select_hit_point(traj, criteria)
+    target = estimator.select_hit_point(traj, cfg.criteria)
     target_path = os.path.join(out_dir, "strike_target.json")
     if target is None:
         _write_json({}, target_path)

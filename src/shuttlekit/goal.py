@@ -10,18 +10,16 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .spatial import (
-    KinematicChain,
     Pose,
     Twist,
     _matrix_entries,
     _round_floats,
     _rotvec_between,
-    forward_kinematics,
     to_base_frame,
 )
 
@@ -119,28 +117,15 @@ def pose_delta_in_base(target: Pose, current: Pose, base: Pose) -> Array:
 
 
 def encode_goal(
-    state: RobotState,
-    target: StrikeTarget,
-    now: float,
-    racket_pose: Optional[Pose] = None,
-    chain: Optional[KinematicChain] = None,
-    racket_frame: str = "racket",
+    state: RobotState, target: StrikeTarget, now: float, racket_pose: Pose
 ) -> GoalObservation:
     """Assemble the goal observation with phase-dependent masking.
 
     hit_delta is the racket-pose error to the impact target; recovery_delta
     is the root-pose error to the recovery target. While preparing
     (tth >= 0) the recovery block is zeroed; while recovering (tth < 0) the
-    hit block is zeroed. The racket pose comes either from the caller or
-    from forward kinematics over `chain`.
+    hit block is zeroed. racket_pose is the current racket pose in the world.
     """
-    if racket_pose is None:
-        if chain is None:
-            raise ValueError("need either racket_pose or a chain to compute it")
-        frames = forward_kinematics(chain, state.root, state.q)
-        if racket_frame not in frames:
-            raise ValueError(f"chain has no frame named {racket_frame!r}")
-        racket_pose = frames[racket_frame]
     tth = time_to_hit(now, target.hit_time)
     if tth >= 0.0:
         hit_delta = pose_delta_in_base(target.hit_racket_pose, racket_pose, state.root)

@@ -190,12 +190,6 @@ class ResidualReport:
     def stacked(self) -> Array:
         return np.concatenate([self.blocks[t] for t in TERM_ORDER])
 
-    def labels(self) -> list[str]:
-        out: list[str] = []
-        for t in TERM_ORDER:
-            out.extend([t] * self.blocks[t].size)
-        return out
-
 
 def _angle_between(u: Array, v: Array) -> Optional[float]:
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
@@ -314,13 +308,6 @@ def evaluate_residuals(
                          x.joint_angles[frame], x.global_scale, x.local_scales, prev)
 
 
-def _term_costs(report: ResidualReport, w: RetargetWeights) -> dict[str, float]:
-    return {
-        t: w.for_term(t) * float(np.dot(report.blocks[t], report.blocks[t]))
-        for t in TERM_ORDER
-    }
-
-
 @dataclass
 class _FrameIterate:
     root: Pose
@@ -359,13 +346,14 @@ def _weighted_residuals(
     it: _FrameIterate,
     tg: _FrameTargets,
     prev: Optional[tuple[Pose, Array]],
-) -> Array:
+) -> tuple[Array, ResidualReport]:
     report = _frame_blocks(p, tg, it.root, it.q, it.g_scale, it.l_scales, prev)
     stacked = report.stacked()
     if not np.all(np.isfinite(stacked)):
         bad = [t for t in TERM_ORDER if not np.all(np.isfinite(report.blocks[t]))]
         raise ValueError(f"non-finite residuals in terms: {bad}")
-    return np.concatenate([w * report.blocks[t] for w, t in zip(p._sqrt_weights, TERM_ORDER)])
+    weighted = [w * report.blocks[t] for w, t in zip(p._sqrt_weights, TERM_ORDER)]
+    return np.concatenate(weighted), report
 
 
 def _solve_frame(
@@ -374,11 +362,14 @@ def _solve_frame(
     tg: _FrameTargets,
     prev: Optional[tuple[Pose, Array]],
     cost_trace: Optional[list] = None,
-) -> _FrameIterate:
-    """Levenberg-Marquardt over one frame's increment vector."""
+) -> tuple[_FrameIterate, ResidualReport]:
+    """Levenberg-Marquardt over one frame's increment vector.
+
+    Returns the final iterate and the residual report evaluated at it.
+    """
     h = 1e-6
     lam = 1e-3
-    r = _weighted_residuals(p, it, tg, prev)
+    r, report = _weighted_residuals(p, it, tg, prev)
     cost = float(np.dot(r, r))
     if cost_trace is not None:
         cost_trace.append(cost)
@@ -388,9 +379,9 @@ def _solve_frame(
         for k in range(dim):
             dplus = np.zeros(dim)
             dplus[k] = h
-            r_plus = _weighted_residuals(p, it.apply(dplus), tg, prev)
+            r_plus = _weighted_residuals(p, it.apply(dplus), tg, prev)[0]
             dplus[k] = -h
-            r_minus = _weighted_residuals(p, it.apply(dplus), tg, prev)
+            r_minus = _weighted_residuals(p, it.apply(dplus), tg, prev)[0]
             jac[:, k] = (r_plus - r_minus) / (2.0 * h)
         jtj = jac.T @ jac
         jtr = jac.T @ r
@@ -402,22 +393,22 @@ def _solve_frame(
                 lam *= 10.0
                 continue
             trial = it.apply(delta)
-            r_trial = _weighted_residuals(p, trial, tg, prev)
+            r_trial, trial_report = _weighted_residuals(p, trial, tg, prev)
             trial_cost = float(np.dot(r_trial, r_trial))
             if trial_cost < cost:
                 converged = cost - trial_cost < _LM_REL_TOL * max(cost, 1e-30)
-                it, r, cost = trial, r_trial, trial_cost
+                it, r, cost, report = trial, r_trial, trial_cost, trial_report
                 if cost_trace is not None:
                     cost_trace.append(cost)
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
                 if converged:
-                    return it
+                    return it, report
                 break
             lam *= 10.0
         if not accepted:
-            return it
-    return it
+            return it, report
+    return it, report
 
 
 def solve_retarget(
@@ -463,12 +454,11 @@ def solve_retarget(
         if cost_trace is not None:
             frame_trace = []
             cost_trace.append(frame_trace)
-        it = _solve_frame(p, it, tg, prev, cost_trace=frame_trace)
+        it, report = _solve_frame(p, it, tg, prev, cost_trace=frame_trace)
         roots.append(it.root)
         joints.append(it.q.copy())
-        report = _frame_blocks(p, tg, it.root, it.q, it.g_scale, it.l_scales, prev)
-        for t, c in _term_costs(report, p.weights).items():
-            costs[t] += c
+        for t, block in report.blocks.items():
+            costs[t] += p.weights.for_term(t) * float(np.dot(block, block))
         prev = (it.root, it.q.copy())
         it = _FrameIterate(
             it.root, it.q.copy(), it.g_scale, it.l_scales, False, not p.fix_root

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .goal import RobotState
-from .shuttle import CourtGeometry, CourtResult
+from .shuttle import CourtResult
 from .spatial import Pose
 
 Array = np.ndarray
@@ -144,50 +144,26 @@ def sparse_hit_tracking_reward(deltas: Sequence[Array], tth: float, c: RewardCon
 
 @dataclass(frozen=True)
 class HitQualityConfig:
-    """Return-shot scoring: speed ramp scale and the direction gate.
+    """Return-shot scoring: the speed ramp scale.
 
-    The default direction gate is binary (in bounds and over the net).
-    graded=True swaps in exp(-d^2 / direction_scale) on the landing
-    point's distance to the court rectangle, still zeroed on net faults.
+    The direction gate is binary: the return must land in bounds and clear
+    the net.
     """
 
     speed_scale: float
-    graded: bool = False
-    direction_scale: float = 1.0
 
     def __post_init__(self):
         if self.speed_scale <= 0:
             raise ValueError("speed_scale must be positive")
-        if self.direction_scale <= 0:
-            raise ValueError("direction_scale must be positive")
-
-
-def _distance_to_rect(x: float, y: float, court: CourtGeometry) -> float:
-    dx = max(court.x_min - x, 0.0, x - court.x_max)
-    dy = max(court.y_min - y, 0.0, y - court.y_max)
-    return math.hypot(dx, dy)
 
 
 def hit_quality_reward(
-    landing: CourtResult,
-    post_impact_speed: float,
-    cfg: HitQualityConfig,
-    landing_point: Optional[Array] = None,
-    court: Optional[CourtGeometry] = None,
+    landing: CourtResult, post_impact_speed: float, cfg: HitQualityConfig
 ) -> float:
     """Product of a direction gate and a clamped linear speed ramp."""
     if post_impact_speed < 0:
         raise ValueError("speed must be non-negative")
-    if cfg.graded:
-        if landing_point is None or court is None:
-            raise ValueError("graded scoring needs the landing point and court")
-        if not landing.cleared_net:
-            r_dir = 0.0
-        else:
-            d = _distance_to_rect(float(landing_point[0]), float(landing_point[1]), court)
-            r_dir = math.exp(-d * d / cfg.direction_scale)
-    else:
-        r_dir = 1.0 if (landing.in_bounds and landing.cleared_net) else 0.0
+    r_dir = 1.0 if (landing.in_bounds and landing.cleared_net) else 0.0
     r_speed = min(post_impact_speed / cfg.speed_scale, 1.0)
     return r_dir * r_speed
 

@@ -124,11 +124,7 @@ class Trajectory:
 @dataclass(frozen=True)
 class FlightResult:
     trajectory: Trajectory
-    landing: Optional[Landing]
-
-    @property
-    def airborne_timeout(self) -> bool:
-        return self.landing is None
+    landing: Optional[Landing]  # None: still airborne at t_max
 
 
 @dataclass(frozen=True)

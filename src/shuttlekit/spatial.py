@@ -24,7 +24,10 @@ _EPS = 1e-12
 
 
 def _vec3(v, name: str = "vector") -> Array:
-    out = np.asarray(v, dtype=np.float64)
+    try:
+        out = np.asarray(v, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must hold numbers: {exc}") from exc
     if out.shape != (3,):
         raise ValueError(f"{name} must have shape (3,), got {out.shape}")
     if not np.all(np.isfinite(out)):
@@ -170,10 +173,6 @@ class Pose:
             quat_mul(self.orientation, other.orientation),
         )
 
-    def inverse(self) -> "Pose":
-        return Pose(-to_base_frame(self.position, self, is_point=False),
-                    quat_conj(self.orientation))
-
 
 @dataclass(frozen=True)
 class Twist:
@@ -213,31 +212,6 @@ class Box:
             raise ValueError(f"expected shape (3,) or (k, 3), got {p.shape}")
         inside = np.all(np.abs(p - self.center) <= 0.5 * self.size, axis=-1)
         return bool(inside) if p.ndim == 1 else inside
-
-
-# Kinds accepted by state_boxminus: everything but orientation lives in a
-# plain vector space.
-STATE_KINDS = ("position", "velocity", "joint", "orientation")
-
-
-def state_boxminus(ref, cur, kind: str) -> Array:
-    """Manifold-aware difference ref (-) cur for one state component.
-
-    Euclidean kinds subtract componentwise; orientations (unit quaternions)
-    return the rotation-vector error. The squared tracking error is the
-    plain dimension-wise sum of squares of the result.
-    """
-    if kind not in STATE_KINDS:
-        raise ValueError(f"unknown state kind {kind!r}")
-    if kind == "orientation":
-        return quat_boxminus(ref, cur)
-    ref = np.asarray(ref, dtype=np.float64)
-    cur = np.asarray(cur, dtype=np.float64)
-    if ref.shape != cur.shape:
-        raise ValueError(f"shape mismatch for kind {kind!r}: {ref.shape} vs {cur.shape}")
-    if kind in ("position", "velocity") and ref.shape != (3,):
-        raise ValueError(f"kind {kind!r} expects shape (3,), got {ref.shape}")
-    return ref - cur
 
 
 def to_base_frame(world_vec: Array, base: Pose, is_point: bool) -> Array:

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import humanoid_chain, random_pose
+from conftest import arm_chain, humanoid_chain, random_pose
 from shuttlekit.amp import (
     AmpConfig,
     AmpFrame,
@@ -113,8 +113,8 @@ class TestFrameFeatures:
         del poses["left_hand"]
         with pytest.raises(ValueError):
             frame_features(state, poses, vels, chain)
-        with pytest.raises(ValueError):
-            frame_features(state, {}, {}, chain, ee_order=("head",))
+        with pytest.raises(ValueError, match="no end effector named 'left_ankle'"):
+            frame_features(state, poses, vels, arm_chain())
 
 
 class TestAssembleHistory:

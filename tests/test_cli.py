@@ -592,16 +592,22 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("top, key", [
         ({"seed": "abc"}, "config seed "),
         ({"seed": None}, "config seed "),
+        ({"seed": 7.9}, "config seed "),
+        ({"seed": True}, "config seed "),
         ({"chain": 5}, "config chain "),
         ({"out_dir": 5}, "config out_dir "),
         ({"parmas": "params.json"}, "config key 'parmas' is unknown"),
         ({"reward": {"sigma_time": 0.5}}, "config key 'reward' is unknown"),
         ({"amp": {"history_length": 5}}, "config key 'amp' is unknown"),
-    ], ids=["seed-abc", "seed-null", "chain-int", "out_dir-int", "parmas", "reward", "amp"])
+    ], ids=["seed-abc", "seed-null", "seed-fraction", "seed-true", "chain-int", "out_dir-int", "parmas", "reward", "amp"])
     def test_bad_top_level_value_names_it(self, workdir, capsys, top, key):
         _patch_config(workdir, **top)
         err = _exit_one(workdir, capsys, "score", _input_for(workdir, "score"))
         assert err.startswith(f"error: {key}")
+
+    def test_integer_string_seed_is_read(self, workdir):
+        _patch_config(workdir, seed="7")
+        assert cli.load_run_config(str(workdir / "config.json")).seed == 7
 
     @pytest.mark.parametrize("track, key", [
         ({"height_band": 5}, "track.height_band"),
@@ -617,26 +623,49 @@ class TestMalformedInputs:
          "key 'track.volume.extent' is unknown"),
         ({"horizon": 10**400}, "track.horizon must be a number:"),
         ({"height_band": [1.0, 10**400]}, "track.height_band must hold numbers:"),
+        ({"height_band": [True, 1.3]}, "track.height_band must hold numbers, got"),
     ], ids=["band-scalar", "band-one-number", "volume-no-size", "cov-strings", "pos-var-negative",
             "vel-var-negative", "preference-latest", "procss_psd", "volume-center-2d",
-            "volume-extra-key", "horizon-huge-int", "band-huge-int"])
+            "volume-extra-key", "horizon-huge-int", "band-huge-int", "band-true"])
     def test_bad_track_value_names_it(self, workdir, capsys, track, key):
         _patch_config(workdir, track=track)
         err = _exit_one(workdir, capsys, "track", _input_for(workdir, "track"))
         assert err.startswith(f"error: config {key} ")
 
     @pytest.mark.parametrize("track, message", [
-        ({"height_band": [1.3, 1.0]}, "height band must satisfy lo < hi"),
+        ({"height_band": [1.3, 1.0]}, "track.height_band: height band must satisfy lo < hi"),
         ({"volume": {"center": [0.0, 0.0, 1.1], "size": [-1.0, 0.4, 0.3]}},
-         "box size must be non-negative"),
+         "track.volume.size: box size must be non-negative"),
         ({"measurement_cov": [[1.0, 0, 0], [0, -1.0, 0], [0, 0, 1.0]]},
-         "measurement_cov must be finite and symmetric PSD"),
+         "track.measurement_cov: measurement_cov must be finite and symmetric PSD"),
     ], ids=["band-reversed", "volume-negative-size", "cov-indefinite"])
     def test_track_value_the_library_rejects_writes_nothing(self, workdir, capsys, track,
                                                              message):
         _patch_config(workdir, track=track)
-        err = _exit_one(workdir, capsys, "track", _input_for(workdir, "track"))
-        assert err == f"error: {message}\n"
+        state = workdir / "state.json"
+        state.write_text(json.dumps({"position": [0, 0, 2.0], "velocity": [3.0, 0, 2.0]}))
+        inputs = {"simulate": state, "retarget": _retarget_problem(workdir)}
+        for command in ("simulate", "track", "retarget", "expand", "score"):
+            path = inputs.get(command) or _input_for(workdir, command)
+            err = _exit_one(workdir, capsys, command, path)
+            assert err == f"error: config {message}\n", command
+
+    @pytest.mark.parametrize("state, message", [
+        ({"velocity": [3.0, 0, 2.0]}, "state key 'position' is missing"),
+        ({"position": [0, 0, 2.0]}, "state key 'velocity' is missing"),
+        ({"position": [0, "x", 2.0], "velocity": [3.0, 0, 2.0]},
+         "state position must hold numbers: could not convert string to float: 'x'"),
+        ({"position": [0, 0, 2.0], "velocity": [3.0, {}, 2.0]}, "state velocity must hold numbers"),
+        ({"position": [0, 0, 2.0], "velocity": [3.0, 0, 2.0], "axis": [1.0, 1.0, 0]},
+         "state axis must be unit norm"),
+        ([0, 0, 2.0], "state must be a JSON object"),
+    ], ids=["no-position", "no-velocity", "position-string", "velocity-object", "axis-not-unit",
+            "list"])
+    def test_bad_state_file_names_the_file_and_key(self, workdir, capsys, state, message):
+        path = workdir / "state.json"
+        path.write_text(json.dumps(state))
+        err = _exit_one(workdir, capsys, "simulate", path)
+        assert err.startswith(f"error: {path}: {message}"), err
 
     @pytest.mark.parametrize("command", ["simulate", "track"])
     def test_command_without_params_exits_one_before_output(self, workdir, capsys, command):
@@ -725,8 +754,8 @@ def _bad_values(default, bound):
     if isinstance(default, str):
         return [5, "sideways"]
     if isinstance(default, float):
-        return [[1.0]] + {cli.POSITIVE: [0.0], cli.NON_NEGATIVE: [-1e-9]}.get(bound, [])
-    return ["abc"]
+        return [[1.0], True] + {cli.POSITIVE: [0.0], cli.NON_NEGATIVE: [-1e-9]}.get(bound, [])
+    return ["abc", True]
 
 
 TABLE_CASES = [

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import humanoid_chain, poses, random_pose
+from conftest import poses, random_pose
 from shuttlekit.goal import (
     PHASE_PREPARATION,
     PHASE_RECOVERY,
@@ -160,18 +160,6 @@ class TestEncodeGoal:
             )
             assert np.allclose(obs.hit_delta, obs_moved.hit_delta, atol=1e-9)
             assert np.allclose(obs.recovery_delta, obs_moved.recovery_delta, atol=1e-9)
-
-    def test_fk_racket_pose(self):
-        chain = humanoid_chain()
-        state = make_state()
-        target = StrikeTarget(1.0, Pose.identity(), Pose.identity())
-        obs = encode_goal(state, target, now=0.0, chain=chain, racket_frame="racket")
-        assert obs.hit_delta.shape == (6,)
-        with pytest.raises(ValueError):
-            encode_goal(state, target, now=0.0)  # no racket pose, no chain
-        with pytest.raises(ValueError):
-            encode_goal(state, target, now=0.0, chain=chain, racket_frame="paddle")
-
 
 class TestPoseDeltaInBase:
     def test_identity_base_matches_direct_difference(self, rng):

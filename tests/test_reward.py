@@ -19,7 +19,7 @@ from shuttlekit.reward import (
     termination_check,
     total_reward,
 )
-from shuttlekit.shuttle import CourtGeometry, CourtResult
+from shuttlekit.shuttle import CourtResult
 from shuttlekit.spatial import Pose, Twist, quat_from_rotvec
 
 CFG = RewardConfig(
@@ -165,20 +165,6 @@ class TestHitQuality:
     def test_half_speed_ramp(self):
         cfg = HitQualityConfig(speed_scale=8.0)
         assert hit_quality_reward(self.GOOD, 4.0, cfg) == pytest.approx(0.5)
-
-    def test_graded_variant(self):
-        court = CourtGeometry(1.55, 2.0, 2.5, 8.0, -2.5, 2.5)
-        cfg = HitQualityConfig(speed_scale=8.0, graded=True, direction_scale=1.0)
-        inside = hit_quality_reward(
-            self.GOOD, 8.0, cfg, landing_point=np.array([5.0, 0.0, 0.0]), court=court
-        )
-        assert inside == pytest.approx(1.0)
-        outside = hit_quality_reward(
-            CourtResult(False, True), 8.0, cfg,
-            landing_point=np.array([9.0, 0.0, 0.0]), court=court,
-        )
-        assert outside == pytest.approx(math.exp(-1.0))
-
 
 class TestStyleReward:
     def test_spot_values(self):

@@ -141,7 +141,6 @@ class TestSimulateToGround:
     def test_airborne_timeout(self):
         s = ShuttleState(np.array([0.0, 0.0, 10.0]), np.zeros(3))
         result = simulate_to_ground(s, DRAG_FREE, dt=0.005, t_max=0.01)
-        assert result.airborne_timeout
         assert result.landing is None
         assert len(result.trajectory) >= 2
 
@@ -160,7 +159,7 @@ class TestSimulateToGround:
         # |v|^2 overflows, but without drag nothing depends on it
         s = ShuttleState(np.array([0.0, 0.0, 2.0]), np.array([1e200, 0.0, 1e200]))
         result = simulate_to_ground(s, DRAG_FREE, dt=0.005, t_max=0.01)
-        assert result.airborne_timeout
+        assert result.landing is None
         assert np.array_equal(result.trajectory.velocities[-1], [1e200, 0.0, 1e200])
         assert result.trajectory.positions[-1] == pytest.approx([1e198, 0.0, 1e198], rel=1e-12)
 
