@@ -114,9 +114,9 @@ def _check(table, spec: dict, where: str, required: bool = False) -> dict:
         elif isinstance(default, str):
             if value not in bound:
                 raise ConfigError(f"config {name} must be one of {bound}, got {value!r}")
-        elif any(isinstance(v, bool) for v in np.asarray(value, dtype=object).ravel()):
-            raise ConfigError(f"config {name} must hold numbers, got {value!r}")
         elif isinstance(default, float):
+            if isinstance(value, bool):
+                raise ConfigError(f"config {name} must hold numbers, got {value!r}")
             try:
                 value = float(value)
             except (TypeError, ValueError, OverflowError) as exc:
@@ -127,14 +127,22 @@ def _check(table, spec: dict, where: str, required: bool = False) -> dict:
                 raise ConfigError(f"config {name} must be {bound}, got {value}")
         else:
             shape = bound if default is None else np.shape(default)
-            try:
-                value = np.asarray(value, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"config {name} must hold numbers: {exc}") from exc
-            if value.shape != shape or not np.isfinite(value).all():
-                raise ConfigError(f"config {name} must be finite numbers of shape {shape}")
+            value = _numbers(value, shape, f"config {name}")
         values[key] = value
     return values
+
+
+def _numbers(value, shape: tuple, where: str) -> np.ndarray:
+    """`value` as finite floats of `shape`; a JSON true/false is not a number."""
+    if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).ravel()):
+        raise ConfigError(f"{where} must hold numbers, got {value!r}")
+    try:
+        out = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where} must hold numbers: {exc}") from exc
+    if out.shape != shape or not np.isfinite(out).all():
+        raise ConfigError(f"{where} must be finite numbers of shape {shape}")
+    return out
 
 
 @dataclass
@@ -223,13 +231,14 @@ def cmd_simulate(cfg: RunConfig, state_path: str, out_dir: str) -> int:
         raw = json.load(f)
     if not isinstance(raw, dict):
         raise ConfigError(f"{state_path}: state must be a JSON object")
+    # a null entry reads as absent, which only the axis may be
+    vectors = {key: _numbers(raw[key], (3,), f"{state_path}: state {key}")
+               for key in ("position", "velocity", "axis") if raw.get(key) is not None}
     for key in ("position", "velocity"):
-        if key not in raw:
+        if key not in vectors:
             raise ConfigError(f"{state_path}: state key {key!r} is missing")
     try:
-        state = shuttle.ShuttleState(
-            raw["position"], raw["velocity"], raw["axis"] if "axis" in raw else None
-        )
+        state = shuttle.ShuttleState(**vectors)
     except ValueError as exc:
         raise ConfigError(f"{state_path}: state {exc}") from exc
     sim = cfg.sections["sim"]
@@ -309,12 +318,18 @@ def cmd_retarget(cfg: RunConfig, problem_path: str, out_dir: str) -> int:
         chain=override,
     )
     init_raw = data.get("init", {})
+    if not isinstance(init_raw, dict):
+        raise ConfigError(f"{problem_path}: init must be a JSON object")
     lims = problem.chain.joint_limits()
-    q0 = np.asarray(init_raw.get("q", 0.5 * (lims[:, 0] + lims[:, 1])))
-    root0 = Pose(
-        np.asarray(init_raw.get("root_pos", [0.0, 0.0, 0.0])),
-        np.asarray(init_raw.get("root_quat", [1.0, 0.0, 0.0, 0.0])),
+    q0, root_pos, root_quat = (
+        _numbers(init_raw.get(key, default), np.shape(default), f"{problem_path}: init.{key}")
+        for key, default in (("q", 0.5 * (lims[:, 0] + lims[:, 1])),
+                             ("root_pos", (0.0, 0.0, 0.0)), ("root_quat", (1.0, 0.0, 0.0, 0.0)))
     )
+    try:
+        root0 = Pose(root_pos, root_quat)
+    except ValueError as exc:
+        raise ConfigError(f"{problem_path}: init.root_quat: {exc}") from exc
     init = retarget.RetargetSolution(
         (root0,) * len(problem.frames),
         np.tile(q0, (len(problem.frames), 1)),

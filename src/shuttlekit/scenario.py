@@ -2,8 +2,8 @@
 
 Sparse demonstrated strike points are densified by sampling around them
 inside a bounded target volume; serves are synthesized by shooting-method
-solves of the flight model; episode logs reduce to the success-rate /
-tracking-error / in-bounds-return triple.
+solves of the flight model with Broyden updates; episode logs reduce to
+the success-rate / tracking-error / in-bounds-return triple.
 """
 
 from __future__ import annotations
@@ -239,11 +239,13 @@ def serve_trajectory(
     """Launch state whose flight passes through the target at its time.
 
     Shooting method on the launch velocity: start from the drag-free
-    ballistic aim and correct by the miss at the target time. The first
-    flight (at `DEFAULT_DT`) that passes within `serve.tolerance` of the
-    target gives the returned velocity; if none of the first
-    `serve.max_iterations + 1` flights does, the target is declared
-    infeasible.
+    ballistic aim and step by H @ miss, H estimating d(launch velocity) /
+    d(reached position): I / t_hit at first, then after each flight
+    Broyden's "good" update H += (s - H y) s^T H / s^T H y from the step s
+    and the change y in the reached position (skipped when s^T H y is below
+    1e-12). The first flight (at `DEFAULT_DT`) within `serve.tolerance` of
+    the target gives the returned velocity; if none of the first
+    `serve.max_iterations + 1` flights does, the target is infeasible.
     The court argument is accepted for call-site symmetry with the rest of
     the pipeline; aiming does not depend on it.
     """
@@ -256,14 +258,23 @@ def serve_trajectory(
     delta = target.position - origin
     # drag-free aim: p(t) = p0 + v0 t - g t^2/2 z
     v0 = delta / t_hit + np.array([0.0, 0.0, 0.5 * p.gravity * t_hit])
-    for _ in range(serve.max_iterations + 1):
-        miss = target.position - _position_at(origin, v0, p, t_hit)
+    inv_sens = np.eye(3) / t_hit
+    for i in range(serve.max_iterations + 1):
+        reached = _position_at(origin, v0, p, t_hit)
+        miss = target.position - reached
         miss_norm = np.linalg.norm(miss)
         if miss_norm <= serve.tolerance:
             speed = np.linalg.norm(v0)
             axis = v0 / speed if speed > 1e-9 else None
             return ShuttleState(origin, v0, axis)
-        v0 = v0 + miss / t_hit
+        if i > 0:
+            h_y = inv_sens @ (reached - last_reached)
+            denom = v_step @ h_y
+            if abs(denom) > 1e-12:
+                inv_sens += np.outer(v_step - h_y, v_step @ inv_sens) / denom
+        v_step = inv_sens @ miss
+        last_reached = reached
+        v0 = v0 + v_step
     raise InfeasibleTargetError(f"serve solver missed the target by {miss_norm:.4f} m")
 
 
@@ -318,14 +329,10 @@ def evaluate_episodes(
             mse = float(np.mean([np.dot(r.impact_offset, r.impact_offset) for r in hits]))
     else:
         mse = float("nan")
-    score = 0.0
-    for r in logs:
-        if not r.intercepted:
-            continue
-        if r.landed and r.in_bounds and r.cleared_net:
-            score += in_bounds_weight
-        else:
-            score -= fault_weight
+    score = sum(
+        in_bounds_weight if r.landed and r.in_bounds and r.cleared_net else -fault_weight
+        for r in hits
+    )
     return EpisodeMetrics(sr=sr, mse=mse, ibr=score / len(logs))
 
 

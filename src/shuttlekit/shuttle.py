@@ -77,7 +77,7 @@ class ShuttleState:
         object.__setattr__(self, "velocity", _vec3(self.velocity, "velocity"))
         if self.axis is not None:
             axis = _vec3(self.axis, "axis")
-            n = np.linalg.norm(axis)
+            n = math.hypot(*axis.tolist())
             if abs(n - 1.0) > 1e-6:
                 raise ValueError("axis must be unit norm")
             object.__setattr__(self, "axis", axis / n)

@@ -30,7 +30,7 @@ def _vec3(v, name: str = "vector") -> Array:
         raise ValueError(f"{name} must hold numbers: {exc}") from exc
     if out.shape != (3,):
         raise ValueError(f"{name} must have shape (3,), got {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not all(map(math.isfinite, out.tolist())):
         raise ValueError(f"{name} has non-finite components")
     return out
 

@@ -659,12 +659,52 @@ class TestMalformedInputs:
         ({"position": [0, 0, 2.0], "velocity": [3.0, 0, 2.0], "axis": [1.0, 1.0, 0]},
          "state axis must be unit norm"),
         ([0, 0, 2.0], "state must be a JSON object"),
+        ({"position": [True, 0, 2.0], "velocity": [3.0, 0, 2.0]},
+         "state position must hold numbers, got [True, 0, 2.0]"),
+        ({"position": [0, 0, 2.0], "velocity": [3.0, False, 2.0]},
+         "state velocity must hold numbers, got [3.0, False, 2.0]"),
+        ({"position": [0, 0, 2.0], "velocity": [3.0, 0, 2.0], "axis": [True, 0, 0]},
+         "state axis must hold numbers, got [True, 0, 0]"),
+        ({"position": [0, 0], "velocity": [3.0, 0, 2.0]},
+         "state position must be finite numbers of shape (3,)"),
     ], ids=["no-position", "no-velocity", "position-string", "velocity-object", "axis-not-unit",
-            "list"])
+            "list", "position-true", "velocity-false", "axis-true", "position-short"])
     def test_bad_state_file_names_the_file_and_key(self, workdir, capsys, state, message):
         path = workdir / "state.json"
         path.write_text(json.dumps(state))
         err = _exit_one(workdir, capsys, "simulate", path)
+        assert err.startswith(f"error: {path}: {message}"), err
+
+    def test_null_axis_reads_as_no_axis(self, workdir):
+        path = workdir / "state.json"
+        path.write_text(json.dumps({"position": [0, 0, 2.0], "velocity": [3.0, 0, 2.0],
+                                    "axis": None}))
+        assert main(["simulate", "--config", str(workdir / "config.json"), str(path)]) == 0
+
+    @pytest.mark.parametrize("init, message", [
+        ({"q": ["x", 0, 0]}, "init.q must hold numbers: could not convert string to float"),
+        ({"q": [0.1, 0.2]}, "init.q must be finite numbers of shape (3,)"),
+        ({"q": [0.1, True, 0.2]}, "init.q must hold numbers, got [0.1, True, 0.2]"),
+        ({"root_pos": [0, 0]}, "init.root_pos must be finite numbers of shape (3,)"),
+        ({"root_pos": [0, "x", 0]}, "init.root_pos must hold numbers"),
+        ({"root_quat": [1, 0, 0]}, "init.root_quat must be finite numbers of shape (4,)"),
+        ({"root_quat": [1, 0, False, 0]}, "init.root_quat must hold numbers, got"),
+        ({"root_quat": [2, 0, 0, 0]}, "init.root_quat: orientation is not unit norm"),
+        ([0.1, 0.2, 0.3], "init must be a JSON object"),
+    ], ids=["q-string", "q-short", "q-true", "root-pos-short", "root-pos-string",
+            "root-quat-short", "root-quat-false", "root-quat-not-unit", "init-list"])
+    def test_bad_retarget_init_names_the_file_and_key(self, workdir, capsys, monkeypatch, init,
+                                                      message):
+        path = _retarget_problem(workdir)
+        data = json.loads(path.read_text())
+        data["init"] = init
+        path.write_text(json.dumps(data))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a frame was solved before the init was checked")
+
+        monkeypatch.setattr(retarget, "solve_retarget", no_solve)
+        err = _exit_one(workdir, capsys, "retarget", path)
         assert err.startswith(f"error: {path}: {message}"), err
 
     @pytest.mark.parametrize("command", ["simulate", "track"])

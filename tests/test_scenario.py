@@ -254,6 +254,29 @@ class TestServeTrajectory:
         assert len(flown) == 3
         assert all(not np.array_equal(a, b) for a, b in zip(flown, flown[1:]))
 
+    def test_few_flights_per_serve(self, monkeypatch):
+        # Broyden-updated corrections: about six flights per serve over easy
+        # and hard volumes, jittered origins and hit times of 0.6-1.6 s
+        flights = []
+        position_at = scenario._position_at
+
+        def counting(*args):
+            flights[-1] += 1
+            return position_at(*args)
+
+        monkeypatch.setattr(scenario, "_position_at", counting)
+        rng = np.random.default_rng(29)
+        cfg = ServeConfig(origin=np.array([6.0, 0.0, 2.0]),
+                          origin_jitter=np.array([0.5, 0.5, 0.3]))
+        for k in range(200):
+            volume = strike_volume(("easy", "hard")[k % 2], CENTER)
+            position = volume.center + rng.uniform(-0.5, 0.5, 3) * volume.size
+            target = ManifoldPoint(position, rng.uniform(0.6, 1.6), 0)
+            flights.append(0)
+            serve_trajectory(target, COURT, self.PARAMS, rng, cfg)
+        assert np.mean(flights) <= 7.0
+        assert max(flights) <= 10
+
     def test_zero_time_target_infeasible(self):
         target = ManifoldPoint(np.array([0.0, 0.0, 1.1]), 0.0, 0)
         with pytest.raises(InfeasibleTargetError):

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from conftest import arm_chain, planar_two_link, poses, random_pose, random_quat, vec3
+from shuttlekit.shuttle import ShuttleState
 from shuttlekit.spatial import (
     Box,
     EndEffector,
     Joint,
     KinematicChain,
     Pose,
+    Twist,
     chain_from_dict,
     chain_to_dict,
     forward_kinematics,
@@ -262,6 +264,41 @@ class TestBox:
         for bad in (0.0, np.zeros(2), np.zeros(4), np.zeros((2, 2)), np.zeros((1, 2, 3))):
             with pytest.raises(ValueError):
                 self.BOX.contains(bad)
+
+
+ZERO3 = np.zeros(3)
+# every validated 3-vector field: (field name, build from the field's value
+# with the other fields valid)
+VECTOR_FIELDS = [
+    ("position", lambda v: ShuttleState(v, ZERO3)),
+    ("velocity", lambda v: ShuttleState(ZERO3, v)),
+    ("axis", lambda v: ShuttleState(ZERO3, ZERO3, v)),
+    ("position", lambda v: Pose(v, quat_identity())),
+    ("linear", lambda v: Twist(v, ZERO3)),
+    ("angular", lambda v: Twist(ZERO3, v)),
+    ("center", lambda v: Box(v, ZERO3)),
+    ("size", lambda v: Box(ZERO3, v)),
+]
+
+
+class TestVectorFields:
+    @given(st.sampled_from(VECTOR_FIELDS), vec3, st.integers(0, 2),
+           st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_entry_names_the_field(self, case, v, slot, bad):
+        name, build = case
+        v = v.tolist()
+        v[slot] = bad
+        with pytest.raises(ValueError, match=f"^{name} has non-finite components$"):
+            build(v)
+
+    # the axis is stored normalized, so it is left out
+    @given(st.sampled_from([c for c in VECTOR_FIELDS if c[0] != "axis"]), vec3)
+    def test_finite_entries_are_stored_as_float64(self, case, v):
+        name, build = case
+        v = (np.abs(v) if name == "size" else v).tolist()  # a box size is non-negative
+        stored = getattr(build(v), name)
+        assert stored.dtype == np.float64
+        assert stored.tobytes() == np.asarray(v, dtype=np.float64).tobytes()
 
 
 class TestChainIo:
