@@ -15,8 +15,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .spatial import (
+    REQUIRED,
     Pose,
     Twist,
+    _check,
     _matrix_entries,
     _round_floats,
     _rotvec_between,
@@ -226,23 +228,24 @@ def reference_window(clip: ReferenceClip, t: float, horizon: int) -> ReferenceWi
 # Clip file format
 
 
+CLIP_FRAME = {
+    "t": (REQUIRED, float), "root_pos": (REQUIRED, (3,)), "root_quat": (REQUIRED, (4,)),
+    "root_lin": (REQUIRED, (3,)), "root_ang": (REQUIRED, (3,)), "q": (REQUIRED, [float]),
+}
+CLIP = {
+    "frames": (REQUIRED, [CLIP_FRAME]),
+    "annotations": ({}, {"hit_times": ([], [float]), "recovery_times": ([], [float])}),
+}
+
+
 def clip_from_dict(data) -> ReferenceClip:
+    clip = _check(data, CLIP)
     frames = tuple(
-        ClipFrame(
-            t=float(f["t"]),
-            root=Pose(np.asarray(f["root_pos"]), np.asarray(f["root_quat"])),
-            root_lin=np.asarray(f["root_lin"]),
-            root_ang=np.asarray(f["root_ang"]),
-            q=np.asarray(f["q"]),
-        )
-        for f in data["frames"]
+        ClipFrame(f["t"], Pose(f["root_pos"], f["root_quat"]), f["root_lin"], f["root_ang"], f["q"])
+        for f in clip["frames"]
     )
-    ann = data.get("annotations", {})
-    return ReferenceClip(
-        frames,
-        hit_times=tuple(ann.get("hit_times", [])),
-        recovery_times=tuple(ann.get("recovery_times", [])),
-    )
+    ann = clip["annotations"]
+    return ReferenceClip(frames, tuple(ann["hit_times"]), tuple(ann["recovery_times"]))
 
 
 def clip_to_dict(clip: ReferenceClip) -> dict:

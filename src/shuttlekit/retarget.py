@@ -18,8 +18,14 @@ import numpy as np
 
 from .goal import ClipFrame, ReferenceClip
 from .spatial import (
+    CHAIN,
+    NON_NEGATIVE,
+    POSITIVE,
+    REQUIRED,
     KinematicChain,
     Pose,
+    _check,
+    _numbers,
     _quat,
     _rotvec_between,
     _vec3,
@@ -132,9 +138,9 @@ class RetargetProblem:
         for kp, frame in self.keypoint_map.items():
             if frame not in frame_names:
                 raise ValueError(f"keypoint {kp!r} maps to unknown frame {frame!r}")
-        for a, b in self.segments:
-            if a not in self.keypoint_map or b not in self.keypoint_map:
-                raise ValueError(f"segment ({a!r}, {b!r}) uses unmapped keypoints")
+        for i, seg in enumerate(self.segments):
+            if len(seg) != 2 or not set(seg) <= self.keypoint_map.keys():
+                raise ValueError(f"segments[{i}] must be a pair of mapped keypoints, got {seg}")
         for sphere in self.collision_spheres:
             if sphere.frame not in frame_names:
                 raise ValueError(f"collision sphere on unknown frame {sphere.frame!r}")
@@ -571,60 +577,65 @@ def solution_to_clip(
 # File formats
 
 
+FRAME = {  # racket_quat targets the orientation of the problem's racket_frame
+    "t": (REQUIRED, float), "keypoints": (REQUIRED, {str: (3,)}),
+    "rotations": ({}, {str: (4,)}), "racket_quat": (None, (4,)),
+}
+SPHERE = {"frame": (REQUIRED, str), "offset": (REQUIRED, (3,)), "radius": (REQUIRED, POSITIVE)}
+INIT = {  # absent joint angles start mid-range
+    "q": (None, [float]), "root_pos": ((0.0, 0.0, 0.0), (3,)),
+    "root_quat": ((1.0, 0.0, 0.0, 0.0), (4,)),
+}
+PROBLEM = {
+    "chain": (None, CHAIN), "chain_file": (None, str),
+    "keypoint_map": (REQUIRED, {str: str}), "frames": (REQUIRED, [FRAME]),
+    "segments": ([], [[str]]),
+    "weights": ({}, {f.name: (f.default, NON_NEGATIVE) for f in fields(RetargetWeights)}),
+    "collision_spheres": ([], [SPHERE]), "racket_frame": (None, str),
+    "optimize_scales": (False, bool), "fix_root": (False, bool), "init": ({}, INIT),
+}
+
+
 def problem_from_dict(
     data, base_dir=None, chain: Optional[KinematicChain] = None
 ) -> RetargetProblem:
-    if chain is None:
-        if "chain" in data:
-            chain = chain_from_dict(data["chain"])
-        elif "chain_file" in data:
-            path = data["chain_file"]
-            if base_dir is not None:
-                path = os.path.join(base_dir, path)
+    """The problem the JSON object `data` holds; `chain` serves one that names none."""
+    return _problem_and_init(data, base_dir, chain)[0]
+
+
+def _problem_and_init(data, base_dir=None, chain: Optional[KinematicChain] = None):
+    """problem_from_dict's problem, and the initial guess its `init` key gives."""
+    v = _check(data, PROBLEM)
+    if v["chain"] is not None:
+        chain = chain_from_dict(v["chain"])
+    elif v["chain_file"] is not None:
+        path = v["chain_file"] if base_dir is None else os.path.join(base_dir, v["chain_file"])
+        try:
             chain = load_chain(path)
-        else:
-            raise ValueError("problem needs 'chain' or 'chain_file'")
-    racket_frame = data.get("racket_frame")
+        except ValueError as exc:
+            raise ValueError(f"chain_file {path}: {exc}") from exc
+    elif chain is None:
+        raise ValueError("the problem sets neither 'chain' nor 'chain_file', and no chain is given")
     frames = []
-    for i, f in enumerate(data["frames"]):
-        if "t" not in f:
-            raise ValueError(f"frame {i} has no 't'")
-        try:
-            t = float(f["t"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"frame {i} time 't' must be a number: {exc}") from exc
-        rotations = {k: np.asarray(v) for k, v in f.get("rotations", {}).items()}
-        if "racket_quat" in f:
-            if racket_frame is None:
-                raise ValueError("frames carry racket_quat but no racket_frame is set")
-            rotations[racket_frame] = np.asarray(f["racket_quat"])
-        frames.append(
-            KeypointFrame(
-                t=t,
-                keypoints=f["keypoints"],
-                rotations=rotations,
-            )
-        )
-    w = data.get("weights", {})
-    unknown = sorted(set(w) - {f.name for f in fields(RetargetWeights)})
-    if unknown:
-        raise ValueError(f"unknown weights key(s) {unknown}")
-    weights = {}
-    for key, value in w.items():
-        try:
-            weights[key] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"weights key {key!r} must be a number: {exc}") from exc
-    return RetargetProblem(
-        chain=chain,
-        keypoint_map=dict(data["keypoint_map"]),
-        frames=tuple(frames),
-        segments=tuple(tuple(s) for s in data.get("segments", [])),
-        weights=RetargetWeights(**weights),
-        collision_spheres=tuple(
-            CollisionSphere(s["frame"], s["offset"], float(s["radius"]))
-            for s in data.get("collision_spheres", [])
-        ),
-        optimize_scales=bool(data.get("optimize_scales", False)),
-        fix_root=bool(data.get("fix_root", False)),
+    for i, f in enumerate(v["frames"]):
+        if f["racket_quat"] is not None:
+            if v["racket_frame"] is None:
+                raise ValueError(f"frames[{i}].racket_quat is set but no racket_frame is")
+            f["rotations"][v["racket_frame"]] = f["racket_quat"]
+        frames.append(KeypointFrame(f["t"], f["keypoints"], f["rotations"]))
+    problem = RetargetProblem(
+        chain, v["keypoint_map"], tuple(frames), v["segments"], RetargetWeights(**v["weights"]),
+        tuple(CollisionSphere(**s) for s in v["collision_spheres"]),
+        v["optimize_scales"], v["fix_root"],
+    )
+    init, lims = v["init"], chain.joint_limits()
+    q0 = (0.5 * (lims[:, 0] + lims[:, 1]) if init["q"] is None
+          else _numbers(init["q"], (chain.n_joints,), "init.q"))
+    try:
+        root = Pose(init["root_pos"], init["root_quat"])
+    except ValueError as exc:
+        raise ValueError(f"init.root_quat: {exc}") from exc
+    n = len(frames)
+    return problem, RetargetSolution(
+        (root,) * n, np.tile(q0, (n, 1)), local_scales=np.ones(len(problem.segments))
     )

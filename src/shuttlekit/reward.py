@@ -18,7 +18,7 @@ import numpy as np
 
 from .goal import RobotState
 from .shuttle import CourtResult
-from .spatial import Pose
+from .spatial import Pose, _matrix_entries
 
 Array = np.ndarray
 
@@ -192,8 +192,9 @@ def termination_check(
     """Safety/performance termination: checks height, then tilt, then deviation."""
     if state.base_height < c.min_base_height:
         return TerminationResult(True, "height")
-    body_z = state.root.rotation_matrix()[:, 2]
-    tilt = math.acos(float(np.clip(body_z[2], -1.0, 1.0)))
+    # the body z axis is the rotation matrix's last column; its world z is entry 8
+    cos_tilt = _matrix_entries(state.root.orientation.tolist())[8]
+    tilt = math.acos(min(1.0, max(-1.0, cos_tilt)))
     if tilt > c.max_base_tilt:
         return TerminationResult(True, "tilt")
     deviation = float(np.linalg.norm(state.root.position - ref_root.position))

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .shuttle import DEFAULT_DT, CourtGeometry, ShuttleParams, ShuttleState, _rk4_step
-from .spatial import Box, _round_floats
+from .spatial import REQUIRED, Box, _round_floats, _value
 
 Array = np.ndarray
 
@@ -350,18 +350,17 @@ def save_manifold(manifold: StrikeManifold, path) -> None:
         f.write("\n")
 
 
+MANIFOLD_POINT = {"pos": (REQUIRED, (3,)), "t": (REQUIRED, float), "src": (0, int)}
+
+
 def load_manifold_points(path) -> list[ManifoldPoint]:
     with open(path) as f:
         data = json.load(f)
-    points = []
-    for i, d in enumerate(data):
-        try:
-            points.append(ManifoldPoint(np.asarray(d["pos"]), float(d["t"]), int(d.get("src", 0))))
-        except KeyError as exc:
-            raise ValueError(f"{path}: entry {i} has no {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}: entry {i}: {exc}") from exc
-    return points
+    try:
+        entries = _value(data, [MANIFOLD_POINT], "")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return [ManifoldPoint(e["pos"], e["t"], e["src"]) for e in entries]
 
 
 _EPISODE_COLUMNS = (

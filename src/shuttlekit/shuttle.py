@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .spatial import Pose, Twist, _vec3
+from .spatial import REQUIRED, Pose, Twist, _check, _vec3
 
 Array = np.ndarray
 
@@ -227,19 +227,22 @@ def transition_jacobian(mean: Array, p: ShuttleParams, dt: float) -> Array:
     ))
 
 
-def _relax_axis(axis: Optional[Array], vel: Array, rate: float, dt: float) -> Optional[Array]:
+def _relax_axis(axis: Optional[Array], state: tuple, rate: float, dt: float):
+    """The axis relaxed for dt toward the velocity of the six-float flight state."""
     if axis is None or rate == 0.0:
         return axis
-    speed = np.linalg.norm(vel)
+    vx, vy, vz = state[3:]
+    speed = math.hypot(vx, vy, vz)
     if speed < 1e-9:
         return axis
-    target = vel / speed
-    blended = axis + (1.0 - np.exp(-rate * dt)) * (target - axis)
-    n = np.linalg.norm(blended)
+    ax, ay, az = axis.tolist()
+    k = 1.0 - math.exp(-rate * dt)
+    bx, by, bz = ax + k * (vx / speed - ax), ay + k * (vy / speed - ay), az + k * (vz / speed - az)
+    n = math.hypot(bx, by, bz)
     if n < 1e-9:
         # axis exactly opposite the velocity; leave it untouched
         return axis
-    return blended / n
+    return bx / n, by / n, bz / n
 
 
 def step(s: ShuttleState, p: ShuttleParams, dt: float) -> ShuttleState:
@@ -247,9 +250,8 @@ def step(s: ShuttleState, p: ShuttleParams, dt: float) -> ShuttleState:
     if dt <= 0:
         raise ValueError("dt must be positive")
     state = _rk4_step(s.position.tolist() + s.velocity.tolist(), p, dt)
-    vel = np.array(state[3:])
-    axis = _relax_axis(s.axis, vel, p.axis_damping, dt)
-    return ShuttleState(np.array(state[:3]), vel, axis)
+    axis = _relax_axis(s.axis, state, p.axis_damping, dt)
+    return ShuttleState(np.array(state[:3]), np.array(state[3:]), axis)
 
 
 def simulate_to_ground(
@@ -357,15 +359,12 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
             f.write(",".join(format(v, ".9g") for v in row) + "\n")
 
 
+PARAMS = {f.name: (REQUIRED if f.default is MISSING else f.default, float)
+          for f in fields(ShuttleParams)}
+
+
 def params_from_dict(d) -> ShuttleParams:
-    return ShuttleParams(
-        mass=float(d["mass"]),
-        drag_coeff=float(d["drag_coeff"]),
-        axis_damping=float(d.get("axis_damping", 0.0)),
-        gravity=float(d.get("gravity", 9.81)),
-        restitution_head=float(d.get("restitution_head", 0.85)),
-        restitution_skirt=float(d.get("restitution_skirt", 0.5)),
-    )
+    return ShuttleParams(**_check(d, PARAMS))
 
 
 def load_params(path) -> ShuttleParams:

@@ -1,8 +1,12 @@
-"""Rigid-body math shared by every other module.
+"""Rigid-body math and the JSON input checker shared by every other module.
 
 Quaternions are scalar-first ``[w, x, y, z]`` and kept canonical
 (unit norm, w >= 0) so orientation comparisons are unambiguous.
 Orientation errors are expressed as rotation vectors (axis * angle).
+
+Every JSON object a file holds is read by `_check` against a key table,
+and every number written goes through `_round_floats`: the input and the
+output side of one file format.
 """
 
 from __future__ import annotations
@@ -341,25 +345,101 @@ def _round_floats(obj):
     return obj
 
 
+# A key table maps each key of a JSON object to (default, kind). The default is
+# REQUIRED, None (the key reads as None when absent or null) or the value an
+# absent key takes. The kinds: float, POSITIVE or NON_NEGATIVE, a finite number;
+# int, an integer; bool and str; a tuple of strings, one of them; a tuple of
+# ints, finite numbers of that shape as an array; a key table, a nested object,
+# where null reads as absent; [kind], a list; {str: kind}, an object of free
+# keys. A number or integer may be given as a string, never as true or false.
+REQUIRED = object()
+POSITIVE, NON_NEGATIVE = "positive", "non-negative"
+
+
+def _check(table, spec: dict, name: str = "") -> dict:
+    """The values of the JSON object `table`, at key path `name`, under the key
+    table `spec`. A ValueError names the offending key path, such as `frames[1].t`."""
+    if not isinstance(table, dict):
+        what = f"{name} must be an object" if name else "top level must be a JSON object"
+        raise ValueError(f"{what}, got {type(table).__name__}")
+    for key in table:
+        if key not in spec:
+            path = f"{name}.{key}" if name else key
+            raise ValueError(f"key {path!r} is unknown (known: {', '.join(spec)})")
+    values = {}
+    for key, (default, kind) in spec.items():
+        path = f"{name}.{key}" if name else key
+        value = table.get(key)
+        if value is None and (key not in table or default is None
+                              or isinstance(kind, dict) and str not in kind):
+            if default is REQUIRED:
+                raise ValueError(f"{path} is missing")
+            value = default
+        values[key] = None if value is None and default is None else _value(value, kind, path)
+    return values
+
+
+def _value(value, kind, name: str):
+    """`value` checked, and converted, as the key-table kind `kind` says."""
+    if isinstance(kind, dict) and str not in kind:
+        return _check(value, kind, name)
+    if isinstance(kind, (dict, list)):
+        if not isinstance(value, type(kind)):
+            what = "an object" if isinstance(kind, dict) else "a list"
+            raise ValueError(f"{name or 'top level'} must be {what}, got {type(value).__name__}")
+        if isinstance(kind, dict):
+            return {key: _value(v, kind[str], f"{name}.{key}") for key, v in value.items()}
+        return [_value(v, kind[0], f"{name}[{i}]") for i, v in enumerate(value)]
+    if isinstance(kind, tuple) and isinstance(kind[0], int):
+        return _numbers(value, kind, name)
+    if isinstance(kind, tuple) or kind in (str, bool):
+        if value in kind if isinstance(kind, tuple) else isinstance(value, kind):
+            return value
+        what = {str: "a string", bool: "true or false"}.get(kind, f"one of {kind}")
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    what = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    try:
+        value = int(value) if kind is int else float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be {what}: {exc}") from exc
+    if kind is not int and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if kind == POSITIVE and not value > 0 or kind == NON_NEGATIVE and not value >= 0:
+        raise ValueError(f"{name} must be {kind}, got {value}")
+    return value
+
+
+def _numbers(value, shape: tuple, name: str) -> Array:
+    """`value` as finite floats of `shape`; a JSON true/false is not a number."""
+    if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).ravel()):
+        raise ValueError(f"{name} must hold numbers, got {value!r}")
+    try:
+        out = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must hold numbers: {exc}") from exc
+    if out.shape != shape or not all(map(math.isfinite, out.ravel().tolist())):
+        raise ValueError(f"{name} must be finite numbers of shape {shape}")
+    return out
+
+
+JOINT = {
+    "name": (REQUIRED, str), "parent": (REQUIRED, int), "offset_pos": (REQUIRED, (3,)),
+    "offset_quat": (REQUIRED, (4,)), "axis": (REQUIRED, (3,)), "limits": (REQUIRED, (2,)),
+}
+END_EFFECTOR = {key: JOINT[key] for key in ("name", "parent", "offset_pos", "offset_quat")}
+CHAIN = {"joints": (REQUIRED, [JOINT]), "end_effectors": ([], [END_EFFECTOR])}
+
+
 def chain_from_dict(data: Mapping) -> KinematicChain:
-    joints = tuple(
-        Joint(
-            name=j["name"],
-            parent=int(j["parent"]),
-            offset=Pose(np.asarray(j["offset_pos"]), np.asarray(j["offset_quat"])),
-            axis=np.asarray(j["axis"]),
-            limits=(float(j["limits"][0]), float(j["limits"][1])),
-        )
-        for j in data["joints"]
-    )
+    chain = _check(data, CHAIN)
+    joints = tuple(Joint(j["name"], j["parent"], Pose(j["offset_pos"], j["offset_quat"]),
+                         j["axis"], tuple(j["limits"])) for j in chain["joints"])
     end_effectors = tuple(
-        EndEffector(
-            name=e["name"],
-            parent=int(e["parent"]),
-            offset=Pose(np.asarray(e["offset_pos"]), np.asarray(e["offset_quat"])),
-        )
-        for e in data.get("end_effectors", [])
-    )
+        EndEffector(e["name"], e["parent"], Pose(e["offset_pos"], e["offset_quat"]))
+        for e in chain["end_effectors"])
     return KinematicChain(joints, end_effectors)
 
 

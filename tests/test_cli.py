@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import arm_chain
-from shuttlekit import cli, retarget
+from conftest import arm_chain, finite, poses, vec3
+from shuttlekit import cli, goal, retarget, scenario, shuttle, spatial
 from shuttlekit.cli import main
 from shuttlekit.shuttle import ShuttleParams, ShuttleState, simulate_to_ground
 from shuttlekit.spatial import Pose, chain_to_dict, forward_kinematics, quat_identity
@@ -27,6 +27,11 @@ COURT = {
 
 @pytest.fixture
 def workdir(tmp_path):
+    return _populate(tmp_path)
+
+
+def _populate(tmp_path):
+    """A run config and the params, court and chain files it names."""
     (tmp_path / "params.json").write_text(json.dumps(PARAMS))
     (tmp_path / "court.json").write_text(json.dumps(COURT))
     (tmp_path / "chain.json").write_text(json.dumps(chain_to_dict(arm_chain())))
@@ -283,7 +288,7 @@ class TestRetarget:
         path.write_text(json.dumps(data))
         assert main(["retarget", "--config", str(workdir / "config.json"), str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: unknown weights key") and "'global'" in err
+        assert err.startswith(f"error: {path}: key 'weights.global' is unknown")
 
     def test_non_number_weight_exits_one(self, workdir, capsys):
         path = _retarget_problem(workdir)
@@ -292,7 +297,7 @@ class TestRetarget:
         path.write_text(json.dumps(data))
         assert main(["retarget", "--config", str(workdir / "config.json"), str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: weights key 'global_pos' must be a number")
+        assert err.startswith(f"error: {path}: weights.global_pos must be a number")
 
     def test_numeric_string_weight_reads_as_number(self, workdir):
         path = _retarget_problem(workdir)
@@ -314,7 +319,8 @@ class TestRetarget:
         path.write_text(json.dumps(data))
         assert main(["retarget", "--config", str(workdir / "config.json"), str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: keypoint 'kp_hand' must have shape (3,)")
+        assert err.startswith(f"error: {path}: frames[1].keypoints.kp_hand must be finite numbers "
+                              "of shape (3,)")
 
     def test_two_coordinate_sphere_offset_exits_one(self, workdir, capsys):
         path = _retarget_problem(workdir)
@@ -323,7 +329,7 @@ class TestRetarget:
         path.write_text(json.dumps(data))
         assert main(["retarget", "--config", str(workdir / "config.json"), str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: collision sphere offset on frame 'hand' must have shape")
+        assert err.startswith(f"error: {path}: collision_spheres[0].offset must be finite numbers")
 
     def test_rerun_byte_identical(self, workdir):
         path = _retarget_problem(workdir)
@@ -532,13 +538,13 @@ class TestNonFiniteInputs:
         path.write_text(json.dumps([{"pos": [0.2, 0.1, 1.1], "t": 1.0},
                                     {"pos": [0.0, 0.0, 1.1], "t": float("nan")}]))
         err = _exit_one(workdir, capsys, "expand", path)
-        assert err.startswith("error: dataset point 1 needs 3 finite coordinates and a finite time")
+        assert err.startswith(f"error: {path}: [1].t must be finite, got nan")
 
     def test_nan_dataset_position_exits_one(self, workdir, capsys):
         path = workdir / "dataset.json"
         path.write_text(json.dumps([{"pos": [0.0, float("nan"), 1.1], "t": 1.0}]))
         err = _exit_one(workdir, capsys, "expand", path)
-        assert err.startswith("error: dataset point 0 needs 3 finite coordinates")
+        assert err.startswith(f"error: {path}: [0].pos must be finite numbers of shape (3,)")
 
     @pytest.mark.parametrize("row", ["0,1,nan,0,0,1,1,1,8", "0,1,0.1,0,0,1,1,1,-inf"],
                              ids=["nan-offset", "inf-speed"])
@@ -572,12 +578,12 @@ class TestNonFiniteInputs:
         ), err
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda d: d["frames"][1].update(t=float("nan")), "frame 1 has a non-finite time"),
+        (lambda d: d["frames"][1].update(t=float("nan")), "frames[1].t must be finite, got nan"),
         (lambda d: d.update(collision_spheres=[
             {"frame": "hand", "offset": [0.0, 0.0, 0.0], "radius": float("nan")}]),
-         "collision sphere radius on frame 'hand' must be positive and finite, got nan"),
+         "collision_spheres[0].radius must be finite, got nan"),
         (lambda d: d["weights"].update(global_pos=float("nan")),
-         "weights key 'global_pos' must be finite and non-negative, got nan"),
+         "weights.global_pos must be finite, got nan"),
     ], ids=["frame-t", "sphere-radius", "weight"])
     def test_non_finite_retarget_value_names_it(self, workdir, capsys, edit, message):
         path = _retarget_problem(workdir)
@@ -585,7 +591,7 @@ class TestNonFiniteInputs:
         edit(data)
         path.write_text(json.dumps(data))
         err = _exit_one(workdir, capsys, "retarget", path)
-        assert err.startswith(f"error: {message}"), err
+        assert err.startswith(f"error: {path}: {message}"), err
 
 
 class TestMalformedInputs:
@@ -651,22 +657,22 @@ class TestMalformedInputs:
             assert err == f"error: config {message}\n", command
 
     @pytest.mark.parametrize("state, message", [
-        ({"velocity": [3.0, 0, 2.0]}, "state key 'position' is missing"),
-        ({"position": [0, 0, 2.0]}, "state key 'velocity' is missing"),
+        ({"velocity": [3.0, 0, 2.0]}, "position is missing"),
+        ({"position": [0, 0, 2.0]}, "velocity is missing"),
         ({"position": [0, "x", 2.0], "velocity": [3.0, 0, 2.0]},
-         "state position must hold numbers: could not convert string to float: 'x'"),
-        ({"position": [0, 0, 2.0], "velocity": [3.0, {}, 2.0]}, "state velocity must hold numbers"),
+         "position must hold numbers: could not convert string to float: 'x'"),
+        ({"position": [0, 0, 2.0], "velocity": [3.0, {}, 2.0]}, "velocity must hold numbers"),
         ({"position": [0, 0, 2.0], "velocity": [3.0, 0, 2.0], "axis": [1.0, 1.0, 0]},
-         "state axis must be unit norm"),
-        ([0, 0, 2.0], "state must be a JSON object"),
+         "axis must be unit norm"),
+        ([0, 0, 2.0], "top level must be a JSON object, got list"),
         ({"position": [True, 0, 2.0], "velocity": [3.0, 0, 2.0]},
-         "state position must hold numbers, got [True, 0, 2.0]"),
+         "position must hold numbers, got [True, 0, 2.0]"),
         ({"position": [0, 0, 2.0], "velocity": [3.0, False, 2.0]},
-         "state velocity must hold numbers, got [3.0, False, 2.0]"),
+         "velocity must hold numbers, got [3.0, False, 2.0]"),
         ({"position": [0, 0, 2.0], "velocity": [3.0, 0, 2.0], "axis": [True, 0, 0]},
-         "state axis must hold numbers, got [True, 0, 0]"),
+         "axis must hold numbers, got [True, 0, 0]"),
         ({"position": [0, 0], "velocity": [3.0, 0, 2.0]},
-         "state position must be finite numbers of shape (3,)"),
+         "position must be finite numbers of shape (3,)"),
     ], ids=["no-position", "no-velocity", "position-string", "velocity-object", "axis-not-unit",
             "list", "position-true", "velocity-false", "axis-true", "position-short"])
     def test_bad_state_file_names_the_file_and_key(self, workdir, capsys, state, message):
@@ -682,15 +688,15 @@ class TestMalformedInputs:
         assert main(["simulate", "--config", str(workdir / "config.json"), str(path)]) == 0
 
     @pytest.mark.parametrize("init, message", [
-        ({"q": ["x", 0, 0]}, "init.q must hold numbers: could not convert string to float"),
+        ({"q": ["x", 0, 0]}, "init.q[0] must be a number: could not convert string to float"),
         ({"q": [0.1, 0.2]}, "init.q must be finite numbers of shape (3,)"),
-        ({"q": [0.1, True, 0.2]}, "init.q must hold numbers, got [0.1, True, 0.2]"),
+        ({"q": [0.1, True, 0.2]}, "init.q[1] must be a number, got True"),
         ({"root_pos": [0, 0]}, "init.root_pos must be finite numbers of shape (3,)"),
         ({"root_pos": [0, "x", 0]}, "init.root_pos must hold numbers"),
         ({"root_quat": [1, 0, 0]}, "init.root_quat must be finite numbers of shape (4,)"),
         ({"root_quat": [1, 0, False, 0]}, "init.root_quat must hold numbers, got"),
         ({"root_quat": [2, 0, 0, 0]}, "init.root_quat: orientation is not unit norm"),
-        ([0.1, 0.2, 0.3], "init must be a JSON object"),
+        ([0.1, 0.2, 0.3], "init must be an object, got list"),
     ], ids=["q-string", "q-short", "q-true", "root-pos-short", "root-pos-string",
             "root-quat-short", "root-quat-false", "root-quat-not-unit", "init-list"])
     def test_bad_retarget_init_names_the_file_and_key(self, workdir, capsys, monkeypatch, init,
@@ -729,9 +735,9 @@ class TestMalformedInputs:
         assert err.startswith(f"error: config track.{key} must be positive, got {float(value)}")
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda d: d["frames"][1].pop("t"), "frame 1 has no 't'"),
+        (lambda d: d["frames"][1].pop("t"), "frames[1].t is missing"),
         (lambda d: d["frames"][1].update(t="abc"),
-         "frame 1 time 't' must be a number: could not convert string to float: 'abc'"),
+         "frames[1].t must be a number: could not convert string to float: 'abc'"),
         (lambda d: d["frames"][2].update(t=0.1),
          "frame times must be strictly increasing: frame 2 has t = 0.1 after t = 0.1"),
         (lambda d: d["frames"][2].update(t=0.05),
@@ -749,7 +755,7 @@ class TestMalformedInputs:
 
         monkeypatch.setattr(retarget, "solve_retarget", no_solve)
         err = _exit_one(workdir, capsys, "retarget", path)
-        assert err.startswith(f"error: {message}"), err
+        assert err.startswith(f"error: {path}: {message}"), err
 
     @pytest.mark.parametrize("line, message", [
         ("0.005,abc,0.0,2.02", "row 2: could not convert string to float: 'abc'"),
@@ -775,8 +781,8 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("entries, message", [
         ([{"pos": [0.2, 0.1, 1.1], "t": 1.0}, {"pos": [0.0, 1.1], "t": 1.0}],
-         "dataset point 1 needs 3 finite coordinates"),
-        ([{"pos": [0.2, 0.1, 1.1], "t": 1.0}, {"pos": [0.0, 0.0, 1.1]}], "entry 1 has no 't'"),
+         "[1].pos must be finite numbers of shape (3,)"),
+        ([{"pos": [0.2, 0.1, 1.1], "t": 1.0}, {"pos": [0.0, 0.0, 1.1]}], "[1].t is missing"),
     ], ids=["two-coordinate-pos", "no-t"])
     def test_bad_dataset_entry_names_it(self, workdir, capsys, entries, message):
         path = workdir / "dataset.json"
@@ -828,6 +834,35 @@ def test_readme_lists_every_config_key():
             if isinstance(bound, dict):
                 expected += [f"{name}.{key}.{sub}" for sub in bound]
     assert sorted(listed) == sorted(expected)
+
+
+def _key_paths(kind, prefix=""):
+    """(key path, required) of every key a loader's key table declares, in README's
+    notation; a nested table that is itself a documented format is not expanded."""
+    if isinstance(kind, list):
+        yield from _key_paths(kind[0], prefix + "[]")
+    elif isinstance(kind, dict) and str not in kind and not (prefix and kind is spatial.CHAIN):
+        for key, (default, sub) in kind.items():
+            path = f"{prefix}.{key}" if prefix else key
+            yield path, default is spatial.REQUIRED
+            yield from _key_paths(sub, path)
+
+
+@pytest.mark.parametrize("title, table", [
+    ("Initial-state JSON", cli.STATE),
+    ("Shuttle params JSON", shuttle.PARAMS),
+    ("Chain JSON", spatial.CHAIN),
+    ("Reference clip JSON", goal.CLIP),
+    ("Retarget problem JSON", retarget.PROBLEM),
+    ("Manifold JSON", [scenario.MANIFOLD_POINT]),
+])
+def test_readme_lists_every_json_input_key(title, table):
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    formats = text.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    entry = formats.split(f"- **{title}**", 1)[1].split("\n- ", 1)[0]
+    keys = re.search(r"Keys: (.*?)\.(?:\s|$)", entry, flags=re.S).group(1)
+    listed = [(key, bold == "**") for bold, key in re.findall(r"(\*\*)?`([^`]+)`", keys)]
+    assert sorted(listed) == sorted(_key_paths(table))
 
 
 # ---------------------------------------------------------------------------
@@ -912,3 +947,230 @@ def test_cli_on_generated_inputs_stops_non_finite_numbers_at_the_boundary(inputs
                     assert math.isnan(written["MSE"])  # documented: no interception, no MSE
                     numbers.remove(written["MSE"])
                 assert all(map(math.isfinite, numbers)), (command, written)
+
+
+# ---------------------------------------------------------------------------
+# JSON inputs: every file is read by one key-table checker, so a `true` for a
+# number or an unknown key exits 1 naming the file and the key path.
+
+STATE = {"position": [0, 0, 2.0], "velocity": [3.0, 0, 2.0], "axis": [1.0, 0.0, 0.0]}
+DATASET = [{"pos": [0.2, 0.1, 1.1], "t": 1.0, "src": 0},
+           {"pos": [-0.3, -0.1, 1.15], "t": 1.2, "src": 1}]
+
+
+def _full_problem():
+    """A two-frame retarget problem that sets every key but `chain_file`."""
+    chain = arm_chain()
+    names = ("shoulder", "elbow", "wrist", "hand", "hip_l", "hip_r")
+    frames = []
+    for k, q in enumerate(np.linspace([0.0, 0.0, 0.0], [0.3, -0.2, 0.1], 2)):
+        fk = forward_kinematics(chain, Pose.identity(), q)
+        frames.append({
+            "t": 0.1 * k,
+            "keypoints": {f"kp_{n}": fk[n].position.tolist() for n in names},
+            "rotations": {"elbow": fk["elbow"].orientation.tolist()},
+            "racket_quat": fk["hand"].orientation.tolist(),
+        })
+    return {
+        "chain": chain_to_dict(chain),
+        "keypoint_map": {f"kp_{n}": n for n in names},
+        "segments": [["kp_shoulder", "kp_elbow"], ["kp_elbow", "kp_wrist"]],
+        "weights": {"smoothness": 0.0, "collision": 2.0},
+        "collision_spheres": [{"frame": "hand", "offset": [0.0, 0.0, 0.0], "radius": 0.05}],
+        "racket_frame": "hand",
+        "optimize_scales": False,
+        "fix_root": False,
+        "init": {"q": [0.1, -0.1, 0.0], "root_pos": [0.0, 0.0, 0.0],
+                 "root_quat": [1.0, 0.0, 0.0, 0.0]},
+        "frames": frames,
+    }
+
+
+# format -> (file, valid content, the command that reads it, that command's input)
+JSON_INPUTS = {
+    "state": ("state.json", STATE, "simulate", "state.json"),
+    "params": ("params.json", {**PARAMS, "axis_damping": 0.0, "gravity": 9.81,
+                               "restitution_head": 0.85, "restitution_skirt": 0.5},
+               "simulate", "state.json"),
+    "chain": ("chain.json", chain_to_dict(arm_chain()), "score", "episodes.csv"),
+    "problem": ("problem.json", _full_problem(), "retarget", "problem.json"),
+    "dataset": ("dataset.json", DATASET, "expand", "dataset.json"),
+}
+
+
+def _run_json_input(d, fmt, content):
+    """Exit code and stderr of the command that reads `fmt`, with `content` in
+    that file and every other input valid, in the work directory `d`."""
+    _populate(d)
+    (d / "episodes.csv").write_text(EPISODES)
+    for name, valid, _, _ in JSON_INPUTS.values():
+        (d / name).write_text(json.dumps(valid))
+    name, _, command, path = JSON_INPUTS[fmt]
+    (d / name).write_text(json.dumps(content))
+    extra = ["--count", "5"] if command == "expand" else []
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(d / "config.json"), str(d / path), *extra])
+    return code, err.getvalue()
+
+
+def _exits_one_naming(d, fmt, err, key_path):
+    name = d / JSON_INPUTS[fmt][0]
+    assert err.startswith((f"error: {name}: ", f"error: cannot parse {name}: ")), err
+    assert err.count("\n") == 1 and key_path in err, err
+    assert not (d / "out").exists()
+
+
+@pytest.mark.parametrize("fmt", JSON_INPUTS)
+def test_valid_json_inputs_setting_every_key_run(tmp_path, fmt):
+    code, err = _run_json_input(tmp_path, fmt, JSON_INPUTS[fmt][1])
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("fmt, edit, key_path", [
+    ("params", lambda d: d.update(mass=True), "mass must be a number, got True"),
+    ("params", lambda d: d.update(axsi_damping=5), "key 'axsi_damping' is unknown"),
+    ("state", lambda d: d.update(axsi=[0.6, 0.8, 0]), "key 'axsi' is unknown"),
+    ("dataset", lambda d: d[1].update(t=True), "[1].t must be a number, got True"),
+    ("dataset", lambda d: d[1].update(scr=3), "key '[1].scr' is unknown"),
+    ("problem", lambda d: d.update(optimize_scales="false"), "optimize_scales must be true or"),
+    ("problem", lambda d: d.update(optimise_scales=True), "key 'optimise_scales' is unknown"),
+    ("chain", lambda d: d["joints"][1].update(parent=0.7), "joints[1].parent must be an integer"),
+    ("chain", lambda d: d["joints"][1].update(limits=[True, 2.0]), "joints[1].limits must hold"),
+], ids=["params-mass-true", "params-axsi_damping", "state-axsi", "dataset-t-true", "dataset-scr",
+        "problem-optimize_scales-string", "problem-optimise_scales", "chain-parent-fraction",
+        "chain-limits-true"])
+def test_json_input_defect_exits_one_naming_the_file_and_key(tmp_path, fmt, edit, key_path):
+    content = json.loads(json.dumps(JSON_INPUTS[fmt][1]))
+    edit(content)
+    code, err = _run_json_input(tmp_path, fmt, content)
+    assert code == 1, err
+    _exits_one_naming(tmp_path, fmt, err, key_path)
+
+
+def _mutations(x, path=()):
+    """(path, "true") of every number in the JSON value x, (path, "key") of every object."""
+    if isinstance(x, dict):
+        yield path, "key"
+        for key, v in x.items():
+            yield from _mutations(v, path + (key,))
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from _mutations(v, path + (i,))
+    elif isinstance(x, (int, float)) and not isinstance(x, bool):
+        yield path, "true"
+
+
+def _key_path(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" if i else p
+                   for i, p in enumerate(path))
+
+
+MUTATIONS = [(fmt, *m) for fmt, (_, valid, _, _) in JSON_INPUTS.items() for m in _mutations(valid)]
+
+
+@settings(max_examples=120)
+@given(st.sampled_from(MUTATIONS))
+def test_true_for_a_number_or_an_unknown_key_exits_one_naming_it(mutation):
+    fmt, path, change = mutation
+    content = json.loads(json.dumps(JSON_INPUTS[fmt][1]))
+    parent = content
+    for p in path[:-1]:
+        parent = parent[p]
+    if change == "true":
+        parent[path[-1]] = True
+        while isinstance(path[-1], int):  # a number inside a vector: the error names its key
+            path = path[:-1]
+    else:
+        (parent[path[-1]] if path else content)["zz_unknown"] = 1.0
+        path += ("zz_unknown",)
+    with tempfile.TemporaryDirectory() as d:
+        code, err = _run_json_input(Path(d), fmt, content)
+        assert code == 1, err
+        _exits_one_naming(Path(d), fmt, err, _key_path(path))
+
+
+# Round trips: what a writer writes, its loader reads back unchanged.
+
+UNIT_KEYS = {"axis", "offset_quat", "root_quat"}  # renormalized by their constructors
+
+
+def _assert_same(a, b, key=None):
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for k in a:
+            _assert_same(a[k], b[k], k)
+    elif isinstance(a, list):
+        assert len(a) == len(b), key
+        for x, y in zip(a, b):
+            _assert_same(x, y, key)
+    elif key in UNIT_KEYS:
+        assert math.isclose(a, b, rel_tol=1e-15, abs_tol=1e-300), (key, a, b)
+    else:
+        assert a == b and type(a) is type(b), (key, a, b)
+
+
+@st.composite
+def chains(draw):
+    n = draw(st.integers(1, 4))
+    axes = vec3.filter(lambda a: np.linalg.norm(a) > 0.1)
+    limits = st.tuples(finite, finite).filter(lambda lim: lim[0] < lim[1])
+    joints = [spatial.Joint(f"j{i}", draw(st.integers(-1, i - 1)), draw(poses), draw(axes),
+                            draw(limits)) for i in range(n)]
+    ees = [spatial.EndEffector(f"e{k}", draw(st.integers(-1, n - 1)), draw(poses))
+           for k in range(draw(st.integers(0, 3)))]
+    return spatial.KinematicChain(joints, ees)
+
+
+@st.composite
+def clips(draw):
+    n, dof = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    t, frames = draw(finite), []
+    for _ in range(n):
+        q = draw(st.lists(finite, min_size=dof, max_size=dof))
+        frames.append(goal.ClipFrame(t, draw(poses), draw(vec3), draw(vec3), np.array(q)))
+        t += draw(st.floats(0.01, 1.0))
+    times = st.lists(finite, max_size=3)
+    return goal.ReferenceClip(tuple(frames), tuple(draw(times)), tuple(draw(times)))
+
+
+def _nine_digits(x):
+    return float(format(x, ".9g"))
+
+
+@st.composite
+def manifolds(draw):
+    volume = scenario.strike_volume("hard")
+    inside = st.floats(-0.45, 0.45).map(float)
+    points = [
+        scenario.ManifoldPoint(
+            np.array([_nine_digits(c + draw(inside) * s)
+                      for c, s in zip(volume.center.tolist(), volume.size.tolist())]),
+            _nine_digits(draw(finite)), draw(st.integers(0, 5)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return scenario.StrikeManifold(tuple(points), "hard", volume)
+
+
+@given(chains())
+def test_chain_dict_round_trip(chain):
+    data = chain_to_dict(chain)
+    _assert_same(chain_to_dict(spatial.chain_from_dict(data)), data)
+
+
+@given(clips())
+def test_clip_dict_round_trip(clip):
+    data = goal.clip_to_dict(clip)
+    _assert_same(goal.clip_to_dict(goal.clip_from_dict(data)), data)
+
+
+@given(manifolds())
+def test_manifold_file_round_trip(manifold):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "manifold.json"
+        scenario.save_manifold(manifold, path)
+        loaded = scenario.load_manifold_points(path)
+    assert len(loaded) == len(manifold.points)
+    for a, b in zip(loaded, manifold.points):
+        assert a.position.tobytes() == b.position.tobytes()
+        assert (a.time_offset, a.source) == (b.time_offset, b.source)

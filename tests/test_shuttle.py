@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import vec3
 from shuttlekit.shuttle import (
     CourtGeometry,
     NoContactError,
@@ -8,6 +11,7 @@ from shuttlekit.shuttle import (
     ShuttleState,
     Trajectory,
     _drag_accel,
+    _relax_axis,
     lands_in_court,
     mechanical_energy,
     racket_impact,
@@ -86,6 +90,16 @@ class TestStep:
             s = step(s, p, 0.01)
         vhat = s.velocity / np.linalg.norm(s.velocity)
         assert float(np.dot(s.axis, vhat)) > 0.99
+
+    @given(vec3.filter(lambda a: np.linalg.norm(a) > 0.1),
+           vec3.filter(lambda v: np.linalg.norm(v) > 1e-3),
+           st.floats(0.0, 50.0), st.floats(1e-4, 0.1))
+    def test_relaxed_axis_is_unit_and_turns_toward_velocity(self, axis, vel, rate, dt):
+        axis = axis / np.linalg.norm(axis)
+        out = np.array(_relax_axis(axis, (0.0, 0.0, 1.0, *vel.tolist()), rate, dt))
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+        vhat = vel / np.linalg.norm(vel)
+        assert float(np.dot(out, vhat)) >= float(np.dot(axis, vhat)) - 1e-12
 
     def test_bad_dt_rejected(self):
         s = ShuttleState(np.array([0.0, 0.0, 2.0]), np.zeros(3))
