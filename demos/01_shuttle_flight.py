@@ -65,6 +65,7 @@ verdict = lands_in_court(flight.landing.point, flight.trajectory, court)
 print(f"landing point {np.round(flight.landing.point, 2)}, "
       f"in bounds: {verdict.in_bounds}, cleared net: {verdict.cleared_net}")
 
-out_path = os.path.join(tempfile.mkdtemp(), "return_flight.csv")
-save_trajectory_csv(flight.trajectory, out_path)
-print(f"trajectory written to {out_path}")
+with tempfile.TemporaryDirectory() as out_dir:
+    out_path = os.path.join(out_dir, "return_flight.csv")
+    save_trajectory_csv(flight.trajectory, out_path)
+    print(f"trajectory written to {out_path} ({os.path.getsize(out_path)} bytes, removed on exit)")

@@ -92,6 +92,8 @@ contacts = extract_contacts(aligned, chain, threshold=0.03)
 print(f"per-frame contacts (left, right):\n{contacts}")
 
 clip = solution_to_clip(aligned, [f.t for f in frames], hit_times=(0.35,))
-out_path = os.path.join(tempfile.mkdtemp(), "retargeted_clip.json")
-save_clip(clip, out_path)
-print(f"exported reference clip to {out_path}")
+with tempfile.TemporaryDirectory() as out_dir:
+    out_path = os.path.join(out_dir, "retargeted_clip.json")
+    save_clip(clip, out_path)
+    print(f"exported reference clip to {out_path} ({os.path.getsize(out_path)} bytes, "
+          "removed on exit)")

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import estimator, goal, retarget, scenario, shuttle
 from .spatial import (
-    NON_NEGATIVE, POSITIVE, REQUIRED, Box, Pose, _check, _round_floats, load_chain,
+    NON_NEGATIVE, POSITIVE, REQUIRED, Box, Pose, _check, _read_json, _round_floats, load_chain,
 )
 
 log = logging.getLogger("shuttlekit")
@@ -145,8 +145,7 @@ def load_run_config(path: Optional[str]) -> RunConfig:
 
 
 def cmd_simulate(cfg: RunConfig, state_path: str, out_dir: str) -> int:
-    with open(state_path) as f:
-        raw = json.load(f)
+    raw = _read_json(state_path)
     try:
         state = shuttle.ShuttleState(**_check(raw, STATE))
     except ValueError as exc:
@@ -215,8 +214,7 @@ def cmd_track(cfg: RunConfig, measurements_path: str, out_dir: str) -> int:
 
 
 def cmd_retarget(cfg: RunConfig, problem_path: str, out_dir: str) -> int:
-    with open(problem_path) as f:
-        data = json.load(f)
+    data = _read_json(problem_path)
     try:  # the run config's chain serves a problem that names none
         problem, init = retarget._problem_and_init(
             data, os.path.dirname(os.path.abspath(problem_path)), cfg.chain

@@ -138,15 +138,31 @@ class RetargetProblem:
         for kp, frame in self.keypoint_map.items():
             if frame not in frame_names:
                 raise ValueError(f"keypoint {kp!r} maps to unknown frame {frame!r}")
+        for i, kf in enumerate(self.frames):
+            for kp in kf.keypoints:
+                if kp not in self.keypoint_map:
+                    raise ValueError(f"frames[{i}].keypoints.{kp} has no mapping in keypoint_map")
+            for name in kf.rotations:
+                if name not in frame_names:
+                    raise ValueError(f"frames[{i}].rotations.{name} names no chain frame")
         for i, seg in enumerate(self.segments):
             if len(seg) != 2 or not set(seg) <= self.keypoint_map.keys():
                 raise ValueError(f"segments[{i}] must be a pair of mapped keypoints, got {seg}")
         for sphere in self.collision_spheres:
             if sphere.frame not in frame_names:
                 raise ValueError(f"collision sphere on unknown frame {sphere.frame!r}")
-        # what the residuals need of the problem alone, built once
+        # what the residuals and their Jacobian need of the problem alone, built once;
+        # a frame is moved by the root's six increments and by its ancestor joints
         segs, spheres = self.segments, self.collision_spheres
-        object.__setattr__(self, "_frame_names", frame_names)
+        chain_frames, n = self.chain.joints + self.chain.end_effectors, self.chain.n_joints
+        moved_by = np.ones((len(chain_frames), 6 + n))
+        for i, frame in enumerate(chain_frames):
+            moved_by[i, 6:] = 0.0 if frame.parent < 0 else moved_by[frame.parent, 6:]
+            if i < n:  # a joint's own angle moves its frame
+                moved_by[i, 6 + i] = 1.0
+        object.__setattr__(self, "_frame_index", {f.name: i for i, f in enumerate(chain_frames)})
+        object.__setattr__(self, "_moved_by", moved_by)
+        object.__setattr__(self, "_axes", np.array([j.axis for j in chain_frames[:n]]).reshape(n, 3))
         object.__setattr__(self, "_limits", self.chain.joint_limits().T)
         object.__setattr__(self, "_adjacent_segments", tuple(
             (i, j) for i in range(len(segs)) for j in range(i + 1, len(segs))
@@ -206,7 +222,7 @@ def _angle_between(u: Array, v: Array) -> Optional[float]:
 
 @dataclass(frozen=True)
 class _FrameTargets:
-    """One frame's targets in residual order, checked against the problem."""
+    """One frame's targets in residual order."""
 
     keypoints: tuple  # (chain frame, target position), by keypoint name
     segments: dict  # segment index -> (chain frame a, chain frame b, target a - b)
@@ -216,14 +232,10 @@ class _FrameTargets:
 
 def _frame_targets(p: RetargetProblem, frame: int) -> _FrameTargets:
     kf = p.frames[frame]
-    for kp in kf.keypoints:
-        if kp not in p.keypoint_map:
-            raise ValueError(f"keypoint {kp!r} has no mapping onto the chain")
-    rotations = []
-    for name in sorted(kf.rotations):
-        if name not in p._frame_names:
-            raise ValueError(f"rotation target on unknown frame {name!r}")
-        rotations.append((name, _quat(kf.rotations[name], f"rotation target {name!r}").tolist()))
+    rotations = tuple(
+        (name, _quat(kf.rotations[name], f"rotation target {name!r}").tolist())
+        for name in sorted(kf.rotations)
+    )
     segments = {
         si: (p.keypoint_map[a], p.keypoint_map[b], kf.keypoints[a] - kf.keypoints[b])
         for si, (a, b) in enumerate(p.segments)
@@ -237,14 +249,15 @@ def _frame_targets(p: RetargetProblem, frame: int) -> _FrameTargets:
         tuple((p.keypoint_map[kp], kf.keypoints[kp]) for kp in sorted(kf.keypoints)),
         segments,
         tuple(a for a in angles if a[2] is not None),
-        tuple(rotations),
+        rotations,
     )
 
 
 def _frame_blocks(
     p: RetargetProblem, tg: _FrameTargets, root: Pose, q: Array, g_scale: float,
     l_scales: Array, prev: Optional[tuple[Pose, Array]],
-) -> ResidualReport:
+) -> tuple[ResidualReport, dict[str, Pose]]:
+    """The residual blocks, and the FK poses they were computed from."""
     fk = forward_kinematics(p.chain, root, q)
     g_block = [fk[name].position - g_scale * target for name, target in tg.keypoints]
     g_res = np.concatenate(g_block) if g_block else np.zeros(0)
@@ -286,7 +299,7 @@ def _frame_blocks(
             ]
         )
 
-    return ResidualReport(dict(zip(TERM_ORDER, (g_res, l_res, r_res, c_res, lim_res, s_res))))
+    return ResidualReport(dict(zip(TERM_ORDER, (g_res, l_res, r_res, c_res, lim_res, s_res)))), fk
 
 
 def evaluate_residuals(
@@ -311,7 +324,7 @@ def evaluate_residuals(
     if frame > 0:
         prev = (x.root_poses[frame - 1], x.joint_angles[frame - 1])
     return _frame_blocks(p, _frame_targets(p, frame), x.root_poses[frame],
-                         x.joint_angles[frame], x.global_scale, x.local_scales, prev)
+                         x.joint_angles[frame], x.global_scale, x.local_scales, prev)[0]
 
 
 @dataclass
@@ -352,14 +365,114 @@ def _weighted_residuals(
     it: _FrameIterate,
     tg: _FrameTargets,
     prev: Optional[tuple[Pose, Array]],
-) -> tuple[Array, ResidualReport]:
-    report = _frame_blocks(p, tg, it.root, it.q, it.g_scale, it.l_scales, prev)
+) -> tuple[Array, ResidualReport, dict[str, Pose]]:
+    report, fk = _frame_blocks(p, tg, it.root, it.q, it.g_scale, it.l_scales, prev)
     stacked = report.stacked()
     if not np.all(np.isfinite(stacked)):
         bad = [t for t in TERM_ORDER if not np.all(np.isfinite(report.blocks[t]))]
         raise ValueError(f"non-finite residuals in terms: {bad}")
     weighted = [w * report.blocks[t] for w, t in zip(p._sqrt_weights, TERM_ORDER)]
-    return np.concatenate(weighted), report
+    return np.concatenate(weighted), report, fk
+
+
+def _skew(v: Array) -> Array:
+    """[v]x of each (..., 3) row of v, as (..., 3, 3): [v]x w = v x w."""
+    out = np.zeros(v.shape + (3,))
+    out[..., [2, 0, 1], [1, 2, 0]] = v
+    out[..., [1, 2, 0], [2, 0, 1]] = -v
+    return out
+
+
+def _so3_inverse_jacobian(phi: Array, side: float) -> Array:
+    """J_r^-1(phi) for side +1 and J_l^-1(phi) for side -1 (Sola et al. 2018, "A micro
+    Lie theory"): to first order, log(exp(phi) exp(e)) = phi + J_r^-1 e and
+    log(exp(e) exp(phi)) = phi + J_l^-1 e."""
+    theta = math.sqrt(float(phi @ phi))
+    k = _skew(phi)
+    coef = (1.0 / 12.0 if theta < 1e-4 else
+            1.0 / theta**2 - (1.0 + math.cos(theta)) / (2.0 * theta * math.sin(theta)))
+    return np.eye(3) + 0.5 * side * k + coef * (k @ k)
+
+
+def _jacobian(
+    p: RetargetProblem, it: _FrameIterate, tg: _FrameTargets,
+    prev: Optional[tuple[Pose, Array]], fk: dict[str, Pose], report: ResidualReport,
+) -> Array:
+    """The weighted residuals' derivative in `it.apply`'s increment at `it`, from its FK
+    poses `fk` and unweighted blocks `report`.
+
+    Each pose column is a twist: a turn w and the velocity v0 of the world origin, so a
+    point p carried along moves by v0 + w x p. Joint k turns about its world axis a_k
+    through its origin o_k (Murray, Li & Sastry 1994, 3.4), the root increment about the
+    root; a frame is moved only by the columns `p._moved_by` gives it.
+    """
+    n, index = it.q.size, p._frame_index
+    k0 = 6 if it.with_root else 0  # the first joint column
+    n_pose = k0 + n
+    poses = list(fk.values())  # joints first, in `p._frame_index` order
+    pos = np.array([f.position for f in poses])
+    quats = np.array([f.orientation for f in poses[:n]]).reshape(n, 4)
+    twice = 2.0 * np.cross(quats[:, 1:], p._axes)  # a_k = q axis_k q^-1, row by row
+    axes = p._axes + quats[:, :1] * twice + np.cross(quats[:, 1:], twice)
+    turn, origin = np.zeros((3, n_pose)), np.zeros((3, n_pose))
+    turn[:, k0:], origin[:, k0:] = axes.T, np.cross(pos[:n], axes).T
+    if k0:
+        turn[:, 3:6], origin[:, :3], origin[:, 3:6] = np.eye(3), np.eye(3), _skew(it.root.position)
+    moved_by = p._moved_by[:, 6 - k0 :]
+
+    def carried(points: Array, frames) -> Array:
+        """(m, 3, n_pose) columns of (m, 3) points carried by the given frames."""
+        return (origin - _skew(points) @ turn) * moved_by[frames][:, None, :]
+
+    frame_cols = carried(pos, slice(None))
+    jac = np.zeros((report.stacked().size, it.dim()))
+    row = 0
+    for name, target in tg.keypoints:  # global
+        jac[row : row + 3, :n_pose] = frame_cols[index[name]]
+        if it.with_scales:
+            jac[row : row + 3, n_pose] = -target
+        row += 3
+    segments = {}
+    for si, (a, b, vec_tg) in tg.segments.items():  # local: segment vectors
+        segments[si] = pos[index[a]] - pos[index[b]], frame_cols[index[a]] - frame_cols[index[b]]
+        jac[row : row + 3, :n_pose] = segments[si][1]
+        if it.with_scales:
+            jac[row : row + 3, n_pose] = -it.l_scales[si] * vec_tg
+            jac[row : row + 3, n_pose + 1 + si] = -it.g_scale * vec_tg
+        row += 3
+    for i, j, _ in tg.angles:  # local: the angle between segments u and v
+        (u, ju), (v, jv) = segments[i], segments[j]
+        angle = _angle_between(u, v)
+        if angle is None:
+            continue  # the residual has no row either
+        nu, nv, c, sin = np.linalg.norm(u), np.linalg.norm(v), math.cos(angle), math.sin(angle)
+        if sin >= 1e-12:  # below, the angle has no derivative
+            u, v = u / nu, v / nv
+            jac[row, :n_pose] = -((v - c * u) / nu @ ju + (u - c * v) / nv @ jv) / sin
+        row += 1
+    for (name, _), r in zip(tg.rotations, report.blocks["ee_rotation"].reshape(-1, 3)):
+        turned = turn * moved_by[index[name]]  # ee_rotation, log(R_target R^T)
+        jac[row : row + 3, :n_pose] = -_so3_inverse_jacobian(r, 1.0) @ turned
+        row += 3
+    if p._sphere_pairs:  # collision
+        centers = np.array([fk[s.frame].transform_point(s.offset) for s in p.collision_spheres])
+        sphere_cols = carried(centers, [index[s.frame] for s in p.collision_spheres])
+        for (i, j, _), depth in zip(p._sphere_pairs, report.blocks["collision"]):
+            d = centers[i] - centers[j]
+            if depth > 0.0 and d.any():
+                jac[row, :n_pose] = -d / np.linalg.norm(d) @ (sphere_cols[i] - sphere_cols[j])
+            row += 1
+    lo, hi = p._limits  # limit
+    diag = np.arange(n)
+    jac[row + diag, k0 + diag] = np.where(it.q < lo, -1.0, np.where(it.q > hi, 1.0, 0.0))
+    if prev is not None:  # smooth
+        row += n
+        jac[row + 6 + diag, k0 + diag] = 1.0
+        if k0:
+            jac[row : row + 3, :3] = np.eye(3)
+            jac[row + 3 : row + 6, 3:6] = _so3_inverse_jacobian(report.blocks["smooth"][3:6], -1.0)
+    sizes = [report.blocks[t].size for t in TERM_ORDER]
+    return jac * np.repeat(p._sqrt_weights, sizes)[:, None]
 
 
 def _solve_frame(
@@ -373,22 +486,14 @@ def _solve_frame(
 
     Returns the final iterate and the residual report evaluated at it.
     """
-    h = 1e-6
     lam = 1e-3
-    r, report = _weighted_residuals(p, it, tg, prev)
+    r, report, fk = _weighted_residuals(p, it, tg, prev)
     cost = float(np.dot(r, r))
     if cost_trace is not None:
         cost_trace.append(cost)
     dim = it.dim()
     for _ in range(_LM_MAX_ITERS):
-        jac = np.zeros((r.size, dim))
-        for k in range(dim):
-            dplus = np.zeros(dim)
-            dplus[k] = h
-            r_plus = _weighted_residuals(p, it.apply(dplus), tg, prev)[0]
-            dplus[k] = -h
-            r_minus = _weighted_residuals(p, it.apply(dplus), tg, prev)[0]
-            jac[:, k] = (r_plus - r_minus) / (2.0 * h)
+        jac = _jacobian(p, it, tg, prev, fk, report)
         jtj = jac.T @ jac
         jtr = jac.T @ r
         accepted = False
@@ -399,11 +504,11 @@ def _solve_frame(
                 lam *= 10.0
                 continue
             trial = it.apply(delta)
-            r_trial, trial_report = _weighted_residuals(p, trial, tg, prev)
+            r_trial, trial_report, trial_fk = _weighted_residuals(p, trial, tg, prev)
             trial_cost = float(np.dot(r_trial, r_trial))
             if trial_cost < cost:
                 converged = cost - trial_cost < _LM_REL_TOL * max(cost, 1e-30)
-                it, r, cost, report = trial, r_trial, trial_cost, trial_report
+                it, r, cost, report, fk = trial, r_trial, trial_cost, trial_report, trial_fk
                 if cost_trace is not None:
                     cost_trace.append(cost)
                 lam = max(lam / 10.0, 1e-12)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .shuttle import DEFAULT_DT, CourtGeometry, ShuttleParams, ShuttleState, _rk4_step
-from .spatial import REQUIRED, Box, _round_floats, _value
+from .spatial import REQUIRED, Box, _read_json, _round_floats, _value
 
 Array = np.ndarray
 
@@ -354,8 +354,7 @@ MANIFOLD_POINT = {"pos": (REQUIRED, (3,)), "t": (REQUIRED, float), "src": (0, in
 
 
 def load_manifold_points(path) -> list[ManifoldPoint]:
-    with open(path) as f:
-        data = json.load(f)
+    data = _read_json(path)
     try:
         entries = _value(data, [MANIFOLD_POINT], "")
     except ValueError as exc:

@@ -43,7 +43,7 @@ def _quat(q, name: str = "quaternion") -> Array:
     out = np.asarray(q, dtype=np.float64)
     if out.shape != (4,):
         raise ValueError(f"{name} must have shape (4,), got {out.shape}")
-    n = np.linalg.norm(out)
+    n = math.sqrt(out @ out)  # np.linalg.norm's sum, without its dispatch
     if abs(n - 1.0) > QUAT_NORM_TOL:
         raise ValueError(f"{name} is not unit norm (|q| = {n})")
     return out / n
@@ -58,16 +58,21 @@ def quat_canonical(q: Array) -> Array:
     return -q if q[0] < 0.0 else q
 
 
-def quat_mul(q1: Array, q2: Array) -> Array:
-    """Hamilton product q1 * q2 (scalar-first)."""
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
-    return np.array([
+def _quat_product(a, b) -> tuple:
+    """Hamilton product a * b of two [w, x, y, z] sequences, as a tuple."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
+    )
+
+
+def quat_mul(q1: Array, q2: Array) -> Array:
+    """Hamilton product q1 * q2 (scalar-first)."""
+    return np.array(_quat_product(q1, q2))
 
 
 def quat_conj(q: Array) -> Array:
@@ -290,6 +295,13 @@ class KinematicChain:
             if ee.name in names:
                 raise ValueError(f"duplicate frame name {ee.name!r}")
             names.add(ee.name)
+        # what forward_kinematics reads of each frame, as floats, built once
+        object.__setattr__(self, "_joint_consts", tuple(
+            (j.name, j.parent, tuple(j.offset.position.tolist()),
+             tuple(j.offset.orientation.tolist()), tuple(j.axis.tolist())) for j in self.joints))
+        object.__setattr__(self, "_ee_consts", tuple(
+            (e.name, e.parent, tuple(e.offset.position.tolist()),
+             tuple(e.offset.orientation.tolist())) for e in self.end_effectors))
 
     @property
     def n_joints(self) -> int:
@@ -307,6 +319,16 @@ class KinematicChain:
         return np.clip(np.asarray(q, dtype=np.float64), lims[:, 0], lims[:, 1])
 
 
+def _compose(frame: tuple, offset_pos, offset_quat) -> tuple:
+    """The float (position, quaternion) frame `frame` applied after the offset."""
+    (px, py, pz), rot = frame
+    m = _matrix_entries(rot)
+    x, y, z = offset_pos
+    return ((m[0] * x + m[1] * y + m[2] * z + px,
+             m[3] * x + m[4] * y + m[5] * z + py,
+             m[6] * x + m[7] * y + m[8] * z + pz), _quat_product(rot, offset_quat))
+
+
 def forward_kinematics(chain: KinematicChain, root: Pose, q) -> dict[str, Pose]:
     """World pose of every joint and end-effector frame.
 
@@ -317,21 +339,28 @@ def forward_kinematics(chain: KinematicChain, root: Pose, q) -> dict[str, Pose]:
         raise ValueError(
             f"expected {chain.n_joints} joint angles, got shape {q.shape}"
         )
-    if not np.all(np.isfinite(q)):
+    angles = q.tolist()
+    if not all(map(math.isfinite, angles)):
         raise ValueError("joint angles must be finite")
-    poses: list[Pose] = []
-    out: dict[str, Pose] = {}
-    for i, joint in enumerate(chain.joints):
-        parent = root if joint.parent < 0 else poses[joint.parent]
-        rot = quat_mul(parent.orientation, joint.offset.orientation)
-        pose = Pose(parent.transform_point(joint.offset.position),
-                    quat_mul(rot, quat_from_rotvec(joint.axis * q[i])))
-        poses.append(pose)
-        out[joint.name] = pose
-    for ee in chain.end_effectors:
-        parent = root if ee.parent < 0 else poses[ee.parent]
-        out[ee.name] = parent.compose(ee.offset)
-    return out
+    base = (tuple(root.position.tolist()), tuple(root.orientation.tolist()))
+    frames: list[tuple] = []
+    for (_, parent, pos, quat, (ax, ay, az)), angle in zip(chain._joint_consts, angles):
+        origin, rot = _compose(base if parent < 0 else frames[parent], pos, quat)
+        s = math.sin(0.5 * angle)
+        frames.append((origin, _quat_product(rot, (math.cos(0.5 * angle), s * ax, s * ay, s * az))))
+    for _, parent, pos, quat in chain._ee_consts:
+        frames.append(_compose(base if parent < 0 else frames[parent], pos, quat))
+    names = [c[0] for c in chain._joint_consts + chain._ee_consts]
+    return {name: Pose(np.array(p), np.array(r)) for name, (p, r) in zip(names, frames)}
+
+
+def _read_json(path):
+    """The JSON value in the file at `path`; a file that does not parse is named."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:
+            raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 
 def _round_floats(obj):

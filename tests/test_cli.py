@@ -998,15 +998,15 @@ JSON_INPUTS = {
 }
 
 
-def _run_json_input(d, fmt, content):
-    """Exit code and stderr of the command that reads `fmt`, with `content` in
-    that file and every other input valid, in the work directory `d`."""
+def _run_json_input(d, fmt, content, text=None):
+    """Exit code and stderr of the command that reads `fmt`, with `content` (or the
+    raw `text`) in that file and every other input valid, in the work directory `d`."""
     _populate(d)
     (d / "episodes.csv").write_text(EPISODES)
     for name, valid, _, _ in JSON_INPUTS.values():
         (d / name).write_text(json.dumps(valid))
     name, _, command, path = JSON_INPUTS[fmt]
-    (d / name).write_text(json.dumps(content))
+    (d / name).write_text(json.dumps(content) if text is None else text)
     extra = ["--count", "5"] if command == "expand" else []
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -1037,15 +1037,27 @@ def test_valid_json_inputs_setting_every_key_run(tmp_path, fmt):
     ("problem", lambda d: d.update(optimise_scales=True), "key 'optimise_scales' is unknown"),
     ("chain", lambda d: d["joints"][1].update(parent=0.7), "joints[1].parent must be an integer"),
     ("chain", lambda d: d["joints"][1].update(limits=[True, 2.0]), "joints[1].limits must hold"),
+    ("problem", lambda d: d["frames"][0]["rotations"].update(nope=[1.0, 0.0, 0.0, 0.0]),
+     "frames[0].rotations.nope names no chain frame"),
+    ("problem", lambda d: d["frames"][1]["keypoints"].update(kp_extra=[0.0, 0.0, 1.0]),
+     "frames[1].keypoints.kp_extra has no mapping in keypoint_map"),
 ], ids=["params-mass-true", "params-axsi_damping", "state-axsi", "dataset-t-true", "dataset-scr",
         "problem-optimize_scales-string", "problem-optimise_scales", "chain-parent-fraction",
-        "chain-limits-true"])
+        "chain-limits-true", "problem-rotation-frame", "problem-keypoint-name"])
 def test_json_input_defect_exits_one_naming_the_file_and_key(tmp_path, fmt, edit, key_path):
     content = json.loads(json.dumps(JSON_INPUTS[fmt][1]))
     edit(content)
     code, err = _run_json_input(tmp_path, fmt, content)
     assert code == 1, err
     _exits_one_naming(tmp_path, fmt, err, key_path)
+
+
+@pytest.mark.parametrize("fmt", JSON_INPUTS)
+def test_truncated_json_input_exits_one_naming_the_file(tmp_path, fmt):
+    code, err = _run_json_input(tmp_path, fmt, None, json.dumps(JSON_INPUTS[fmt][1])[:-5])
+    assert code == 1, err
+    assert err.startswith(f"error: cannot parse {tmp_path / JSON_INPUTS[fmt][0]}: "), err
+    _exits_one_naming(tmp_path, fmt, err, "Expecting")
 
 
 def _mutations(x, path=()):

@@ -21,7 +21,7 @@ def test_demo_runs_clean(script, tmp_path):
     env = dict(
         os.environ,
         PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""),
-        TMPDIR=str(tmp_path),  # demos that write files do so under a fresh temp dir
+        TMPDIR=str(tmp_path),  # demos write their files under a temp dir they remove
     )
     proc = subprocess.run(
         [sys.executable, str(script)], cwd=tmp_path, env=env,
@@ -29,3 +29,4 @@ def test_demo_runs_clean(script, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    assert not any(tmp_path.iterdir()), "the demo left files behind"

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from conftest import arm_chain
+from conftest import arm_chain, unit_quats
 from shuttlekit.retarget import (
     TERM_ORDER,
+    _FrameIterate,
+    _frame_targets,
+    _jacobian,
+    _weighted_residuals,
     CollisionSphere,
     KeypointFrame,
     RetargetProblem,
@@ -103,14 +109,8 @@ class TestEvaluateResiduals:
         chain = arm_chain()
         fk = forward_kinematics(chain, Pose.identity(), np.zeros(3))
         frame = KeypointFrame(0.0, {"mystery": fk["hand"].position})
-        problem = RetargetProblem(
-            chain=chain,
-            keypoint_map={"kp_hand": "hand"},
-            frames=(frame,),
-        )
-        solution = RetargetSolution((Pose.identity(),), np.zeros((1, 3)))
-        with pytest.raises(ValueError):
-            evaluate_residuals(problem, solution, 0)
+        with pytest.raises(ValueError, match=r"frames\[0\]\.keypoints\.mystery has no mapping"):
+            RetargetProblem(chain=chain, keypoint_map={"kp_hand": "hand"}, frames=(frame,))
 
 
 class TestSolveRetarget:
@@ -241,6 +241,104 @@ class TestSolveRetarget:
         solution, costs = solve_retarget(problem, _identity_init(problem, 3))
         assert costs["ee_rotation"] < 1e-10
         assert np.max(np.abs(solution.joint_angles[0] - true_q)) < 1e-4
+
+
+
+def _central_differences(p, it, tg, prev, h=1e-6):
+    """The oracle: central differences of the weighted residuals in `it.apply`'s increment."""
+    columns = []
+    for k in range(it.dim()):
+        step = np.zeros(it.dim())
+        step[k] = h
+        plus = _weighted_residuals(p, it.apply(step), tg, prev)[0]
+        minus = _weighted_residuals(p, it.apply(-step), tg, prev)[0]
+        columns.append((plus - minus) / (2.0 * h))
+    return np.stack(columns, axis=1)
+
+
+small = st.floats(-1.0, 1.0)
+small_vec3 = st.tuples(small, small, small).map(np.array)
+LIMIT = 1.0
+
+
+@st.composite
+def frame_states(draw):
+    """One frame of a generated problem on a random tree chain, at a generated iterate:
+    a keypoint on every frame, segments among them, a rotation target, collision spheres,
+    joint angles inside and beyond [-1, 1], and maybe a previous frame."""
+    n = draw(st.integers(1, 5))
+    joints = tuple(
+        Joint(f"j{i}", draw(st.integers(-1, i - 1)), Pose(draw(small_vec3), draw(unit_quats)),
+              draw(small_vec3.filter(lambda a: np.linalg.norm(a) > 0.1)), (-LIMIT, LIMIT))
+        for i in range(n)
+    )
+    ees = tuple(
+        EndEffector(f"e{k}", draw(st.integers(-1, n - 1)), Pose(draw(small_vec3), draw(unit_quats)))
+        for k in range(draw(st.integers(0, 2)))
+    )
+    chain = KinematicChain(joints, ees)
+    frames = [f.name for f in joints + ees]
+    kps = [f"kp_{name}" for name in frames]
+    pairs = st.tuples(st.sampled_from(kps), st.sampled_from(kps)).filter(lambda s: s[0] != s[1])
+    segments = draw(st.lists(pairs, max_size=4, unique=True))
+    spheres = tuple(CollisionSphere(name, draw(small_vec3), draw(st.floats(0.05, 2.0)))
+                    for name in draw(st.lists(st.sampled_from(frames), max_size=3)))
+    rotations = {name: draw(unit_quats) for name in draw(st.lists(st.sampled_from(frames),
+                                                                  max_size=2, unique=True))}
+    targets = {kp: draw(small_vec3) for kp in kps}
+    problem = RetargetProblem(
+        chain, dict(zip(kps, frames)), (KeypointFrame(0.0, targets, rotations),), segments,
+        RetargetWeights(*draw(st.tuples(*[st.floats(0.0, 2.0)] * 6))), spheres,
+        optimize_scales=draw(st.booleans()), fix_root=draw(st.booleans()),
+    )
+    q = np.array(draw(st.lists(st.floats(-1.8, 1.8), min_size=n, max_size=n)))
+    it = _FrameIterate(
+        Pose(draw(small_vec3), draw(unit_quats)), q, draw(st.floats(0.5, 2.0)),
+        np.array(draw(st.lists(st.floats(0.6, 1.8), min_size=len(segments),
+                               max_size=len(segments)))),
+        problem.optimize_scales, not problem.fix_root,
+    )
+    prev = None
+    if draw(st.booleans()):
+        prev = (Pose(draw(small_vec3), draw(unit_quats)),
+                np.array(draw(st.lists(small, min_size=n, max_size=n))))
+    return problem, it, prev
+
+
+def _away_from_kinks(problem, it, tg, prev):
+    """Whether no residual sits within reach of a point where it has no derivative:
+    a hinge boundary, a zero-length or (anti)parallel segment pair, a rotation error
+    near pi."""
+    fk = forward_kinematics(problem.chain, it.root, it.q)
+    vectors = {si: fk[a].position - fk[b].position for si, (a, b, _) in tg.segments.items()}
+    for i, j, _ in tg.angles:
+        u, v = vectors[i], vectors[j]
+        if min(np.linalg.norm(u), np.linalg.norm(v)) < 1e-3:
+            return False
+        if np.linalg.norm(np.cross(u, v)) < 1e-3 * np.linalg.norm(u) * np.linalg.norm(v):
+            return False
+    centers = [fk[s.frame].transform_point(s.offset) for s in problem.collision_spheres]
+    for i, j, radii in problem._sphere_pairs:
+        if abs(radii - np.linalg.norm(centers[i] - centers[j])) < 1e-4:
+            return False
+    report = _weighted_residuals(problem, it, tg, prev)[1]
+    rotvecs = report.blocks["ee_rotation"].reshape(-1, 3)
+    if prev is not None:
+        rotvecs = np.vstack([rotvecs, report.blocks["smooth"][3:6]])
+    return (np.all(np.abs(np.abs(it.q) - LIMIT) > 1e-4)
+            and all(np.linalg.norm(r) < 3.0 for r in rotvecs))
+
+
+@given(frame_states())
+def test_jacobian_matches_central_differences(state):
+    problem, it, prev = state
+    tg = _frame_targets(problem, 0)
+    assume(_away_from_kinks(problem, it, tg, prev))
+    _, report, fk = _weighted_residuals(problem, it, tg, prev)
+    analytic = _jacobian(problem, it, tg, prev, fk, report)
+    assert analytic.shape == (report.stacked().size, it.dim())
+    assert np.allclose(analytic, _central_differences(problem, it, tg, prev),
+                       rtol=1e-6, atol=1e-6)
 
 
 class TestScales:

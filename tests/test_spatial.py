@@ -133,6 +133,19 @@ def _fk_matrix_oracle(chain, root, q):
     return out
 
 
+def _fk_pose_oracle(chain, root, q):
+    """Forward kinematics as one validated `Pose.compose` per joint."""
+    out = {}
+    for i, joint in enumerate(chain.joints):
+        parent = root if joint.parent < 0 else out[chain.joints[joint.parent].name]
+        turn = Pose(np.zeros(3), quat_from_rotvec(joint.axis * q[i]))
+        out[joint.name] = parent.compose(joint.offset).compose(turn)
+    for ee in chain.end_effectors:
+        parent = root if ee.parent < 0 else out[chain.joints[ee.parent].name]
+        out[ee.name] = parent.compose(ee.offset)
+    return out
+
+
 axes = vec3.filter(lambda a: np.linalg.norm(a) > 0.1)
 
 
@@ -182,6 +195,21 @@ class TestForwardKinematics:
             assert np.allclose(
                 quat_to_matrix(pose.orientation), oracle[name][:3, :3], rtol=0.0, atol=1e-12
             )
+
+    @given(chain_states())
+    @example(ARM_STATE)
+    def test_matches_per_joint_pose_compose(self, state):
+        chain, root, q = state
+        frames = forward_kinematics(chain, root, q)
+        oracle = _fk_pose_oracle(chain, root, q)
+        assert frames.keys() == oracle.keys()
+        for name, pose in frames.items():
+            assert np.allclose(pose.position, oracle[name].position, rtol=0.0, atol=1e-12)
+            # q and -q are one rotation; both sides pick w >= 0, which leaves the sign
+            # free only where w is 0 to rounding
+            other = oracle[name].orientation
+            assert min(np.abs(pose.orientation - other).max(),
+                       np.abs(pose.orientation + other).max()) < 1e-12
 
     def test_wrong_length_rejected(self):
         chain = planar_two_link()
