@@ -1,7 +1,7 @@
 """Numerical core of a humanoid badminton-interception system.
 
 Modules:
-    spatial    rigid-body math, manifold differences, forward kinematics
+    spatial    rigid-body math, manifold differences, forward kinematics, file readers
     shuttle    shuttlecock flight model and its Jacobian, court, racket impact
     estimator  EKF over the ball state and strike-point planning
     goal       goal-conditioned state encoding (time-to-hit, phase masking)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import estimator, goal, retarget, scenario, shuttle
 from .spatial import (
-    NON_NEGATIVE, POSITIVE, REQUIRED, Box, Pose, _check, _read_json, _round_floats, load_chain,
+    NON_NEGATIVE, POSITIVE, REQUIRED, Box, Pose, _check, _load_json, _round_floats, load_chain,
 )
 
 log = logging.getLogger("shuttlekit")
@@ -95,25 +95,23 @@ class RunConfig:
 
 
 def load_run_config(path: Optional[str]) -> RunConfig:
-    """Load and check the whole run config against TOP_LEVEL, and load the files
-    it names; without a path every section takes its defaults."""
-    data, base = {}, ""
-    if path is not None:
-        try:
-            with open(path) as f:
-                data = json.load(f)
-        except OSError as exc:
-            raise ValueError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
-        base = os.path.dirname(os.path.abspath(path))
-    try:
-        values = _check(data, TOP_LEVEL)
-    except ValueError as exc:
-        raise ValueError(f"config {exc}") from exc
-    sections = {name: values[name] for name in SECTIONS}
+    """Load and check the whole run config against TOP_LEVEL, then load the params
+    and chain files it names; without a path every section takes its defaults."""
+    values, noise, criteria = (_config_from_dict({}) if path is None
+                               else _load_json(path, _config_from_dict))
+    base = "" if path is None else os.path.dirname(os.path.abspath(path))
+    params, chain = (None if values[key] is None else load(os.path.join(base, values[key]))
+                     for key, load in (("params", shuttle.load_params), ("chain", load_chain)))
+    return RunConfig({name: values[name] for name in SECTIONS}, noise, criteria,
+                     values["seed"], os.path.join(base, values["out_dir"]), params, chain)
+
+
+def _config_from_dict(data) -> tuple:
+    """The run config's checked values, and the filter noise and strike criteria its
+    `track` section builds."""
+    values = _check(data, TOP_LEVEL)
     # the library constructors hold the checks no kind can state
-    track, volume = sections["track"], sections["track"]["volume"]
+    track, volume = values["track"], values["track"]["volume"]
     key = "measurement_std" if track["measurement_cov"] is None else "measurement_cov"
     try:
         noise = (estimator.NoiseConfig.isotropic(track["process_psd"], track["measurement_std"])
@@ -125,31 +123,12 @@ def load_run_config(path: Optional[str]) -> RunConfig:
         criteria = estimator.HitCriteria(
             tuple(track["height_band"].tolist()), box, track["preference"])
     except ValueError as exc:
-        raise ValueError(f"config track.{key}: {exc}") from exc
-
-    def resolve(key, loader):
-        if values[key] is None:
-            return None
-        ref = os.path.join(base, values[key])
-        if not os.path.exists(ref):
-            raise ValueError(f"config references missing file: {ref}")
-        try:
-            return loader(ref)
-        except Exception as exc:
-            raise ValueError(f"cannot parse {ref}: {exc}") from exc
-
-    return RunConfig(
-        sections, noise, criteria, values["seed"], os.path.join(base, values["out_dir"]),
-        resolve("params", shuttle.load_params), resolve("chain", load_chain),
-    )
+        raise ValueError(f"track.{key}: {exc}") from exc
+    return values, noise, criteria
 
 
 def cmd_simulate(cfg: RunConfig, state_path: str, out_dir: str) -> int:
-    raw = _read_json(state_path)
-    try:
-        state = shuttle.ShuttleState(**_check(raw, STATE))
-    except ValueError as exc:
-        raise ValueError(f"{state_path}: {exc}") from exc
+    state = _load_json(state_path, lambda data: shuttle.ShuttleState(**_check(data, STATE)))
     sim = cfg.sections["sim"]
     result = shuttle.simulate_to_ground(state, cfg.params, dt=sim["dt"], t_max=sim["t_max"])
     os.makedirs(out_dir, exist_ok=True)  # only once the command has something to write
@@ -214,13 +193,10 @@ def cmd_track(cfg: RunConfig, measurements_path: str, out_dir: str) -> int:
 
 
 def cmd_retarget(cfg: RunConfig, problem_path: str, out_dir: str) -> int:
-    data = _read_json(problem_path)
-    try:  # the run config's chain serves a problem that names none
-        problem, init = retarget._problem_and_init(
-            data, os.path.dirname(os.path.abspath(problem_path)), cfg.chain
-        )
-    except ValueError as exc:
-        raise ValueError(f"{problem_path}: {exc}") from exc
+    base = os.path.dirname(os.path.abspath(problem_path))
+    # the run config's chain serves a problem that names none
+    problem, init = _load_json(
+        problem_path, lambda data: retarget.problem_from_dict(data, base, cfg.chain))
     solution, costs = retarget.solve_retarget(problem, init)
     times = [f.t for f in problem.frames]
     clip = retarget.solution_to_clip(solution, times)

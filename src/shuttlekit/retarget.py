@@ -151,6 +151,9 @@ class RetargetProblem:
         for sphere in self.collision_spheres:
             if sphere.frame not in frame_names:
                 raise ValueError(f"collision sphere on unknown frame {sphere.frame!r}")
+        object.__setattr__(self, "_rotation_targets", tuple(
+            tuple((name, _quat(kf.rotations[name], f"frames[{i}].rotations.{name}").tolist())
+                  for name in sorted(kf.rotations)) for i, kf in enumerate(self.frames)))
         # what the residuals and their Jacobian need of the problem alone, built once;
         # a frame is moved by the root's six increments and by its ancestor joints
         segs, spheres = self.segments, self.collision_spheres
@@ -232,10 +235,6 @@ class _FrameTargets:
 
 def _frame_targets(p: RetargetProblem, frame: int) -> _FrameTargets:
     kf = p.frames[frame]
-    rotations = tuple(
-        (name, _quat(kf.rotations[name], f"rotation target {name!r}").tolist())
-        for name in sorted(kf.rotations)
-    )
     segments = {
         si: (p.keypoint_map[a], p.keypoint_map[b], kf.keypoints[a] - kf.keypoints[b])
         for si, (a, b) in enumerate(p.segments)
@@ -249,7 +248,7 @@ def _frame_targets(p: RetargetProblem, frame: int) -> _FrameTargets:
         tuple((p.keypoint_map[kp], kf.keypoints[kp]) for kp in sorted(kf.keypoints)),
         segments,
         tuple(a for a in angles if a[2] is not None),
-        rotations,
+        p._rotation_targets[frame],
     )
 
 
@@ -702,23 +701,16 @@ PROBLEM = {
 
 
 def problem_from_dict(
-    data, base_dir=None, chain: Optional[KinematicChain] = None
-) -> RetargetProblem:
-    """The problem the JSON object `data` holds; `chain` serves one that names none."""
-    return _problem_and_init(data, base_dir, chain)[0]
-
-
-def _problem_and_init(data, base_dir=None, chain: Optional[KinematicChain] = None):
-    """problem_from_dict's problem, and the initial guess its `init` key gives."""
+    data, base_dir: str = "", chain: Optional[KinematicChain] = None
+) -> tuple[RetargetProblem, RetargetSolution]:
+    """The problem the JSON object `data` holds, and the initial guess its `init` key
+    gives. A `chain_file` is read relative to `base_dir`; `chain` serves a problem
+    that names no chain."""
     v = _check(data, PROBLEM)
     if v["chain"] is not None:
         chain = chain_from_dict(v["chain"])
     elif v["chain_file"] is not None:
-        path = v["chain_file"] if base_dir is None else os.path.join(base_dir, v["chain_file"])
-        try:
-            chain = load_chain(path)
-        except ValueError as exc:
-            raise ValueError(f"chain_file {path}: {exc}") from exc
+        chain = load_chain(os.path.join(base_dir, v["chain_file"]))
     elif chain is None:
         raise ValueError("the problem sets neither 'chain' nor 'chain_file', and no chain is given")
     frames = []
@@ -736,10 +728,7 @@ def _problem_and_init(data, base_dir=None, chain: Optional[KinematicChain] = Non
     init, lims = v["init"], chain.joint_limits()
     q0 = (0.5 * (lims[:, 0] + lims[:, 1]) if init["q"] is None
           else _numbers(init["q"], (chain.n_joints,), "init.q"))
-    try:
-        root = Pose(init["root_pos"], init["root_quat"])
-    except ValueError as exc:
-        raise ValueError(f"init.root_quat: {exc}") from exc
+    root = Pose(init["root_pos"], _quat(init["root_quat"], "init.root_quat"))
     n = len(frames)
     return problem, RetargetSolution(
         (root,) * n, np.tile(q0, (n, 1)), local_scales=np.ones(len(problem.segments))

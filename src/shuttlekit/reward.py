@@ -9,7 +9,6 @@ instant once ball physics is in the loop.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -18,7 +17,7 @@ import numpy as np
 
 from .goal import RobotState
 from .shuttle import CourtResult
-from .spatial import Pose, _matrix_entries
+from .spatial import Pose, _csv_records, _matrix_entries
 
 Array = np.ndarray
 
@@ -213,28 +212,30 @@ def score_episode_csv(path, c: RewardConfig) -> list[dict]:
     Expected columns: `t`, `tth`, squared hit errors `hit_sq_0..`, squared
     recovery errors `rec_sq_0..`, and optionally `d` (discriminator score).
     Returns one dict per row with the individual rewards and the mixed
-    total (task = decayed hit + recovery).
+    total (task = decayed hit + recovery). A missing column, or a cell that
+    is not a finite number, raises ValueError naming the file and the column
+    or row.
     """
     n_hit = len(c.hit_weights)
-    n_rec = len(c.rec_weights)
-    out = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            tth = float(row["tth"])
-            hit_sq = [float(row[f"hit_sq_{i}"]) for i in range(n_hit)]
-            rec_sq = [float(row[f"rec_sq_{j}"]) for j in range(n_rec)]
-            r_hit = _hit_from_sq(hit_sq, tth, c)
-            r_hit_sparse = _sparse_hit_from_sq(hit_sq, tth, c)
-            r_rec = _recovery_from_sq(rec_sq, tth, c)
-            r_style = style_reward(float(row["d"])) if "d" in row and row["d"] else 0.0
-            out.append(
-                {
-                    "t": float(row["t"]),
-                    "hit": r_hit,
-                    "hit_sparse": r_hit_sparse,
-                    "recovery": r_rec,
-                    "style": r_style,
-                    "total": total_reward(r_hit + r_rec, r_style, c),
-                }
-            )
-    return out
+    columns = ["t", "tth", *(f"hit_sq_{i}" for i in range(n_hit)),
+               *(f"rec_sq_{j}" for j in range(len(c.rec_weights)))]
+
+    def read(row):
+        values = [float(row[col]) for col in columns]
+        d = float(row["d"]) if row.get("d") else None
+        tth, hit_sq, rec_sq = values[1], values[2:2 + n_hit], values[2 + n_hit:]
+        r_hit = _hit_from_sq(hit_sq, tth, c)
+        r_hit_sparse = _sparse_hit_from_sq(hit_sq, tth, c)
+        r_rec = _recovery_from_sq(rec_sq, tth, c)
+        r_style = 0.0 if d is None else style_reward(d)
+        rewards = {
+            "t": values[0],
+            "hit": r_hit,
+            "hit_sparse": r_hit_sparse,
+            "recovery": r_rec,
+            "style": r_style,
+            "total": total_reward(r_hit + r_rec, r_style, c),
+        }
+        return rewards, values if d is None else values + [d]
+
+    return _csv_records(path, columns, read)

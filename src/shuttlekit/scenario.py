@@ -8,7 +8,6 @@ the success-rate / tracking-error / in-bounds-return triple.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .shuttle import DEFAULT_DT, CourtGeometry, ShuttleParams, ShuttleState, _rk4_step
-from .spatial import REQUIRED, Box, _read_json, _round_floats, _value
+from .spatial import REQUIRED, Box, _csv_records, _load_json, _round_floats, _value
 
 Array = np.ndarray
 
@@ -354,12 +353,8 @@ MANIFOLD_POINT = {"pos": (REQUIRED, (3,)), "t": (REQUIRED, float), "src": (0, in
 
 
 def load_manifold_points(path) -> list[ManifoldPoint]:
-    data = _read_json(path)
-    try:
-        entries = _value(data, [MANIFOLD_POINT], "")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return [ManifoldPoint(e["pos"], e["t"], e["src"]) for e in entries]
+    return _load_json(path, lambda data: [
+        ManifoldPoint(e["pos"], e["t"], e["src"]) for e in _value(data, [MANIFOLD_POINT], "")])
 
 
 _EPISODE_COLUMNS = (
@@ -367,60 +362,25 @@ _EPISODE_COLUMNS = (
 )
 
 
-def save_episode_csv(logs: Sequence[EpisodeRecord], path) -> None:
-    """Columns: serve_id,intercepted,dx,dy,dz,landing,in_bounds,cleared_net,speed.
-
-    The offset columns are empty for serves that were not intercepted.
-    """
-    with open(path, "w") as f:
-        f.write(",".join(_EPISODE_COLUMNS) + "\n")
-        for r in logs:
-            if r.intercepted:
-                off = [format(v, ".9g") for v in r.impact_offset]
-            else:
-                off = ["", "", ""]
-            f.write(
-                ",".join(
-                    [
-                        str(r.serve_id),
-                        str(int(r.intercepted)),
-                        *off,
-                        str(int(r.landed)),
-                        str(int(r.in_bounds)),
-                        str(int(r.cleared_net)),
-                        format(r.return_speed, ".9g"),
-                    ]
-                )
-                + "\n"
-            )
-
-
 def load_episode_csv(path) -> list[EpisodeRecord]:
-    """Read save_episode_csv's columns; a bad or non-finite cell names its row."""
-    out = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = [c for c in _EPISODE_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-        for k, row in enumerate(reader, start=1):
-            try:
-                intercepted = bool(int(row["intercepted"]))
-                offset = None
-                if intercepted:
-                    offset = [float(row["dx"]), float(row["dy"]), float(row["dz"])]
-                record = EpisodeRecord(
-                    serve_id=int(row["serve_id"]),
-                    intercepted=intercepted,
-                    impact_offset=offset,
-                    landed=bool(int(row["landing"])),
-                    in_bounds=bool(int(row["in_bounds"])),
-                    cleared_net=bool(int(row["cleared_net"])),
-                    return_speed=float(row["speed"]),
-                )
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: row {k}: {exc}") from exc
-            if not all(map(math.isfinite, (*(offset or ()), record.return_speed))):
-                raise ValueError(f"{path}: row {k} has a non-finite value")
-            out.append(record)
-    return out
+    """Read an episode log CSV with the columns `_EPISODE_COLUMNS`, the offsets empty
+    for a serve not intercepted; a bad or non-finite cell names its row."""
+    return _csv_records(path, _EPISODE_COLUMNS, _episode_record)
+
+
+def _episode_record(row) -> tuple:
+    """The record one episode CSV row holds, and the numbers in it."""
+    intercepted = bool(int(row["intercepted"]))
+    offset = None
+    if intercepted:
+        offset = [float(row["dx"]), float(row["dy"]), float(row["dz"])]
+    record = EpisodeRecord(
+        serve_id=int(row["serve_id"]),
+        intercepted=intercepted,
+        impact_offset=offset,
+        landed=bool(int(row["landing"])),
+        in_bounds=bool(int(row["in_bounds"])),
+        cleared_net=bool(int(row["cleared_net"])),
+        return_speed=float(row["speed"]),
+    )
+    return record, (*(offset or ()), record.return_speed)

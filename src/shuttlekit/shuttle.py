@@ -8,14 +8,13 @@ racket impact uses (head-first vs skirt-first).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .spatial import REQUIRED, Pose, Twist, _check, _vec3
+from .spatial import REQUIRED, Pose, Twist, _check, _load_json, _vec3
 
 Array = np.ndarray
 
@@ -363,10 +362,5 @@ PARAMS = {f.name: (REQUIRED if f.default is MISSING else f.default, float)
           for f in fields(ShuttleParams)}
 
 
-def params_from_dict(d) -> ShuttleParams:
-    return ShuttleParams(**_check(d, PARAMS))
-
-
 def load_params(path) -> ShuttleParams:
-    with open(path) as f:
-        return params_from_dict(json.load(f))
+    return _load_json(path, lambda data: ShuttleParams(**_check(data, PARAMS)))

@@ -1,16 +1,18 @@
-"""Rigid-body math and the JSON input checker shared by every other module.
+"""Rigid-body math, and the file-format helpers shared by every other module.
 
 Quaternions are scalar-first ``[w, x, y, z]`` and kept canonical
 (unit norm, w >= 0) so orientation comparisons are unambiguous.
 Orientation errors are expressed as rotation vectors (axis * angle).
 
-Every JSON object a file holds is read by `_check` against a key table,
-and every number written goes through `_round_floats`: the input and the
+Every JSON input is read by `_load_json`, each object in it by `_check`
+against a key table, and the episode and reward CSVs by `_csv_records`;
+every number written goes through `_round_floats`: the input and the
 output side of one file format.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -354,13 +356,35 @@ def forward_kinematics(chain: KinematicChain, root: Pose, q) -> dict[str, Pose]:
     return {name: Pose(np.array(p), np.array(r)) for name, (p, r) in zip(names, frames)}
 
 
-def _read_json(path):
-    """The JSON value in the file at `path`; a file that does not parse is named."""
-    with open(path) as f:
-        try:
-            return json.load(f)
-        except ValueError as exc:
-            raise ValueError(f"cannot parse {path}: {exc}") from exc
+def _load_json(path, build):
+    """`build` applied to the JSON value in the file at `path`. A ValueError from
+    the parse or from `build` is raised again with the file's path in front."""
+    try:
+        with open(path) as f:
+            return build(json.load(f))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _csv_records(path, columns, read) -> list:
+    """`read(row)` of each row of the CSV file at `path`, whose header must name every
+    one of `columns`. `read` returns the row's record and the numbers it read; a cell
+    that does not parse, or a number that is not finite, names the file and the row."""
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        records = []
+        for k, row in enumerate(reader, start=1):
+            try:
+                record, numbers = read(row)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: row {k}: {exc}") from exc
+            if not all(map(math.isfinite, numbers)):
+                raise ValueError(f"{path}: row {k} has a non-finite value")
+            records.append(record)
+    return records
 
 
 def _round_floats(obj):
@@ -498,5 +522,4 @@ def chain_to_dict(chain: KinematicChain) -> dict:
 
 
 def load_chain(path) -> KinematicChain:
-    with open(path) as f:
-        return chain_from_dict(json.load(f))
+    return _load_json(path, chain_from_dict)

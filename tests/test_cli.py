@@ -104,7 +104,7 @@ class TestSimulate:
         assert not (workdir / "out" / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("config, message", [
-        ({"sim": [1]}, "error: config sim must be an object"),
+        ({"sim": [1]}, "sim must be an object"),
         ([1], "must be a JSON object"),
     ])
     def test_config_of_wrong_shape_exits_one(self, workdir, capsys, config, message):
@@ -113,7 +113,8 @@ class TestSimulate:
         state_path.write_text(json.dumps({"position": [0, 0, 2.0], "velocity": [0, 0, 0]}))
         code = main(["simulate", "--config", str(workdir / "config.json"), str(state_path)])
         assert code == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {workdir / 'config.json'}: ") and message in err, err
 
     def test_list_t_max_exits_one(self, workdir, capsys):
         config = json.loads((workdir / "config.json").read_text())
@@ -123,7 +124,8 @@ class TestSimulate:
         state_path.write_text(json.dumps({"position": [0, 0, 2.0], "velocity": [0, 0, 0]}))
         code = main(["simulate", "--config", str(workdir / "config.json"), str(state_path)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: config sim.t_max must be a number")
+        assert capsys.readouterr().err.startswith(
+            f"error: {workdir / 'config.json'}: sim.t_max must be a number")
 
     def test_rerun_byte_identical(self, workdir):
         state_path = workdir / "state.json"
@@ -219,7 +221,8 @@ class TestTrack:
         meas, _ = _write_measurements(workdir)
         assert main(["track", "--config", str(workdir / "config.json"), str(meas)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: config track.process_psd must be a number")
+        assert err.startswith(
+            f"error: {workdir / 'config.json'}: track.process_psd must be a number")
 
     def test_nan_latency_exits_one(self, workdir, capsys):
         config = json.loads((workdir / "config.json").read_text())
@@ -228,7 +231,8 @@ class TestTrack:
         meas, _ = _write_measurements(workdir)
         assert main(["track", "--config", str(workdir / "config.json"), str(meas)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: config track.latency must be finite, got nan")
+        assert err.startswith(
+            f"error: {workdir / 'config.json'}: track.latency must be finite, got nan")
         assert not (workdir / "out" / "filter_log.csv").exists()
 
     def test_rerun_byte_identical(self, workdir):
@@ -531,7 +535,8 @@ class TestNonFiniteInputs:
                                                 key, value):
         _patch_config(workdir, **{section: {key: value}})
         err = _exit_one(workdir, capsys, command, _input_for(workdir, command))
-        assert err.startswith(f"error: config {section}.{key} must be finite, got {value}")
+        assert err.startswith(
+            f"error: {workdir / 'config.json'}: {section}.{key} must be finite, got {value}")
 
     def test_nan_dataset_time_exits_one(self, workdir, capsys):
         path = workdir / "dataset.json"
@@ -574,7 +579,7 @@ class TestNonFiniteInputs:
             path = _input_for(workdir, command)
         err = _exit_one(workdir, capsys, command, path)
         assert err.startswith(
-            f"error: cannot parse {workdir / 'params.json'}: {key} must be finite, got nan"
+            f"error: {workdir / 'params.json'}: {key} must be finite, got nan"
         ), err
 
     @pytest.mark.parametrize("edit, message", [
@@ -596,20 +601,20 @@ class TestNonFiniteInputs:
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("top, key", [
-        ({"seed": "abc"}, "config seed "),
-        ({"seed": None}, "config seed "),
-        ({"seed": 7.9}, "config seed "),
-        ({"seed": True}, "config seed "),
-        ({"chain": 5}, "config chain "),
-        ({"out_dir": 5}, "config out_dir "),
-        ({"parmas": "params.json"}, "config key 'parmas' is unknown"),
-        ({"reward": {"sigma_time": 0.5}}, "config key 'reward' is unknown"),
-        ({"amp": {"history_length": 5}}, "config key 'amp' is unknown"),
+        ({"seed": "abc"}, "seed "),
+        ({"seed": None}, "seed "),
+        ({"seed": 7.9}, "seed "),
+        ({"seed": True}, "seed "),
+        ({"chain": 5}, "chain "),
+        ({"out_dir": 5}, "out_dir "),
+        ({"parmas": "params.json"}, "key 'parmas' is unknown"),
+        ({"reward": {"sigma_time": 0.5}}, "key 'reward' is unknown"),
+        ({"amp": {"history_length": 5}}, "key 'amp' is unknown"),
     ], ids=["seed-abc", "seed-null", "seed-fraction", "seed-true", "chain-int", "out_dir-int", "parmas", "reward", "amp"])
     def test_bad_top_level_value_names_it(self, workdir, capsys, top, key):
         _patch_config(workdir, **top)
         err = _exit_one(workdir, capsys, "score", _input_for(workdir, "score"))
-        assert err.startswith(f"error: {key}")
+        assert err.startswith(f"error: {workdir / 'config.json'}: {key}")
 
     def test_integer_string_seed_is_read(self, workdir):
         _patch_config(workdir, seed="7")
@@ -636,7 +641,7 @@ class TestMalformedInputs:
     def test_bad_track_value_names_it(self, workdir, capsys, track, key):
         _patch_config(workdir, track=track)
         err = _exit_one(workdir, capsys, "track", _input_for(workdir, "track"))
-        assert err.startswith(f"error: config {key} ")
+        assert err.startswith(f"error: {workdir / 'config.json'}: {key} ")
 
     @pytest.mark.parametrize("track, message", [
         ({"height_band": [1.3, 1.0]}, "track.height_band: height band must satisfy lo < hi"),
@@ -654,7 +659,7 @@ class TestMalformedInputs:
         for command in ("simulate", "track", "retarget", "expand", "score"):
             path = inputs.get(command) or _input_for(workdir, command)
             err = _exit_one(workdir, capsys, command, path)
-            assert err == f"error: config {message}\n", command
+            assert err == f"error: {workdir / 'config.json'}: {message}\n", command
 
     @pytest.mark.parametrize("state, message", [
         ({"velocity": [3.0, 0, 2.0]}, "position is missing"),
@@ -695,7 +700,7 @@ class TestMalformedInputs:
         ({"root_pos": [0, "x", 0]}, "init.root_pos must hold numbers"),
         ({"root_quat": [1, 0, 0]}, "init.root_quat must be finite numbers of shape (4,)"),
         ({"root_quat": [1, 0, False, 0]}, "init.root_quat must hold numbers, got"),
-        ({"root_quat": [2, 0, 0, 0]}, "init.root_quat: orientation is not unit norm"),
+        ({"root_quat": [2, 0, 0, 0]}, "init.root_quat is not unit norm (|q| = 2.0)"),
         ([0.1, 0.2, 0.3], "init must be an object, got list"),
     ], ids=["q-string", "q-short", "q-true", "root-pos-short", "root-pos-string",
             "root-quat-short", "root-quat-false", "root-quat-not-unit", "init-list"])
@@ -732,7 +737,8 @@ class TestMalformedInputs:
                                                                value):
         _patch_config(workdir, track={key: value})
         err = _exit_one(workdir, capsys, "track", _input_for(workdir, "track"))
-        assert err.startswith(f"error: config track.{key} must be positive, got {float(value)}")
+        assert err.startswith(
+            f"error: {workdir / 'config.json'}: track.{key} must be positive, got {float(value)}")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["frames"][1].pop("t"), "frames[1].t is missing"),
@@ -819,7 +825,7 @@ def test_bad_table_value_exits_one_before_any_command(workdir, capsys, section, 
                  str(_input_for(workdir, "score"))])
     err = capsys.readouterr().err
     assert code == 1, err
-    assert err.startswith(f"error: config {section}.{key} "), err
+    assert err.startswith(f"error: {workdir / 'config.json'}: {section}.{key} "), err
     assert not (workdir / "out").exists()
 
 
@@ -986,8 +992,24 @@ def _full_problem():
     }
 
 
+# the run config with every key set
+CONFIG = {
+    "params": "params.json", "court": "court.json", "chain": "chain.json", "seed": 7,
+    "out_dir": "out", "sim": {"dt": 0.005, "t_max": 10.0},
+    "track": {
+        "process_psd": 1e-4, "measurement_std": 0.0001,
+        "measurement_cov": [[1e-8, 0.0, 0.0], [0.0, 1e-8, 0.0], [0.0, 0.0, 1e-8]],
+        "initial_pos_var": 0.01, "initial_vel_var": 1.0, "latency": 0.0, "horizon": 3.0,
+        "dt": 0.005, "height_band": [1.0, 1.3], "preference": "earliest",
+        "volume": {"center": [0.0, 0.0, 1.1], "size": [2.0, 0.4, 0.3]},
+    },
+    "expand": {"radius": 0.4, "time_jitter": 0.3, "center": [0.0, 0.0, 1.1]},
+    "score": {"in_bounds_weight": 1.0, "fault_weight": 0.25},
+}
+
 # format -> (file, valid content, the command that reads it, that command's input)
 JSON_INPUTS = {
+    "config": ("config.json", CONFIG, "score", "episodes.csv"),
     "state": ("state.json", STATE, "simulate", "state.json"),
     "params": ("params.json", {**PARAMS, "axis_damping": 0.0, "gravity": 9.81,
                                "restitution_head": 0.85, "restitution_skirt": 0.5},
@@ -1016,7 +1038,7 @@ def _run_json_input(d, fmt, content, text=None):
 
 def _exits_one_naming(d, fmt, err, key_path):
     name = d / JSON_INPUTS[fmt][0]
-    assert err.startswith((f"error: {name}: ", f"error: cannot parse {name}: ")), err
+    assert err.startswith(f"error: {name}: "), err
     assert err.count("\n") == 1 and key_path in err, err
     assert not (d / "out").exists()
 
@@ -1041,9 +1063,13 @@ def test_valid_json_inputs_setting_every_key_run(tmp_path, fmt):
      "frames[0].rotations.nope names no chain frame"),
     ("problem", lambda d: d["frames"][1]["keypoints"].update(kp_extra=[0.0, 0.0, 1.0]),
      "frames[1].keypoints.kp_extra has no mapping in keypoint_map"),
+    ("problem", lambda d: d["frames"][0]["rotations"].update(elbow=[2.0, 0.0, 0.0, 0.0]),
+     "frames[0].rotations.elbow is not unit norm (|q| = 2.0)"),
+    ("config", lambda d: d["track"].update(horizon=True), "track.horizon must be a number"),
 ], ids=["params-mass-true", "params-axsi_damping", "state-axsi", "dataset-t-true", "dataset-scr",
         "problem-optimize_scales-string", "problem-optimise_scales", "chain-parent-fraction",
-        "chain-limits-true", "problem-rotation-frame", "problem-keypoint-name"])
+        "chain-limits-true", "problem-rotation-frame", "problem-keypoint-name",
+        "problem-rotation-not-unit", "config-horizon-true"])
 def test_json_input_defect_exits_one_naming_the_file_and_key(tmp_path, fmt, edit, key_path):
     content = json.loads(json.dumps(JSON_INPUTS[fmt][1]))
     edit(content)
@@ -1056,8 +1082,18 @@ def test_json_input_defect_exits_one_naming_the_file_and_key(tmp_path, fmt, edit
 def test_truncated_json_input_exits_one_naming_the_file(tmp_path, fmt):
     code, err = _run_json_input(tmp_path, fmt, None, json.dumps(JSON_INPUTS[fmt][1])[:-5])
     assert code == 1, err
-    assert err.startswith(f"error: cannot parse {tmp_path / JSON_INPUTS[fmt][0]}: "), err
     _exits_one_naming(tmp_path, fmt, err, "Expecting")
+
+
+def test_chain_file_defect_names_the_problem_then_the_chain_file(tmp_path):
+    problem = {**_full_problem(), "chain_file": "arm.json"}
+    chain = problem.pop("chain")
+    chain["joints"][1]["parent"] = 0.7
+    (tmp_path / "arm.json").write_text(json.dumps(chain))
+    code, err = _run_json_input(tmp_path, "problem", problem)
+    assert code == 1, err
+    _exits_one_naming(tmp_path, "problem", err,
+                      f"problem.json: {tmp_path / 'arm.json'}: joints[1].parent must be an integer")
 
 
 def _mutations(x, path=()):

@@ -449,7 +449,7 @@ class TestClipExportAndIo:
                 }
             ],
         }
-        problem = problem_from_dict(data)
+        problem, init = problem_from_dict(data)
         assert problem.weights.smoothness == 0.3
         assert problem.segments == (("kp_shoulder", "kp_elbow"), ("kp_elbow", "kp_wrist"))
         assert "hand" in problem.frames[0].rotations
@@ -460,3 +460,8 @@ class TestClipExportAndIo:
         )
         assert np.allclose(report.blocks["global"], 0.0, atol=1e-12)
         assert np.allclose(report.blocks["ee_rotation"], 0.0, atol=1e-12)
+        # no `init` key: one identity root pose and mid-range joint angles per frame
+        assert len(init.root_poses) == 1
+        assert np.array_equal(init.root_poses[0].position, np.zeros(3))
+        assert np.array_equal(init.root_poses[0].orientation, quat_identity())
+        assert np.array_equal(init.joint_angles, [chain.joint_limits().mean(axis=1)])

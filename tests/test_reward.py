@@ -312,3 +312,22 @@ class TestConfigAndBatch:
         assert [r["hit_sparse"] > 0.0 for r in rows] == [True, True, False, False, True, True, False, False]
         # recovery runs only after impact; -0.0 is not after impact
         assert [r["recovery"] > 0.0 for r in rows] == [False, False, False, True, False, True, False, True]
+
+    @pytest.mark.parametrize("lines, message", [
+        (["t,tth,hit_sq_0,rec_sq_0,rec_sq_1,rec_sq_2", "0.0,0.0,0,0,0,0"],
+         "missing column(s) hit_sq_1"),
+        (["t,tth,hit_sq_0,hit_sq_1,rec_sq_0,rec_sq_1,rec_sq_2", "0.0,0.0,0,0,0,0,0",
+          "0.1,0.0,0,abc,0,0,0"], "row 2: could not convert string to float: 'abc'"),
+        (["t,tth,hit_sq_0,hit_sq_1,rec_sq_0,rec_sq_1,rec_sq_2", "0.0,0.0,0,0"],
+         "row 1: float() argument must be"),
+        (["t,tth,hit_sq_0,hit_sq_1,rec_sq_0,rec_sq_1,rec_sq_2", "0.0,nan,0,0,0,0,0"],
+         "row 1 has a non-finite value"),
+        (["t,tth,hit_sq_0,hit_sq_1,rec_sq_0,rec_sq_1,rec_sq_2,d", "0.0,0.0,0,0,0,0,0,inf"],
+         "row 1 has a non-finite value"),
+    ], ids=["no-hit_sq_1", "cell-abc", "short-row", "nan-tth", "inf-d"])
+    def test_score_episode_csv_bad_input_names_file_and_row(self, tmp_path, lines, message):
+        path = tmp_path / "episode.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            score_episode_csv(path, CFG)
+        assert str(info.value).startswith(f"{path}: {message}"), info.value

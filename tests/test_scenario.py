@@ -20,7 +20,6 @@ from shuttlekit.scenario import (
     load_manifold_points,
     sample_randomization,
     sample_rhythm_interval,
-    save_episode_csv,
     save_manifold,
     serve_trajectory,
     strike_volume,
@@ -389,18 +388,19 @@ class TestIo:
         assert np.allclose(loaded[7].position, manifold.points[7].position)
         assert loaded[7].source == manifold.points[7].source
 
-    def test_episode_csv_round_trip(self, tmp_path):
-        logs = [
-            EpisodeRecord(0, True, np.array([0.01, -0.02, 0.03]), landed=True,
-                          in_bounds=True, cleared_net=True, return_speed=7.5),
-            EpisodeRecord(1, False, None),
-        ]
+    def test_episode_csv_reads_every_column(self, tmp_path):
         path = tmp_path / "episodes.csv"
-        save_episode_csv(logs, path)
+        path.write_text(
+            "serve_id,intercepted,dx,dy,dz,landing,in_bounds,cleared_net,speed\n"
+            "0,1,0.01,-0.02,0.03,1,1,1,7.5\n"
+            "1,0,,,,0,0,0,0\n"
+        )
         loaded = load_episode_csv(path)
         assert loaded[0].intercepted
         assert np.allclose(loaded[0].impact_offset, [0.01, -0.02, 0.03])
         assert loaded[0].return_speed == 7.5
+        assert (loaded[0].serve_id, loaded[1].serve_id) == (0, 1)
+        assert loaded[0].landed and loaded[0].in_bounds and loaded[0].cleared_net
         assert not loaded[1].intercepted
         assert loaded[1].impact_offset is None
 

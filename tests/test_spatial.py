@@ -1,4 +1,6 @@
+import inspect
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from conftest import arm_chain, planar_two_link, poses, random_pose, random_quat, vec3
+from shuttlekit import spatial
 from shuttlekit.shuttle import ShuttleState
 from shuttlekit.spatial import (
     Box,
@@ -353,3 +356,12 @@ class TestChainIo:
         data["joints"][1]["limits"] = [1.0, -1.0]
         with pytest.raises(ValueError):
             chain_from_dict(data)
+
+
+def test_json_load_is_called_only_in_load_json():
+    """Every JSON input is read by spatial._load_json, which names the file in
+    any error; a second reader would not."""
+    package = Path(spatial.__file__).parent
+    calls = {p.name: p.read_text().count("json.load(") for p in package.glob("*.py")}
+    assert {name: n for name, n in calls.items() if n} == {"spatial.py": 1}
+    assert "json.load(" in inspect.getsource(spatial._load_json)
