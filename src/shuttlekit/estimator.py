@@ -41,10 +41,9 @@ class EkfBelief:
             raise ValueError("mean has non-finite components")
         if cov.shape != (6, 6):
             raise ValueError(f"covariance must have shape (6, 6), got {cov.shape}")
-        # written so that NaN fails: a NaN or infinite entry makes the asymmetry NaN
-        if not abs(cov - cov.T).max() <= 1e-9:
-            if not np.isfinite(cov).all():
-                raise NumericalFailureError("covariance has non-finite entries")
+        if not all(map(math.isfinite, cov.ravel().tolist())):
+            raise NumericalFailureError("covariance has non-finite entries")
+        if not (cov - cov.T).max() <= 1e-9:  # antisymmetric: its max is its largest magnitude
             raise NumericalFailureError("covariance is not symmetric")
         if not np.linalg.eigvalsh(cov)[0] >= -1e-9:  # eigenvalues come in ascending order
             raise NumericalFailureError("covariance is not positive semidefinite")

@@ -3,8 +3,10 @@
 Each frame is solved as a damped least-squares problem over the root pose
 and joint angles (root orientation updated through rotation-vector
 increments), warm-started from the previous solved frame and tied to it by
-a smoothness residual. Morphological scales (one global, one per segment)
-can be solved jointly on the first frame and are then held fixed.
+a smoothness residual. One pass over the cost terms writes each term's
+residual rows and analytic Jacobian rows together. Morphological scales
+(one global, one per segment) can be solved jointly on the first frame and
+are then held fixed.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ class RetargetProblem:
         frame_names.update(self.chain.end_effector_names())
         for kp, frame in self.keypoint_map.items():
             if frame not in frame_names:
-                raise ValueError(f"keypoint {kp!r} maps to unknown frame {frame!r}")
+                raise ValueError(f"keypoint_map.{kp} names no chain frame")
         for i, kf in enumerate(self.frames):
             for kp in kf.keypoints:
                 if kp not in self.keypoint_map:
@@ -148,9 +150,9 @@ class RetargetProblem:
         for i, seg in enumerate(self.segments):
             if len(seg) != 2 or not set(seg) <= self.keypoint_map.keys():
                 raise ValueError(f"segments[{i}] must be a pair of mapped keypoints, got {seg}")
-        for sphere in self.collision_spheres:
+        for i, sphere in enumerate(self.collision_spheres):
             if sphere.frame not in frame_names:
-                raise ValueError(f"collision sphere on unknown frame {sphere.frame!r}")
+                raise ValueError(f"collision_spheres[{i}].frame names no chain frame")
         object.__setattr__(self, "_rotation_targets", tuple(
             tuple((name, _quat(kf.rotations[name], f"frames[{i}].rotations.{name}").tolist())
                   for name in sorted(kf.rotations)) for i, kf in enumerate(self.frames)))
@@ -212,15 +214,13 @@ class ResidualReport:
 
     blocks: dict[str, Array]
 
-    def stacked(self) -> Array:
-        return np.concatenate([self.blocks[t] for t in TERM_ORDER])
 
-
-def _angle_between(u: Array, v: Array) -> Optional[float]:
+def _angle_between(u: Array, v: Array) -> Optional[tuple[float, float, float]]:
+    """The angle between u and v and their norms; None if either is shorter than 1e-9."""
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu < 1e-9 or nv < 1e-9:
         return None
-    return float(np.arccos(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0)))
+    return float(np.arccos(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))), nu, nv
 
 
 @dataclass(frozen=True)
@@ -247,83 +247,9 @@ def _frame_targets(p: RetargetProblem, frame: int) -> _FrameTargets:
     return _FrameTargets(
         tuple((p.keypoint_map[kp], kf.keypoints[kp]) for kp in sorted(kf.keypoints)),
         segments,
-        tuple(a for a in angles if a[2] is not None),
+        tuple((i, j, a[0]) for i, j, a in angles if a is not None),
         p._rotation_targets[frame],
     )
-
-
-def _frame_blocks(
-    p: RetargetProblem, tg: _FrameTargets, root: Pose, q: Array, g_scale: float,
-    l_scales: Array, prev: Optional[tuple[Pose, Array]],
-) -> tuple[ResidualReport, dict[str, Pose]]:
-    """The residual blocks, and the FK poses they were computed from."""
-    fk = forward_kinematics(p.chain, root, q)
-    g_block = [fk[name].position - g_scale * target for name, target in tg.keypoints]
-    g_res = np.concatenate(g_block) if g_block else np.zeros(0)
-
-    l_block = []
-    seg_fk: dict[int, Array] = {}
-    for si, (a, b, vec_tg) in tg.segments.items():
-        seg_fk[si] = vec_fk = fk[a].position - fk[b].position
-        s_l = l_scales[si] if si < l_scales.size else 1.0
-        l_block.append(vec_fk - s_l * g_scale * vec_tg)
-    for i, j, ang_tg in tg.angles:
-        ang_fk = _angle_between(seg_fk[i], seg_fk[j])
-        if ang_fk is not None:
-            l_block.append(np.array([ang_fk - ang_tg]))
-    l_res = np.concatenate(l_block) if l_block else np.zeros(0)
-
-    r_res = np.array([
-        _rotvec_between(q_tg, fk[name].orientation.tolist()) for name, q_tg in tg.rotations
-    ]).ravel()
-
-    centers = [fk[s.frame].transform_point(s.offset) for s in p.collision_spheres]
-    c_res = np.array([
-        max(0.0, radii - float(np.linalg.norm(centers[i] - centers[j])))
-        for i, j, radii in p._sphere_pairs
-    ])
-
-    lo, hi = p._limits
-    lim_res = np.maximum(0.0, lo - q) + np.maximum(0.0, q - hi)
-
-    if prev is None:
-        s_res = np.zeros(0)
-    else:
-        prev_root, prev_q = prev
-        s_res = np.concatenate(
-            [
-                root.position - prev_root.position,
-                quat_boxminus(root.orientation, prev_root.orientation),
-                q - prev_q,
-            ]
-        )
-
-    return ResidualReport(dict(zip(TERM_ORDER, (g_res, l_res, r_res, c_res, lim_res, s_res)))), fk
-
-
-def evaluate_residuals(
-    p: RetargetProblem, x: RetargetSolution, frame: int
-) -> ResidualReport:
-    """Raw residual blocks of one frame, in fixed term order.
-
-    global: FK keypoint minus globally scaled target position.
-    local:  segment vectors vs scaled target segment vectors, plus the
-            angle between adjacent segments vs the target angle.
-    ee_rotation: rotation-vector error of targeted frame orientations.
-    collision: pairwise hinge max(0, r_i + r_j - distance).
-    limit: hinge beyond each joint's [lo, hi].
-    smooth: finite difference of root pose and joints vs the previous
-            frame (empty on frame 0).
-    """
-    if not 0 <= frame < len(p.frames):
-        raise ValueError(f"frame index {frame} out of range")
-    if frame >= x.n_frames:
-        raise ValueError("solution has no state for the requested frame")
-    prev = None
-    if frame > 0:
-        prev = (x.root_poses[frame - 1], x.joint_angles[frame - 1])
-    return _frame_blocks(p, _frame_targets(p, frame), x.root_poses[frame],
-                         x.joint_angles[frame], x.global_scale, x.local_scales, prev)[0]
 
 
 @dataclass
@@ -359,21 +285,6 @@ class _FrameIterate:
         return _FrameIterate(root, q, g_scale, l_scales, self.with_scales, self.with_root)
 
 
-def _weighted_residuals(
-    p: RetargetProblem,
-    it: _FrameIterate,
-    tg: _FrameTargets,
-    prev: Optional[tuple[Pose, Array]],
-) -> tuple[Array, ResidualReport, dict[str, Pose]]:
-    report, fk = _frame_blocks(p, tg, it.root, it.q, it.g_scale, it.l_scales, prev)
-    stacked = report.stacked()
-    if not np.all(np.isfinite(stacked)):
-        bad = [t for t in TERM_ORDER if not np.all(np.isfinite(report.blocks[t]))]
-        raise ValueError(f"non-finite residuals in terms: {bad}")
-    weighted = [w * report.blocks[t] for w, t in zip(p._sqrt_weights, TERM_ORDER)]
-    return np.concatenate(weighted), report, fk
-
-
 def _skew(v: Array) -> Array:
     """[v]x of each (..., 3) row of v, as (..., 3, 3): [v]x w = v x w."""
     out = np.zeros(v.shape + (3,))
@@ -393,85 +304,151 @@ def _so3_inverse_jacobian(phi: Array, side: float) -> Array:
     return np.eye(3) + 0.5 * side * k + coef * (k @ k)
 
 
-def _jacobian(
+def _linearize(
     p: RetargetProblem, it: _FrameIterate, tg: _FrameTargets,
-    prev: Optional[tuple[Pose, Array]], fk: dict[str, Pose], report: ResidualReport,
-) -> Array:
-    """The weighted residuals' derivative in `it.apply`'s increment at `it`, from its FK
-    poses `fk` and unweighted blocks `report`.
+    prev: Optional[tuple[Pose, Array]], jacobian: bool = True,
+) -> tuple[Array, ResidualReport, Optional[Array]]:
+    """The weighted residuals at `it`, their unweighted blocks and, when `jacobian` is
+    set, their derivative in `it.apply`'s increment (else None). One pass over the
+    terms, in TERM_ORDER, writes each term's residual rows and Jacobian rows together:
+
+    global: FK keypoint minus globally scaled target position.
+    local:  segment vectors vs scaled target segment vectors, plus the
+            angle between adjacent segments vs the target angle (no row
+            while either segment is shorter than 1e-9).
+    ee_rotation: rotation-vector error log(R_target R^T) of targeted frame orientations.
+    collision: pairwise hinge max(0, r_i + r_j - distance).
+    limit: hinge beyond each joint's [lo, hi].
+    smooth: finite difference of root pose and joints vs the previous
+            frame (empty on frame 0).
 
     Each pose column is a twist: a turn w and the velocity v0 of the world origin, so a
     point p carried along moves by v0 + w x p. Joint k turns about its world axis a_k
     through its origin o_k (Murray, Li & Sastry 1994, 3.4), the root increment about the
     root; a frame is moved only by the columns `p._moved_by` gives it.
     """
-    n, index = it.q.size, p._frame_index
+    n, index, root, q = it.q.size, p._frame_index, it.root, it.q
+    poses = list(forward_kinematics(p.chain, root, q).values())  # in `p._frame_index` order
+    pos = np.array([f.position for f in poses])
+    rows = (3 * (len(tg.keypoints) + len(tg.segments) + len(tg.rotations)) + len(tg.angles)
+            + len(p._sphere_pairs) + n + (0 if prev is None else 6 + n))
+    res, jac = np.empty(rows), None
     k0 = 6 if it.with_root else 0  # the first joint column
     n_pose = k0 + n
-    poses = list(fk.values())  # joints first, in `p._frame_index` order
-    pos = np.array([f.position for f in poses])
-    quats = np.array([f.orientation for f in poses[:n]]).reshape(n, 4)
-    twice = 2.0 * np.cross(quats[:, 1:], p._axes)  # a_k = q axis_k q^-1, row by row
-    axes = p._axes + quats[:, :1] * twice + np.cross(quats[:, 1:], twice)
-    turn, origin = np.zeros((3, n_pose)), np.zeros((3, n_pose))
-    turn[:, k0:], origin[:, k0:] = axes.T, np.cross(pos[:n], axes).T
-    if k0:
-        turn[:, 3:6], origin[:, :3], origin[:, 3:6] = np.eye(3), np.eye(3), _skew(it.root.position)
-    moved_by = p._moved_by[:, 6 - k0 :]
+    if jacobian:
+        quats = np.array([f.orientation for f in poses[:n]]).reshape(n, 4)
+        twice = 2.0 * np.cross(quats[:, 1:], p._axes)  # a_k = q axis_k q^-1, row by row
+        axes = p._axes + quats[:, :1] * twice + np.cross(quats[:, 1:], twice)
+        turn, origin = np.zeros((3, n_pose)), np.zeros((3, n_pose))
+        turn[:, k0:], origin[:, k0:] = axes.T, np.cross(pos[:n], axes).T
+        if k0:
+            turn[:, 3:6], origin[:, :3], origin[:, 3:6] = np.eye(3), np.eye(3), _skew(root.position)
+        moved_by = p._moved_by[:, 6 - k0 :]
 
-    def carried(points: Array, frames) -> Array:
-        """(m, 3, n_pose) columns of (m, 3) points carried by the given frames."""
-        return (origin - _skew(points) @ turn) * moved_by[frames][:, None, :]
+        def carried(points: Array, frames) -> Array:
+            """(m, 3, n_pose) columns of (m, 3) points carried by the given frames."""
+            return (origin - _skew(points) @ turn) * moved_by[frames][:, None, :]
 
-    frame_cols = carried(pos, slice(None))
-    jac = np.zeros((report.stacked().size, it.dim()))
-    row = 0
+        frame_cols = carried(pos, slice(None))
+        jac = np.zeros((rows, it.dim()))
+
+    row, bounds = 0, [0]  # each term's first row, then the end
     for name, target in tg.keypoints:  # global
-        jac[row : row + 3, :n_pose] = frame_cols[index[name]]
-        if it.with_scales:
-            jac[row : row + 3, n_pose] = -target
+        res[row : row + 3] = pos[index[name]] - it.g_scale * target
+        if jacobian:
+            jac[row : row + 3, :n_pose] = frame_cols[index[name]]
+            if it.with_scales:
+                jac[row : row + 3, n_pose] = -target
         row += 3
-    segments = {}
+    bounds.append(row)
+    segments = {}  # segment index -> (FK segment vector, its Jacobian rows)
     for si, (a, b, vec_tg) in tg.segments.items():  # local: segment vectors
-        segments[si] = pos[index[a]] - pos[index[b]], frame_cols[index[a]] - frame_cols[index[b]]
-        jac[row : row + 3, :n_pose] = segments[si][1]
-        if it.with_scales:
-            jac[row : row + 3, n_pose] = -it.l_scales[si] * vec_tg
-            jac[row : row + 3, n_pose + 1 + si] = -it.g_scale * vec_tg
+        u = pos[index[a]] - pos[index[b]]
+        segments[si] = u, frame_cols[index[a]] - frame_cols[index[b]] if jacobian else None
+        s_l = it.l_scales[si] if si < it.l_scales.size else 1.0
+        res[row : row + 3] = u - s_l * it.g_scale * vec_tg
+        if jacobian:
+            jac[row : row + 3, :n_pose] = segments[si][1]
+            if it.with_scales:
+                jac[row : row + 3, n_pose] = -it.l_scales[si] * vec_tg
+                jac[row : row + 3, n_pose + 1 + si] = -it.g_scale * vec_tg
         row += 3
-    for i, j, _ in tg.angles:  # local: the angle between segments u and v
+    for i, j, ang_tg in tg.angles:  # local: the angle between segments u and v
         (u, ju), (v, jv) = segments[i], segments[j]
         angle = _angle_between(u, v)
         if angle is None:
-            continue  # the residual has no row either
-        nu, nv, c, sin = np.linalg.norm(u), np.linalg.norm(v), math.cos(angle), math.sin(angle)
-        if sin >= 1e-12:  # below, the angle has no derivative
-            u, v = u / nu, v / nv
+            continue  # no row: the rows after it move up, and the unused ones are trimmed
+        angle, nu, nv = angle
+        res[row] = angle - ang_tg
+        sin = math.sin(angle)
+        if jacobian and sin >= 1e-12:  # below, the angle has no derivative
+            c, u, v = math.cos(angle), u / nu, v / nv
             jac[row, :n_pose] = -((v - c * u) / nu @ ju + (u - c * v) / nv @ jv) / sin
         row += 1
-    for (name, _), r in zip(tg.rotations, report.blocks["ee_rotation"].reshape(-1, 3)):
-        turned = turn * moved_by[index[name]]  # ee_rotation, log(R_target R^T)
-        jac[row : row + 3, :n_pose] = -_so3_inverse_jacobian(r, 1.0) @ turned
+    bounds.append(row)
+    for name, q_tg in tg.rotations:  # ee_rotation
+        res[row : row + 3] = _rotvec_between(q_tg, poses[index[name]].orientation.tolist())
+        if jacobian:
+            jac[row : row + 3, :n_pose] = (-_so3_inverse_jacobian(res[row : row + 3], 1.0)
+                                           @ (turn * moved_by[index[name]]))
         row += 3
+    bounds.append(row)
     if p._sphere_pairs:  # collision
-        centers = np.array([fk[s.frame].transform_point(s.offset) for s in p.collision_spheres])
-        sphere_cols = carried(centers, [index[s.frame] for s in p.collision_spheres])
-        for (i, j, _), depth in zip(p._sphere_pairs, report.blocks["collision"]):
+        frames = [index[s.frame] for s in p.collision_spheres]
+        centers = np.array([poses[f].transform_point(s.offset)
+                            for f, s in zip(frames, p.collision_spheres)])
+        sphere_cols = carried(centers, frames) if jacobian else None
+        for i, j, radii in p._sphere_pairs:
             d = centers[i] - centers[j]
-            if depth > 0.0 and d.any():
-                jac[row, :n_pose] = -d / np.linalg.norm(d) @ (sphere_cols[i] - sphere_cols[j])
+            dist = float(np.linalg.norm(d))
+            res[row] = max(0.0, radii - dist)
+            if jacobian and res[row] > 0.0 and d.any():
+                jac[row, :n_pose] = -d / dist @ (sphere_cols[i] - sphere_cols[j])
             row += 1
+    bounds.append(row)
     lo, hi = p._limits  # limit
     diag = np.arange(n)
-    jac[row + diag, k0 + diag] = np.where(it.q < lo, -1.0, np.where(it.q > hi, 1.0, 0.0))
+    res[row : row + n] = np.maximum(0.0, lo - q) + np.maximum(0.0, q - hi)
+    if jacobian:
+        jac[row + diag, k0 + diag] = np.where(q < lo, -1.0, np.where(q > hi, 1.0, 0.0))
+    row += n
+    bounds.append(row)
     if prev is not None:  # smooth
-        row += n
-        jac[row + 6 + diag, k0 + diag] = 1.0
-        if k0:
-            jac[row : row + 3, :3] = np.eye(3)
-            jac[row + 3 : row + 6, 3:6] = _so3_inverse_jacobian(report.blocks["smooth"][3:6], -1.0)
-    sizes = [report.blocks[t].size for t in TERM_ORDER]
-    return jac * np.repeat(p._sqrt_weights, sizes)[:, None]
+        prev_root, prev_q = prev
+        res[row : row + 3] = root.position - prev_root.position
+        res[row + 3 : row + 6] = quat_boxminus(root.orientation, prev_root.orientation)
+        res[row + 6 : row + 6 + n] = q - prev_q
+        if jacobian:
+            jac[row + 6 + diag, k0 + diag] = 1.0
+            if k0:
+                jac[row : row + 3, :3] = np.eye(3)
+                jac[row + 3 : row + 6, 3:6] = _so3_inverse_jacobian(res[row + 3 : row + 6], -1.0)
+        row += 6 + n
+    bounds.append(row)
+
+    res = res[:row]
+    report = ResidualReport({t: res[a:b] for t, a, b in zip(TERM_ORDER, bounds, bounds[1:])})
+    if not np.all(np.isfinite(res)):
+        bad = [t for t in TERM_ORDER if not np.all(np.isfinite(report.blocks[t]))]
+        raise ValueError(f"non-finite residuals in terms: {bad}")
+    weights = np.repeat(p._sqrt_weights, [b - a for a, b in zip(bounds, bounds[1:])])
+    if jacobian:
+        jac = jac[:row] * weights[:, None]
+    return res * weights, report, jac
+
+
+def evaluate_residuals(
+    p: RetargetProblem, x: RetargetSolution, frame: int
+) -> ResidualReport:
+    """Raw residual blocks of one frame, in TERM_ORDER; `_linearize` states each term."""
+    if not 0 <= frame < len(p.frames):
+        raise ValueError(f"frame index {frame} out of range")
+    if frame >= x.n_frames:
+        raise ValueError("solution has no state for the requested frame")
+    prev = (x.root_poses[frame - 1], x.joint_angles[frame - 1]) if frame > 0 else None
+    it = _FrameIterate(x.root_poses[frame], x.joint_angles[frame], x.global_scale,
+                       x.local_scales, False)
+    return _linearize(p, it, _frame_targets(p, frame), prev, jacobian=False)[1]
 
 
 def _solve_frame(
@@ -483,19 +460,18 @@ def _solve_frame(
 ) -> tuple[_FrameIterate, ResidualReport]:
     """Levenberg-Marquardt over one frame's increment vector.
 
-    Returns the final iterate and the residual report evaluated at it.
+    Returns the final iterate and the residual report evaluated at it. Every trial is
+    linearized with its Jacobian, which the next step uses if the trial is accepted.
     """
     lam = 1e-3
-    r, report, fk = _weighted_residuals(p, it, tg, prev)
+    r, report, jac = _linearize(p, it, tg, prev)
     cost = float(np.dot(r, r))
     if cost_trace is not None:
         cost_trace.append(cost)
     dim = it.dim()
     for _ in range(_LM_MAX_ITERS):
-        jac = _jacobian(p, it, tg, prev, fk, report)
         jtj = jac.T @ jac
         jtr = jac.T @ r
-        accepted = False
         while lam <= 1e12:
             try:
                 delta = np.linalg.solve(jtj + lam * np.eye(dim), -jtr)
@@ -503,20 +479,19 @@ def _solve_frame(
                 lam *= 10.0
                 continue
             trial = it.apply(delta)
-            r_trial, trial_report, trial_fk = _weighted_residuals(p, trial, tg, prev)
+            r_trial, trial_report, trial_jac = _linearize(p, trial, tg, prev)
             trial_cost = float(np.dot(r_trial, r_trial))
             if trial_cost < cost:
                 converged = cost - trial_cost < _LM_REL_TOL * max(cost, 1e-30)
-                it, r, cost, report, fk = trial, r_trial, trial_cost, trial_report, trial_fk
+                it, r, cost, report, jac = trial, r_trial, trial_cost, trial_report, trial_jac
                 if cost_trace is not None:
                     cost_trace.append(cost)
                 lam = max(lam / 10.0, 1e-12)
-                accepted = True
                 if converged:
                     return it, report
                 break
             lam *= 10.0
-        if not accepted:
+        else:  # no damping gave a lower cost
             return it, report
     return it, report
 

@@ -169,7 +169,7 @@ def hit_quality_reward(
 
 def style_reward(d: float) -> float:
     """Clamped quadratic score of the discriminator output: max(0, 1 - 0.25 (d-1)^2)."""
-    return max(0.0, 1.0 - 0.25 * (d - 1.0) ** 2)
+    return max(0.0, 1.0 - 0.25 * ((d - 1.0) * (d - 1.0)))  # inf, not OverflowError, for huge d
 
 
 def total_reward(task: float, style: float, c: RewardConfig) -> float:

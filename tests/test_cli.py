@@ -1065,11 +1065,16 @@ def test_valid_json_inputs_setting_every_key_run(tmp_path, fmt):
      "frames[1].keypoints.kp_extra has no mapping in keypoint_map"),
     ("problem", lambda d: d["frames"][0]["rotations"].update(elbow=[2.0, 0.0, 0.0, 0.0]),
      "frames[0].rotations.elbow is not unit norm (|q| = 2.0)"),
+    ("problem", lambda d: d["keypoint_map"].update(kp_hand="nope"),
+     "keypoint_map.kp_hand names no chain frame"),
+    ("problem", lambda d: d["collision_spheres"][0].update(frame="nope"),
+     "collision_spheres[0].frame names no chain frame"),
     ("config", lambda d: d["track"].update(horizon=True), "track.horizon must be a number"),
 ], ids=["params-mass-true", "params-axsi_damping", "state-axsi", "dataset-t-true", "dataset-scr",
         "problem-optimize_scales-string", "problem-optimise_scales", "chain-parent-fraction",
         "chain-limits-true", "problem-rotation-frame", "problem-keypoint-name",
-        "problem-rotation-not-unit", "config-horizon-true"])
+        "problem-rotation-not-unit", "problem-keypoint-frame", "problem-sphere-frame",
+        "config-horizon-true"])
 def test_json_input_defect_exits_one_naming_the_file_and_key(tmp_path, fmt, edit, key_path):
     content = json.loads(json.dumps(JSON_INPUTS[fmt][1]))
     edit(content)

@@ -88,10 +88,11 @@ class TestBelief:
 
     @pytest.mark.parametrize("i", range(6))
     def test_nan_on_covariance_diagonal_rejected(self, i):
-        cov = np.eye(6)
-        cov[i, i] = np.nan
-        with pytest.raises(NumericalFailureError, match="^covariance has non-finite entries$"):
-            EkfBelief(np.zeros(6), cov)
+        for value in (np.nan, np.inf):
+            cov = np.eye(6)
+            cov[i, i] = value
+            with pytest.raises(NumericalFailureError, match="^covariance has non-finite entries$"):
+                EkfBelief(np.zeros(6), cov)
 
     def test_symmetric_nan_pair_rejected(self):
         cov = np.eye(6)

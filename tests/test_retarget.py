@@ -8,8 +8,7 @@ from shuttlekit.retarget import (
     TERM_ORDER,
     _FrameIterate,
     _frame_targets,
-    _jacobian,
-    _weighted_residuals,
+    _linearize,
     CollisionSphere,
     KeypointFrame,
     RetargetProblem,
@@ -250,8 +249,8 @@ def _central_differences(p, it, tg, prev, h=1e-6):
     for k in range(it.dim()):
         step = np.zeros(it.dim())
         step[k] = h
-        plus = _weighted_residuals(p, it.apply(step), tg, prev)[0]
-        minus = _weighted_residuals(p, it.apply(-step), tg, prev)[0]
+        plus = _linearize(p, it.apply(step), tg, prev, jacobian=False)[0]
+        minus = _linearize(p, it.apply(-step), tg, prev, jacobian=False)[0]
         columns.append((plus - minus) / (2.0 * h))
     return np.stack(columns, axis=1)
 
@@ -321,7 +320,7 @@ def _away_from_kinks(problem, it, tg, prev):
     for i, j, radii in problem._sphere_pairs:
         if abs(radii - np.linalg.norm(centers[i] - centers[j])) < 1e-4:
             return False
-    report = _weighted_residuals(problem, it, tg, prev)[1]
+    report = _linearize(problem, it, tg, prev, jacobian=False)[1]
     rotvecs = report.blocks["ee_rotation"].reshape(-1, 3)
     if prev is not None:
         rotvecs = np.vstack([rotvecs, report.blocks["smooth"][3:6]])
@@ -334,11 +333,23 @@ def test_jacobian_matches_central_differences(state):
     problem, it, prev = state
     tg = _frame_targets(problem, 0)
     assume(_away_from_kinks(problem, it, tg, prev))
-    _, report, fk = _weighted_residuals(problem, it, tg, prev)
-    analytic = _jacobian(problem, it, tg, prev, fk, report)
-    assert analytic.shape == (report.stacked().size, it.dim())
+    r, _, analytic = _linearize(problem, it, tg, prev)
+    assert analytic.shape == (r.size, it.dim())
     assert np.allclose(analytic, _central_differences(problem, it, tg, prev),
                        rtol=1e-6, atol=1e-6)
+
+
+@given(frame_states())
+def test_linearize_without_jacobian_gives_the_same_residuals(state):
+    problem, it, prev = state
+    tg = _frame_targets(problem, 0)
+    r, report, _ = _linearize(problem, it, tg, prev)
+    r_only, report_only, jac = _linearize(problem, it, tg, prev, jacobian=False)
+    assert jac is None and r_only.tobytes() == r.tobytes()
+    for t in TERM_ORDER:
+        assert report_only.blocks[t].tobytes() == report.blocks[t].tobytes()
+    weighted = [np.sqrt(problem.weights.for_term(t)) * report.blocks[t] for t in TERM_ORDER]
+    assert np.concatenate(weighted).tobytes() == r.tobytes()
 
 
 class TestScales:

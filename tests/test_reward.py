@@ -179,7 +179,7 @@ class TestStyleReward:
         assert [d for d, v in zip(grid, values) if v == 1.0] == [1.0]
 
     def test_zero_outside_two(self):
-        for d in (-1.0, -2.5, 3.0, 4.0):
+        for d in (-1.0, -2.5, 3.0, 4.0, 1e200, -1e200, 1.4e154):
             if abs(d - 1.0) >= 2.0:
                 assert style_reward(d) == 0.0
 
@@ -275,6 +275,7 @@ class TestConfigAndBatch:
             "t,tth,hit_sq_0,hit_sq_1,rec_sq_0,rec_sq_1,rec_sq_2,d\n"
             "0.0,0.0,0.0,0.0,0.0,0.0,0.0,1.0\n"
             "0.1,-0.5,0.0,0.0,0.0,0.0,0.0,0.0\n"
+            "0.2,-0.5,0.0,0.0,0.0,0.0,0.0,1e200\n"
         )
         rows = score_episode_csv(path, CFG)
         assert rows[0]["hit"] == pytest.approx(1.0)
@@ -285,6 +286,7 @@ class TestConfigAndBatch:
         assert rows[1]["total"] == pytest.approx(
             CFG.w_task * (rows[1]["hit"] + rows[1]["recovery"]) + CFG.w_style * 0.75
         )
+        assert rows[2]["style"] == 0.0
 
         # every gate edge, with squared errors that are exact squares, so each
         # row equals the public kernels on deltas of length 0, 0.5, 1 and 1.5
