@@ -198,6 +198,9 @@ def cmd_retarget(cfg: RunConfig, problem_path: str, out_dir: str) -> int:
     problem, init = _load_json(
         problem_path, lambda data: retarget.problem_from_dict(data, base, cfg.chain))
     solution, costs = retarget.solve_retarget(problem, init)
+    overflow = [f"{t} {c}" for t, c in costs.items() if not math.isfinite(c)]
+    if overflow:
+        raise ValueError(f"{problem_path}: cost overflows ({', '.join(overflow)})")
     times = [f.t for f in problem.frames]
     clip = retarget.solution_to_clip(solution, times)
     os.makedirs(out_dir, exist_ok=True)

@@ -9,6 +9,7 @@ the exact derivative of that step.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .goal import StrikeTarget
 from .shuttle import ShuttleParams, Trajectory, _rk4_step, transition_jacobian
-from .spatial import Box, Pose, quat_identity
+from .spatial import Box, Pose, _csv_records, _write_csv, quat_identity
 
 Array = np.ndarray
 
@@ -242,30 +243,24 @@ def track_measurements(
 # File formats
 
 
+_MEASUREMENT_COLUMNS = ("t", "x", "y", "z")
+
+
 def load_measurements_csv(path) -> tuple[Array, Array]:
-    """Read `t,x,y,z` rows. Returns (times, positions)."""
-    with open(path) as f:
-        lines = [ln for ln in f.read().splitlines()[1:] if ln.strip()]
-    if not lines:
+    """Read the columns `t,x,y,z`, by header name. Returns (times, positions)."""
+
+    def read(row):
+        values = [float(row[c]) for c in _MEASUREMENT_COLUMNS]
+        return values, values
+
+    # an empty file has no header to check
+    rows = _csv_records(path, _MEASUREMENT_COLUMNS, read) if os.path.getsize(path) else []
+    if not rows:
         raise ValueError(f"no measurements in {path}")
-    rows = []
-    for k, ln in enumerate(lines, start=1):
-        try:
-            rows.append([float(v) for v in ln.split(",")])
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {k}: {exc}") from exc
-        if len(rows[-1]) != 4:
-            raise ValueError(f"{path}: row {k} has {len(rows[-1])} cells, expected 4 (t,x,y,z)")
     data = np.array(rows)
-    bad = ~np.isfinite(data).all(axis=1)
-    if bad.any():
-        raise ValueError(f"{path}: row {int(np.argmax(bad)) + 1} has a non-finite value")
-    return data[:, 0], data[:, 1:4]
+    return data[:, 0], data[:, 1:]
 
 
 def save_filter_log_csv(rows: Array, path) -> None:
     """Write `t,mx,my,mz,mvx,mvy,mvz,nis` rows at 9 significant digits."""
-    with open(path, "w") as f:
-        f.write("t,mx,my,mz,mvx,mvy,mvz,nis\n")
-        for row in rows:
-            f.write(",".join(format(v, ".9g") for v in row) + "\n")
+    _write_csv(path, ("t", "mx", "my", "mz", "mvx", "mvy", "mvz", "nis"), rows)

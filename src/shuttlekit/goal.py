@@ -168,6 +168,10 @@ class ReferenceClip:
         times = tuple(f.t for f in frames)
         if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
             raise ValueError("frame times must be strictly increasing")
+        for i, f in enumerate(frames[1:], start=1):
+            if f.q.shape != frames[0].q.shape:
+                raise ValueError(f"frames[{i}].q has {f.q.size} angles, "
+                                 f"frames[0].q has {frames[0].q.size}")
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "_times", times)
         object.__setattr__(self, "hit_times", tuple(float(t) for t in self.hit_times))

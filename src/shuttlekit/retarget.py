@@ -135,29 +135,28 @@ class RetargetProblem:
                     f"frame times must be strictly increasing: frame {i} has t = {kf.t} "
                     f"after t = {self.frames[i - 1].t}"
                 )
-        frame_names = {j.name for j in self.chain.joints}
-        frame_names.update(self.chain.end_effector_names())
+        rows = self.chain.frame_rows
         for kp, frame in self.keypoint_map.items():
-            if frame not in frame_names:
+            if frame not in rows:
                 raise ValueError(f"keypoint_map.{kp} names no chain frame")
         for i, kf in enumerate(self.frames):
             for kp in kf.keypoints:
                 if kp not in self.keypoint_map:
                     raise ValueError(f"frames[{i}].keypoints.{kp} has no mapping in keypoint_map")
             for name in kf.rotations:
-                if name not in frame_names:
+                if name not in rows:
                     raise ValueError(f"frames[{i}].rotations.{name} names no chain frame")
         for i, seg in enumerate(self.segments):
             if len(seg) != 2 or not set(seg) <= self.keypoint_map.keys():
                 raise ValueError(f"segments[{i}] must be a pair of mapped keypoints, got {seg}")
         for i, sphere in enumerate(self.collision_spheres):
-            if sphere.frame not in frame_names:
+            if sphere.frame not in rows:
                 raise ValueError(f"collision_spheres[{i}].frame names no chain frame")
+        # what the residuals and their Jacobian need of the problem alone, built once, each
+        # frame by its FK row; a frame is moved by the root's six increments and its ancestors
         object.__setattr__(self, "_rotation_targets", tuple(
-            tuple((name, _quat(kf.rotations[name], f"frames[{i}].rotations.{name}").tolist())
+            tuple((rows[name], _quat(kf.rotations[name], f"frames[{i}].rotations.{name}").tolist())
                   for name in sorted(kf.rotations)) for i, kf in enumerate(self.frames)))
-        # what the residuals and their Jacobian need of the problem alone, built once;
-        # a frame is moved by the root's six increments and by its ancestor joints
         segs, spheres = self.segments, self.collision_spheres
         chain_frames, n = self.chain.joints + self.chain.end_effectors, self.chain.n_joints
         moved_by = np.ones((len(chain_frames), 6 + n))
@@ -165,9 +164,9 @@ class RetargetProblem:
             moved_by[i, 6:] = 0.0 if frame.parent < 0 else moved_by[frame.parent, 6:]
             if i < n:  # a joint's own angle moves its frame
                 moved_by[i, 6 + i] = 1.0
-        object.__setattr__(self, "_frame_index", {f.name: i for i, f in enumerate(chain_frames)})
         object.__setattr__(self, "_moved_by", moved_by)
         object.__setattr__(self, "_axes", np.array([j.axis for j in chain_frames[:n]]).reshape(n, 3))
+        object.__setattr__(self, "_sphere_rows", np.array([rows[s.frame] for s in spheres], int))
         object.__setattr__(self, "_limits", self.chain.joint_limits().T)
         object.__setattr__(self, "_adjacent_segments", tuple(
             (i, j) for i in range(len(segs)) for j in range(i + 1, len(segs))
@@ -199,8 +198,10 @@ class RetargetSolution:
             raise ValueError("one root pose per frame of joint angles required")
         object.__setattr__(self, "joint_angles", q)
         scales = np.asarray(self.local_scales, dtype=np.float64)
-        if self.global_scale <= 0 or np.any(scales <= 0):
-            raise ValueError("scales must be positive")
+        for name, scale in (("global_scale", self.global_scale), *(
+                (f"local_scales[{i}]", v) for i, v in enumerate(scales.ravel().tolist()))):
+            if not 0.0 < scale < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {scale}")
         object.__setattr__(self, "local_scales", scales)
 
     @property
@@ -227,16 +228,16 @@ def _angle_between(u: Array, v: Array) -> Optional[tuple[float, float, float]]:
 class _FrameTargets:
     """One frame's targets in residual order."""
 
-    keypoints: tuple  # (chain frame, target position), by keypoint name
-    segments: dict  # segment index -> (chain frame a, chain frame b, target a - b)
+    keypoints: tuple  # (FK row, target position), by keypoint name
+    segments: dict  # segment index -> (FK row of a, FK row of b, target a - b)
     angles: tuple  # (segment i, segment j, target angle) of adjacent segments
-    rotations: tuple  # (chain frame, unit target quaternion as floats), by frame name
+    rotations: tuple  # (FK row, unit target quaternion as floats), by frame name
 
 
 def _frame_targets(p: RetargetProblem, frame: int) -> _FrameTargets:
-    kf = p.frames[frame]
+    kf, rows, kmap = p.frames[frame], p.chain.frame_rows, p.keypoint_map
     segments = {
-        si: (p.keypoint_map[a], p.keypoint_map[b], kf.keypoints[a] - kf.keypoints[b])
+        si: (rows[kmap[a]], rows[kmap[b]], kf.keypoints[a] - kf.keypoints[b])
         for si, (a, b) in enumerate(p.segments)
         if a in kf.keypoints and b in kf.keypoints
     }
@@ -245,7 +246,7 @@ def _frame_targets(p: RetargetProblem, frame: int) -> _FrameTargets:
         for i, j in p._adjacent_segments if i in segments and j in segments
     ]
     return _FrameTargets(
-        tuple((p.keypoint_map[kp], kf.keypoints[kp]) for kp in sorted(kf.keypoints)),
+        tuple((rows[kmap[kp]], kf.keypoints[kp]) for kp in sorted(kf.keypoints)),
         segments,
         tuple((i, j, a[0]) for i, j, a in angles if a is not None),
         p._rotation_targets[frame],
@@ -325,14 +326,15 @@ def _linearize(
     Each pose column is a twist: a turn w and the velocity v0 of the world origin, so a
     point p carried along moves by v0 + w x p. Joint k turns about its world axis a_k
     through its origin o_k (Murray, Li & Sastry 1994, 3.4), the root increment about the
-    root; a frame is moved only by the columns `p._moved_by` gives it.
+    root. `tg` and `p` name every chain frame by its FK row (`chain.frame_rows`), which
+    indexes the FK poses, their positions and `p._moved_by`, the columns that move it.
     """
-    n, index, root, q = it.q.size, p._frame_index, it.root, it.q
-    poses = list(forward_kinematics(p.chain, root, q).values())  # in `p._frame_index` order
+    n, root, q = it.q.size, it.root, it.q
+    poses = list(forward_kinematics(p.chain, root, q).values())  # FK rows
     pos = np.array([f.position for f in poses])
-    rows = (3 * (len(tg.keypoints) + len(tg.segments) + len(tg.rotations)) + len(tg.angles)
-            + len(p._sphere_pairs) + n + (0 if prev is None else 6 + n))
-    res, jac = np.empty(rows), None
+    n_rows = (3 * (len(tg.keypoints) + len(tg.segments) + len(tg.rotations)) + len(tg.angles)
+              + len(p._sphere_pairs) + n + (0 if prev is None else 6 + n))
+    res, jac = np.empty(n_rows), None
     k0 = 6 if it.with_root else 0  # the first joint column
     n_pose = k0 + n
     if jacobian:
@@ -346,25 +348,25 @@ def _linearize(
         moved_by = p._moved_by[:, 6 - k0 :]
 
         def carried(points: Array, frames) -> Array:
-            """(m, 3, n_pose) columns of (m, 3) points carried by the given frames."""
+            """(m, 3, n_pose) columns of (m, 3) points carried by the frames at rows `frames`."""
             return (origin - _skew(points) @ turn) * moved_by[frames][:, None, :]
 
         frame_cols = carried(pos, slice(None))
-        jac = np.zeros((rows, it.dim()))
+        jac = np.zeros((n_rows, it.dim()))
 
     row, bounds = 0, [0]  # each term's first row, then the end
-    for name, target in tg.keypoints:  # global
-        res[row : row + 3] = pos[index[name]] - it.g_scale * target
+    for f, target in tg.keypoints:  # global
+        res[row : row + 3] = pos[f] - it.g_scale * target
         if jacobian:
-            jac[row : row + 3, :n_pose] = frame_cols[index[name]]
+            jac[row : row + 3, :n_pose] = frame_cols[f]
             if it.with_scales:
                 jac[row : row + 3, n_pose] = -target
         row += 3
     bounds.append(row)
     segments = {}  # segment index -> (FK segment vector, its Jacobian rows)
     for si, (a, b, vec_tg) in tg.segments.items():  # local: segment vectors
-        u = pos[index[a]] - pos[index[b]]
-        segments[si] = u, frame_cols[index[a]] - frame_cols[index[b]] if jacobian else None
+        u = pos[a] - pos[b]
+        segments[si] = u, frame_cols[a] - frame_cols[b] if jacobian else None
         s_l = it.l_scales[si] if si < it.l_scales.size else 1.0
         res[row : row + 3] = u - s_l * it.g_scale * vec_tg
         if jacobian:
@@ -386,18 +388,17 @@ def _linearize(
             jac[row, :n_pose] = -((v - c * u) / nu @ ju + (u - c * v) / nv @ jv) / sin
         row += 1
     bounds.append(row)
-    for name, q_tg in tg.rotations:  # ee_rotation
-        res[row : row + 3] = _rotvec_between(q_tg, poses[index[name]].orientation.tolist())
+    for f, q_tg in tg.rotations:  # ee_rotation
+        res[row : row + 3] = _rotvec_between(q_tg, poses[f].orientation.tolist())
         if jacobian:
             jac[row : row + 3, :n_pose] = (-_so3_inverse_jacobian(res[row : row + 3], 1.0)
-                                           @ (turn * moved_by[index[name]]))
+                                           @ (turn * moved_by[f]))
         row += 3
     bounds.append(row)
     if p._sphere_pairs:  # collision
-        frames = [index[s.frame] for s in p.collision_spheres]
         centers = np.array([poses[f].transform_point(s.offset)
-                            for f, s in zip(frames, p.collision_spheres)])
-        sphere_cols = carried(centers, frames) if jacobian else None
+                            for f, s in zip(p._sphere_rows, p.collision_spheres)])
+        sphere_cols = carried(centers, p._sphere_rows) if jacobian else None
         for i, j, radii in p._sphere_pairs:
             d = centers[i] - centers[j]
             dist = float(np.linalg.norm(d))
@@ -496,6 +497,7 @@ def _solve_frame(
     return it, report
 
 
+@np.errstate(over="ignore")  # a cost that overflows reads inf, which callers check
 def solve_retarget(
     p: RetargetProblem,
     init: RetargetSolution,

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spatial import REQUIRED, Pose, Twist, _check, _load_json, _vec3
+from .spatial import REQUIRED, Pose, Twist, _check, _load_json, _vec3, _write_csv
 
 Array = np.ndarray
 
@@ -351,11 +351,8 @@ def mechanical_energy(s: ShuttleState, p: ShuttleParams) -> float:
 
 def save_trajectory_csv(traj: Trajectory, path) -> None:
     """Write `t,x,y,z,vx,vy,vz` rows at 9 significant digits."""
-    with open(path, "w") as f:
-        f.write("t,x,y,z,vx,vy,vz\n")
-        for t, pos, vel in zip(traj.times, traj.positions, traj.velocities):
-            row = [t, *pos, *vel]
-            f.write(",".join(format(v, ".9g") for v in row) + "\n")
+    _write_csv(path, ("t", "x", "y", "z", "vx", "vy", "vz"),
+               np.column_stack((traj.times, traj.positions, traj.velocities)))
 
 
 PARAMS = {f.name: (REQUIRED if f.default is MISSING else f.default, float)

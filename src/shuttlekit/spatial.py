@@ -5,9 +5,9 @@ Quaternions are scalar-first ``[w, x, y, z]`` and kept canonical
 Orientation errors are expressed as rotation vectors (axis * angle).
 
 Every JSON input is read by `_load_json`, each object in it by `_check`
-against a key table, and the episode and reward CSVs by `_csv_records`;
-every number written goes through `_round_floats`: the input and the
-output side of one file format.
+against a key table, and every CSV input by `_csv_records`, by column name;
+every number written goes through `_round_floats`, and every CSV row through
+`_write_csv`: the input and the output side of each file format.
 """
 
 from __future__ import annotations
@@ -274,7 +274,8 @@ class EndEffector:
 
 @dataclass(frozen=True)
 class KinematicChain:
-    """Serial/tree chain of revolute joints with named end-effector frames."""
+    """Serial/tree chain of revolute joints with named end-effector frames. `frame_rows`
+    maps each frame name to its FK row: the joints, then the end effectors."""
 
     joints: tuple[Joint, ...]
     end_effectors: tuple[EndEffector, ...] = field(default_factory=tuple)
@@ -282,28 +283,20 @@ class KinematicChain:
     def __post_init__(self):
         object.__setattr__(self, "joints", tuple(self.joints))
         object.__setattr__(self, "end_effectors", tuple(self.end_effectors))
-        names = set()
-        for i, j in enumerate(self.joints):
-            if not -1 <= j.parent < i:
-                raise ValueError(
-                    f"joint {j.name!r} parent {j.parent} breaks topological order"
-                )
-            if j.name in names:
-                raise ValueError(f"duplicate frame name {j.name!r}")
-            names.add(j.name)
-        for ee in self.end_effectors:
-            if not -1 <= ee.parent < len(self.joints):
-                raise ValueError(f"end effector {ee.name!r} has invalid parent")
-            if ee.name in names:
-                raise ValueError(f"duplicate frame name {ee.name!r}")
-            names.add(ee.name)
-        # what forward_kinematics reads of each frame, as floats, built once
-        object.__setattr__(self, "_joint_consts", tuple(
-            (j.name, j.parent, tuple(j.offset.position.tolist()),
-             tuple(j.offset.orientation.tolist()), tuple(j.axis.tolist())) for j in self.joints))
-        object.__setattr__(self, "_ee_consts", tuple(
-            (e.name, e.parent, tuple(e.offset.position.tolist()),
-             tuple(e.offset.orientation.tolist())) for e in self.end_effectors))
+        n, rows, table = len(self.joints), {}, []
+        for i, f in enumerate(self.joints + self.end_effectors):
+            if not -1 <= f.parent < min(i, n):
+                raise ValueError(f"joint {f.name!r} parent {f.parent} breaks topological order"
+                                 if i < n else f"end effector {f.name!r} has invalid parent")
+            if f.name in rows:
+                raise ValueError(f"duplicate frame name {f.name!r}")
+            rows[f.name] = i
+            # what forward_kinematics reads of the frame, as floats; no axis on an end effector
+            table.append((f.parent, tuple(f.offset.position.tolist()),
+                          tuple(f.offset.orientation.tolist()),
+                          tuple(f.axis.tolist()) if i < n else None))
+        object.__setattr__(self, "frame_rows", rows)
+        object.__setattr__(self, "_fk_table", tuple(table))
 
     @property
     def n_joints(self) -> int:
@@ -346,14 +339,14 @@ def forward_kinematics(chain: KinematicChain, root: Pose, q) -> dict[str, Pose]:
         raise ValueError("joint angles must be finite")
     base = (tuple(root.position.tolist()), tuple(root.orientation.tolist()))
     frames: list[tuple] = []
-    for (_, parent, pos, quat, (ax, ay, az)), angle in zip(chain._joint_consts, angles):
+    for i, (parent, pos, quat, axis) in enumerate(chain._fk_table):
         origin, rot = _compose(base if parent < 0 else frames[parent], pos, quat)
-        s = math.sin(0.5 * angle)
-        frames.append((origin, _quat_product(rot, (math.cos(0.5 * angle), s * ax, s * ay, s * az))))
-    for _, parent, pos, quat in chain._ee_consts:
-        frames.append(_compose(base if parent < 0 else frames[parent], pos, quat))
-    names = [c[0] for c in chain._joint_consts + chain._ee_consts]
-    return {name: Pose(np.array(p), np.array(r)) for name, (p, r) in zip(names, frames)}
+        if axis is not None:  # a joint turns by its angle about its axis
+            half, (ax, ay, az) = 0.5 * angles[i], axis
+            s = math.sin(half)
+            rot = _quat_product(rot, (math.cos(half), s * ax, s * ay, s * az))
+        frames.append((origin, rot))
+    return {name: Pose(np.array(p), np.array(r)) for name, (p, r) in zip(chain.frame_rows, frames)}
 
 
 def _load_json(path, build):
@@ -367,24 +360,36 @@ def _load_json(path, build):
 
 
 def _csv_records(path, columns, read) -> list:
-    """`read(row)` of each row of the CSV file at `path`, whose header must name every
-    one of `columns`. `read` returns the row's record and the numbers it read; a cell
-    that does not parse, or a number that is not finite, names the file and the row."""
+    """`read(row)` of each row of the CSV file at `path`, as a dict by header name; the
+    header must name every one of `columns`, in any order. `read` returns the row's
+    record and the numbers it read; a row with a cell too many or too few, a cell that
+    does not parse, or a number that is not finite names the file and the row."""
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        rows = csv.reader(f)
+        header = next(rows, [])
+        missing = [c for c in columns if c not in header]
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
         records = []
-        for k, row in enumerate(reader, start=1):
+        for k, cells in enumerate(filter(None, rows), start=1):  # blank lines hold no row
+            if len(cells) != len(header):
+                raise ValueError(f"{path}: row {k} has {len(cells)} cells, expected {len(header)}")
             try:
-                record, numbers = read(row)
+                record, numbers = read(dict(zip(header, cells)))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: row {k}: {exc}") from exc
             if not all(map(math.isfinite, numbers)):
                 raise ValueError(f"{path}: row {k} has a non-finite value")
             records.append(record)
     return records
+
+
+def _write_csv(path, columns, rows) -> None:
+    """Write the header `columns`, then each row of numbers at 9 significant digits."""
+    with open(path, "w") as f:
+        f.write(",".join(columns) + "\n")
+        for row in np.asarray(rows, dtype=np.float64).tolist():
+            f.write(",".join(format(v, ".9g") for v in row) + "\n")
 
 
 def _round_floats(obj):
@@ -497,28 +502,13 @@ def chain_from_dict(data: Mapping) -> KinematicChain:
 
 
 def chain_to_dict(chain: KinematicChain) -> dict:
-    return {
-        "joints": [
-            {
-                "name": j.name,
-                "parent": j.parent,
-                "offset_pos": j.offset.position.tolist(),
-                "offset_quat": j.offset.orientation.tolist(),
-                "axis": j.axis.tolist(),
-                "limits": list(j.limits),
-            }
-            for j in chain.joints
-        ],
-        "end_effectors": [
-            {
-                "name": e.name,
-                "parent": e.parent,
-                "offset_pos": e.offset.position.tolist(),
-                "offset_quat": e.offset.orientation.tolist(),
-            }
-            for e in chain.end_effectors
-        ],
-    }
+    def frame(f) -> dict:  # the keys a joint and an end effector share
+        return {"name": f.name, "parent": f.parent, "offset_pos": f.offset.position.tolist(),
+                "offset_quat": f.offset.orientation.tolist()}
+
+    return {"joints": [{**frame(j), "axis": j.axis.tolist(), "limits": list(j.limits)}
+                       for j in chain.joints],
+            "end_effectors": [frame(e) for e in chain.end_effectors]}
 
 
 def load_chain(path) -> KinematicChain:

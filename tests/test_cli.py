@@ -569,6 +569,23 @@ class TestNonFiniteInputs:
         assert err.startswith(f"error: {path}: metrics overflow (MSE inf"), err
         assert not caught, [str(w.message) for w in caught]
 
+    def test_overflowing_retarget_cost_exits_one_without_a_warning(self, workdir, capsys):
+        """A finite keypoint whose squared residual overflows writes no Infinity."""
+        path = workdir / "problem.json"
+        tip = {"name": "tip", "parent": 0, "offset_pos": [1, 0, 0], "offset_quat": [1, 0, 0, 0]}
+        path.write_text(json.dumps({
+            "chain": {"joints": [{**tip, "name": "j", "parent": -1, "offset_pos": [0, 0, 0],
+                                  "axis": [0, 0, 1], "limits": [-1, 1]}],
+                      "end_effectors": [tip]},
+            "keypoint_map": {"kp": "tip"}, "fix_root": True,
+            "frames": [{"t": 0.0, "keypoints": {"kp": [1e200, 0, 0]}}],
+        }))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = _exit_one(workdir, capsys, "retarget", path)
+        assert err == f"error: {path}: cost overflows (global inf, total inf)\n", err
+        assert not caught, [str(w.message) for w in caught]
+
     @pytest.mark.parametrize("key, command", [("mass", "simulate"), ("drag_coeff", "track")])
     def test_non_finite_shuttle_param_names_it(self, workdir, capsys, key, command):
         (workdir / "params.json").write_text(json.dumps({**PARAMS, key: float("nan")}))
@@ -766,12 +783,40 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("line, message", [
         ("0.005,abc,0.0,2.02", "row 2: could not convert string to float: 'abc'"),
         ("0.005,5.97,2.02", "row 2 has 3 cells, expected 4"),
-    ], ids=["cell-abc", "three-cells"])
+        ("0.005,5.97,0.0,2.02,1", "row 2 has 5 cells, expected 4"),
+    ], ids=["cell-abc", "three-cells", "five-cells"])
     def test_bad_measurement_row_names_it(self, workdir, capsys, line, message):
         path = workdir / "meas.csv"
         path.write_text(f"t,x,y,z\n0.0,6.0,0.0,2.0\n{line}\n0.01,5.94,0.0,2.04\n")
         err = _exit_one(workdir, capsys, "track", path)
         assert err.startswith(f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("header, message", [
+        (None, "missing column(s) t, x, y, z"),
+        ("t,x,y", "missing column(s) z"),
+    ], ids=["no-header", "no-z-column"])
+    def test_measurement_file_without_a_column_exits_one(self, workdir, capsys, header,
+                                                         message):
+        """A file without a header loses no measurement to it: it names the columns."""
+        meas = _write_measurements(workdir)[0].read_text().splitlines()
+        path = workdir / "meas.csv"
+        body = meas[1:] if header is None else [header] + [r.rsplit(",", 1)[0] for r in meas[1:]]
+        path.write_text("\n".join(body) + "\n")
+        err = _exit_one(workdir, capsys, "track", path)
+        assert err == f"error: {path}: {message}\n", err
+
+    def test_measurement_columns_are_read_by_name(self, workdir):
+        """The columns in another order give byte-identical outputs."""
+        meas = _write_measurements(workdir)[0]
+        outputs = []
+        for order in ((0, 1, 2, 3), (1, 2, 3, 0)):
+            rows = [line.split(",") for line in meas.read_text().splitlines()]
+            path = workdir / "meas_by_name.csv"
+            path.write_text("".join(",".join(r[k] for k in order) + "\n" for r in rows))
+            assert main(["track", "--config", str(workdir / "config.json"), str(path)]) == 0
+            outputs.append([(workdir / "out" / f).read_bytes()
+                            for f in ("filter_log.csv", "strike_target.json")])
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("text, message", [
         (EPISODES.replace("1,0,,,,", "1,x,,,,"), "row 2: invalid literal"),

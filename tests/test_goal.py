@@ -277,3 +277,18 @@ class TestClipIo:
         )
         with pytest.raises(ValueError):
             ReferenceClip(frames)
+
+    def test_joint_vectors_of_another_length_rejected(self):
+        frames = tuple(ClipFrame(0.1 * k, Pose.identity(), np.zeros(3), np.zeros(3), np.zeros(n))
+                       for k, n in enumerate((3, 3, 2)))
+        message = r"^frames\[2\]\.q has 2 angles, frames\[0\]\.q has 3$"
+        with pytest.raises(ValueError, match=message):
+            ReferenceClip(frames)
+
+    def test_clip_file_with_joint_vectors_of_another_length_rejected(self):
+        data = clip_to_dict(_linear_clip())
+        data["frames"][1]["q"] = data["frames"][1]["q"][:-1]
+        n = len(data["frames"][0]["q"])
+        with pytest.raises(ValueError, match=rf"^frames\[1\]\.q has {n - 1} angles, "
+                                             rf"frames\[0\]\.q has {n}$"):
+            clip_from_dict(data)

@@ -309,7 +309,8 @@ def _away_from_kinks(problem, it, tg, prev):
     a hinge boundary, a zero-length or (anti)parallel segment pair, a rotation error
     near pi."""
     fk = forward_kinematics(problem.chain, it.root, it.q)
-    vectors = {si: fk[a].position - fk[b].position for si, (a, b, _) in tg.segments.items()}
+    pos = [f.position for f in fk.values()]  # by FK row, as the targets name frames
+    vectors = {si: pos[a] - pos[b] for si, (a, b, _) in tg.segments.items()}
     for i, j, _ in tg.angles:
         u, v = vectors[i], vectors[j]
         if min(np.linalg.norm(u), np.linalg.norm(v)) < 1e-3:
@@ -368,6 +369,20 @@ class TestScales:
         solution, costs = solve_retarget(problem, _identity_init(problem, 3))
         assert solution.global_scale == pytest.approx(0.8, abs=1e-4)
         assert costs["total"] < 1e-8
+
+    @pytest.mark.parametrize("global_scale, local_scales, message", [
+        (np.inf, [1.0], "global_scale must be positive and finite, got inf"),
+        (np.nan, [1.0], "global_scale must be positive and finite, got nan"),
+        (0.0, [1.0], "global_scale must be positive and finite, got 0.0"),
+        (1.0, [1.0, np.inf], r"local_scales\[1\] must be positive and finite, got inf"),
+        (1.0, [np.nan], r"local_scales\[0\] must be positive and finite, got nan"),
+        (1.0, [1.0, -0.5], r"local_scales\[1\] must be positive and finite, got -0.5"),
+    ], ids=["global-inf", "global-nan", "global-zero", "local-inf", "local-nan", "local-negative"])
+    def test_solution_rejects_a_scale_that_is_not_positive_and_finite(
+            self, global_scale, local_scales, message):
+        with pytest.raises(ValueError, match=message):
+            RetargetSolution((Pose.identity(),), [[0.0]], global_scale=global_scale,
+                             local_scales=local_scales)
 
 
 class TestGroundAlignment:

@@ -321,7 +321,7 @@ class TestConfigAndBatch:
         (["t,tth,hit_sq_0,hit_sq_1,rec_sq_0,rec_sq_1,rec_sq_2", "0.0,0.0,0,0,0,0,0",
           "0.1,0.0,0,abc,0,0,0"], "row 2: could not convert string to float: 'abc'"),
         (["t,tth,hit_sq_0,hit_sq_1,rec_sq_0,rec_sq_1,rec_sq_2", "0.0,0.0,0,0"],
-         "row 1: float() argument must be"),
+         "row 1 has 4 cells, expected 7"),
         (["t,tth,hit_sq_0,hit_sq_1,rec_sq_0,rec_sq_1,rec_sq_2", "0.0,nan,0,0,0,0,0"],
          "row 1 has a non-finite value"),
         (["t,tth,hit_sq_0,hit_sq_1,rec_sq_0,rec_sq_1,rec_sq_2,d", "0.0,0.0,0,0,0,0,0,inf"],

@@ -1,4 +1,5 @@
 import inspect
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from conftest import arm_chain, planar_two_link, poses, random_pose, random_quat, vec3
-from shuttlekit import spatial
+from shuttlekit import retarget, spatial
 from shuttlekit.shuttle import ShuttleState
 from shuttlekit.spatial import (
     Box,
@@ -357,6 +358,31 @@ class TestChainIo:
         with pytest.raises(ValueError):
             chain_from_dict(data)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["joints"][1].update(parent=1),
+         "joint 'elbow' parent 1 breaks topological order"),
+        (lambda d: d["joints"][0].update(parent=-2),
+         "joint 'shoulder' parent -2 breaks topological order"),
+        (lambda d: d["joints"][2].update(name="shoulder"), "duplicate frame name 'shoulder'"),
+        (lambda d: d["end_effectors"][0].update(parent=3),
+         "end effector 'hand' has invalid parent"),
+        (lambda d: d["end_effectors"][1].update(name="wrist"), "duplicate frame name 'wrist'"),
+        (lambda d: d["end_effectors"][2].update(name="hip_l"), "duplicate frame name 'hip_l'"),
+    ], ids=["joint-self-parent", "joint-parent-below-root", "joint-twice", "ee-parent-past-joints",
+            "ee-named-as-joint", "ee-twice"])
+    def test_chain_error_names_the_frame(self, edit, message):
+        data = chain_to_dict(arm_chain())
+        edit(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            chain_from_dict(data)
+
+    def test_frame_rows_are_the_fk_order(self):
+        chain = arm_chain()
+        assert chain.frame_rows == {"shoulder": 0, "elbow": 1, "wrist": 2,
+                                    "hand": 3, "hip_l": 4, "hip_r": 5}
+        fk = forward_kinematics(chain, Pose.identity(), np.zeros(3))
+        assert list(fk) == list(chain.frame_rows)
+
 
 def test_json_load_is_called_only_in_load_json():
     """Every JSON input is read by spatial._load_json, which names the file in
@@ -365,3 +391,21 @@ def test_json_load_is_called_only_in_load_json():
     calls = {p.name: p.read_text().count("json.load(") for p in package.glob("*.py")}
     assert {name: n for name, n in calls.items() if n} == {"spatial.py": 1}
     assert "json.load(" in inspect.getsource(spatial._load_json)
+
+
+def test_csv_is_parsed_only_in_spatial():
+    """Every CSV input is read by spatial._csv_records, which reads its columns by
+    header name and names the file and row in any error; a second parser would not."""
+    package = Path(spatial.__file__).parent
+    for needle in ("import csv", '.split(",")'):
+        found = {p.name for p in package.glob("*.py") if needle in p.read_text()}
+        assert found <= {"spatial.py"}, (needle, found)
+    assert "csv.reader(" in inspect.getsource(spatial._csv_records)
+
+
+def test_retarget_reads_fk_rows_by_the_chain_index():
+    """The chain alone orders its frames: retarget builds no frame index of its own,
+    and its linearization indexes FK rows with no name lookup."""
+    source = Path(retarget.__file__).read_text()
+    assert "_frame_index" not in source
+    assert "index[" not in inspect.getsource(retarget._linearize)
