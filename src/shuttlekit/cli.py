@@ -197,7 +197,10 @@ def cmd_retarget(cfg: RunConfig, problem_path: str, out_dir: str) -> int:
     # the run config's chain serves a problem that names none
     problem, init = _load_json(
         problem_path, lambda data: retarget.problem_from_dict(data, base, cfg.chain))
-    solution, costs = retarget.solve_retarget(problem, init)
+    try:
+        solution, costs = retarget.solve_retarget(problem, init)
+    except ValueError as exc:  # e.g. an LM step that overflows a pose
+        raise ValueError(f"{problem_path}: {exc}") from exc
     overflow = [f"{t} {c}" for t, c in costs.items() if not math.isfinite(c)]
     if overflow:
         raise ValueError(f"{problem_path}: cost overflows ({', '.join(overflow)})")

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .goal import StrikeTarget
-from .shuttle import ShuttleParams, Trajectory, _rk4_step, transition_jacobian
+from .shuttle import ShuttleParams, Trajectory, _check_dt, _rk4_step, transition_jacobian
 from .spatial import Box, Pose, _csv_records, _write_csv, quat_identity
 
 Array = np.ndarray
@@ -38,18 +38,26 @@ class EkfBelief:
         cov = np.asarray(self.covariance, dtype=np.float64)
         if mean.shape != (6,):
             raise ValueError(f"mean must have shape (6,), got {mean.shape}")
-        if not all(map(math.isfinite, mean.tolist())):
-            raise ValueError("mean has non-finite components")
         if cov.shape != (6, 6):
             raise ValueError(f"covariance must have shape (6, 6), got {cov.shape}")
-        if not all(map(math.isfinite, cov.ravel().tolist())):
-            raise NumericalFailureError("covariance has non-finite entries")
-        if not (cov - cov.T).max() <= 1e-9:  # antisymmetric: its max is its largest magnitude
-            raise NumericalFailureError("covariance is not symmetric")
-        if not np.linalg.eigvalsh(cov)[0] >= -1e-9:  # eigenvalues come in ascending order
-            raise NumericalFailureError("covariance is not positive semidefinite")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
+        _checked(mean, cov, self)
+
+
+def _checked(mean: Array, cov: Array, b: Optional[EkfBelief] = None) -> EkfBelief:
+    """Test a (6,) mean and covariance and store them in b or, for a filter step, a new belief:
+    the step's 0.5 (P + P^T) made cov exactly symmetric, so it skips only the symmetry test."""
+    if not all(map(math.isfinite, mean.tolist())):
+        raise ValueError("mean has non-finite components")
+    if not all(map(math.isfinite, cov.ravel().tolist())):
+        raise NumericalFailureError("covariance has non-finite entries")
+    if b is not None and not (cov - cov.T).max() <= 1e-9:  # antisymmetric: max = largest magnitude
+        raise NumericalFailureError("covariance is not symmetric")
+    if not np.linalg.eigvalsh(cov)[0] >= -1e-9:  # eigenvalues come in ascending order
+        raise NumericalFailureError("covariance is not positive semidefinite")
+    b = object.__new__(EkfBelief) if b is None else b
+    object.__setattr__(b, "mean", mean)
+    object.__setattr__(b, "covariance", cov)
+    return b
 
 
 @dataclass(frozen=True)
@@ -62,10 +70,13 @@ class NoiseConfig:
     def __post_init__(self):
         if not self.process_psd >= 0:  # NaN fails too
             raise ValueError(f"process_psd must be non-negative, got {self.process_psd}")
+        if not math.isfinite(self.process_psd):
+            raise ValueError(f"process_psd must be finite, got {self.process_psd}")
         r = np.asarray(self.measurement_cov, dtype=np.float64)
         if r.shape != (3, 3):
             raise ValueError("measurement_cov must have shape (3, 3)")
-        if not np.max(np.abs(r - r.T)) <= 1e-9 or np.min(np.linalg.eigvalsh(r)) < -1e-12:
+        if (not all(map(math.isfinite, r.ravel().tolist())) or not np.max(np.abs(r - r.T)) <= 1e-9
+                or np.min(np.linalg.eigvalsh(r)) < -1e-12):
             raise ValueError("measurement_cov must be finite and symmetric PSD")
         object.__setattr__(self, "measurement_cov", r)
 
@@ -90,13 +101,11 @@ def process_noise(psd: float, dt: float) -> Array:
 
 def ekf_predict(b: EkfBelief, p: ShuttleParams, n: NoiseConfig, dt: float) -> EkfBelief:
     """Propagate mean through the flight model and covariance by F P F^T + Q."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     mean = _rk4_step(b.mean.tolist(), p, dt)
     f = transition_jacobian(b.mean, p, dt)
     cov = f @ b.covariance @ f.T + process_noise(n.process_psd, dt)
-    cov = 0.5 * (cov + cov.T)
-    return EkfBelief(np.array(mean), cov)
+    return _checked(np.array(mean), 0.5 * (cov + cov.T))
 
 
 def ekf_update(
@@ -126,17 +135,15 @@ def ekf_update(
     i_kh = np.eye(6)
     i_kh[:, :3] -= gain
     cov = i_kh @ p_cov @ i_kh.T + gain @ n.measurement_cov @ gain.T
-    cov = 0.5 * (cov + cov.T)
     nis = float(residual @ s_inv @ residual)
-    return EkfBelief(mean, cov), InnovationStats(nis)
+    return _checked(mean, 0.5 * (cov + cov.T)), InnovationStats(nis)
 
 
 def predict_trajectory(
     b: EkfBelief, p: ShuttleParams, dt: float, horizon: float, t0: float = 0.0
 ) -> Trajectory:
     """Noise-free mean propagation, sampled at t0, t0+dt, ... up to t0+horizon."""
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    _check_dt(dt)
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     steps = int(np.floor(horizon / dt + 1e-12))

@@ -27,6 +27,7 @@ DEFAULT_VOLUME_CENTER = (0.0, 0.0, 1.1)
 RHYTHM_RANGE = (1.0, 6.0)  # seconds between a hit and the next serve
 
 _MAX_REJECTION_ATTEMPTS = 10_000
+_COARSE_DT = 8 * DEFAULT_DT  # serve iterations aim on this grid; a DEFAULT_DT flight confirms
 
 
 class InfeasibleTargetError(RuntimeError):
@@ -217,12 +218,12 @@ class ServeConfig:
             raise ValueError("max_iterations must be non-negative")
 
 
-def _position_at(origin: Array, v0: Array, p: ShuttleParams, t_end: float) -> Array:
+def _position_at(origin: Array, v0: Array, p: ShuttleParams, t_end: float, dt: float) -> Array:
     state = origin.tolist() + v0.tolist()
-    n_full = int(t_end / DEFAULT_DT)
+    n_full = int(t_end / dt)
     for _ in range(n_full):
-        state = _rk4_step(state, p, DEFAULT_DT)
-    rem = t_end - n_full * DEFAULT_DT
+        state = _rk4_step(state, p, dt)
+    rem = t_end - n_full * dt
     if rem > 1e-12:
         state = _rk4_step(state, p, rem)
     return np.array(state[:3])
@@ -242,9 +243,12 @@ def serve_trajectory(
     d(reached position): I / t_hit at first, then after each flight
     Broyden's "good" update H += (s - H y) s^T H / s^T H y from the step s
     and the change y in the reached position (skipped when s^T H y is below
-    1e-12). The first flight (at `DEFAULT_DT`) within `serve.tolerance` of
-    the target gives the returned velocity; if none of the first
-    `serve.max_iterations + 1` flights does, the target is infeasible.
+    1e-12). Flights run on the coarse `_COARSE_DT` grid until one lands
+    within `serve.tolerance`; its velocity is then flown at `DEFAULT_DT`, and
+    on a miss the iterations go on at `DEFAULT_DT`, with H kept. Only a
+    `DEFAULT_DT` flight within tolerance gives the returned velocity, so the
+    last of the at most `serve.max_iterations + 1` flights, coarse and fine
+    together, is a fine one; if none gives it, the target is infeasible.
     The court argument is accepted for call-site symmetry with the rest of
     the pipeline; aiming does not depend on it.
     """
@@ -258,15 +262,19 @@ def serve_trajectory(
     # drag-free aim: p(t) = p0 + v0 t - g t^2/2 z
     v0 = delta / t_hit + np.array([0.0, 0.0, 0.5 * p.gravity * t_hit])
     inv_sens = np.eye(3) / t_hit
+    dt, v_step = _COARSE_DT, None
     for i in range(serve.max_iterations + 1):
-        reached = _position_at(origin, v0, p, t_hit)
+        dt = DEFAULT_DT if i == serve.max_iterations else dt
+        reached = _position_at(origin, v0, p, t_hit, dt)
         miss = target.position - reached
         miss_norm = np.linalg.norm(miss)
         if miss_norm <= serve.tolerance:
-            speed = np.linalg.norm(v0)
-            axis = v0 / speed if speed > 1e-9 else None
-            return ShuttleState(origin, v0, axis)
-        if i > 0:
+            if dt == DEFAULT_DT:
+                speed = np.linalg.norm(v0)
+                return ShuttleState(origin, v0, v0 / speed if speed > 1e-9 else None)
+            dt = DEFAULT_DT  # fly this velocity again on the fine grid
+            continue
+        if v_step is not None:
             h_y = inv_sens @ (reached - last_reached)
             denom = v_step @ h_y
             if abs(denom) > 1e-12:

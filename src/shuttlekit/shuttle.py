@@ -75,11 +75,15 @@ class ShuttleState:
         object.__setattr__(self, "position", _vec3(self.position, "position"))
         object.__setattr__(self, "velocity", _vec3(self.velocity, "velocity"))
         if self.axis is not None:
-            axis = _vec3(self.axis, "axis")
-            n = math.hypot(*axis.tolist())
-            if abs(n - 1.0) > 1e-6:
-                raise ValueError("axis must be unit norm")
-            object.__setattr__(self, "axis", axis / n)
+            object.__setattr__(self, "axis", _unit_axis(*_vec3(self.axis, "axis").tolist()))
+
+
+def _unit_axis(ax: float, ay: float, az: float) -> Array:
+    """A skirt axis, which must be unit norm already, divided by its norm."""
+    n = math.hypot(ax, ay, az)
+    if abs(n - 1.0) > 1e-6:
+        raise ValueError("axis must be unit norm")
+    return np.array((ax / n, ay / n, az / n))
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,11 @@ class FlightResult:
 class CourtResult:
     in_bounds: bool
     cleared_net: bool
+
+
+def _check_dt(dt: float) -> None:
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
 def _drag_accel(vx: float, vy: float, vz: float, km: float, g: float):
@@ -226,31 +235,38 @@ def transition_jacobian(mean: Array, p: ShuttleParams, dt: float) -> Array:
     ))
 
 
-def _relax_axis(axis: Optional[Array], state: tuple, rate: float, dt: float):
-    """The axis relaxed for dt toward the velocity of the six-float flight state."""
-    if axis is None or rate == 0.0:
-        return axis
+def _relax_axis(axis: Optional[Array], state: tuple, rate: float, dt: float) -> Optional[Array]:
+    """The unit axis relaxed for dt toward the velocity of the six-float flight state."""
+    if axis is None:
+        return None
+    ax, ay, az = axis.tolist()
     vx, vy, vz = state[3:]
     speed = math.hypot(vx, vy, vz)
-    if speed < 1e-9:
-        return axis
-    ax, ay, az = axis.tolist()
+    if rate == 0.0 or speed < 1e-9:
+        return _unit_axis(ax, ay, az)
     k = 1.0 - math.exp(-rate * dt)
     bx, by, bz = ax + k * (vx / speed - ax), ay + k * (vy / speed - ay), az + k * (vz / speed - az)
     n = math.hypot(bx, by, bz)
     if n < 1e-9:
         # axis exactly opposite the velocity; leave it untouched
-        return axis
-    return bx / n, by / n, bz / n
+        return _unit_axis(ax, ay, az)
+    return _unit_axis(bx / n, by / n, bz / n)
 
 
 def step(s: ShuttleState, p: ShuttleParams, dt: float) -> ShuttleState:
     """Advance the shuttle by dt using classical 4th-order Runge-Kutta."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     state = _rk4_step(s.position.tolist() + s.velocity.tolist(), p, dt)
-    axis = _relax_axis(s.axis, state, p.axis_damping, dt)
-    return ShuttleState(np.array(state[:3]), np.array(state[3:]), axis)
+    # built from the step's own six floats: finiteness is all that a step can break
+    if not all(map(math.isfinite, state)):
+        name = "velocity" if all(map(math.isfinite, state[:3])) else "position"
+        raise ValueError(f"{name} has non-finite components")
+    data = np.array(state)
+    out = object.__new__(ShuttleState)
+    object.__setattr__(out, "position", data[:3])
+    object.__setattr__(out, "velocity", data[3:])
+    object.__setattr__(out, "axis", _relax_axis(s.axis, state, p.axis_damping, dt))
+    return out
 
 
 def simulate_to_ground(
@@ -263,8 +279,7 @@ def simulate_to_ground(
     sample so the crossing can be reproduced from the logged data. A state
     that stops being finite raises ValueError naming the time.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     if s.position[2] <= 0:
         raise ValueError("initial position must be above the ground")
     times = [0.0]

@@ -586,6 +586,20 @@ class TestNonFiniteInputs:
         assert err == f"error: {path}: cost overflows (global inf, total inf)\n", err
         assert not caught, [str(w.message) for w in caught]
 
+    def test_overflowing_retarget_step_names_the_problem(self, workdir, capsys):
+        """A keypoint near the float limit overflows an LM step of the free root."""
+        path = workdir / "problem.json"
+        tip = {"name": "tip", "parent": 0, "offset_pos": [1, 0, 0], "offset_quat": [1, 0, 0, 0]}
+        path.write_text(json.dumps({
+            "chain": {"joints": [{**tip, "name": "j", "parent": -1, "offset_pos": [0, 0, 0],
+                                  "axis": [0, 0, 1], "limits": [-1, 1]}],
+                      "end_effectors": [tip]},
+            "keypoint_map": {"kp": "tip"}, "optimize_scales": True,
+            "frames": [{"t": 0.0, "keypoints": {"kp": [1.7e308, 0, 0]}}],
+        }))
+        err = _exit_one(workdir, capsys, "retarget", path)
+        assert err == f"error: {path}: position has non-finite components\n", err
+
     @pytest.mark.parametrize("key, command", [("mass", "simulate"), ("drag_coeff", "track")])
     def test_non_finite_shuttle_param_names_it(self, workdir, capsys, key, command):
         (workdir / "params.json").write_text(json.dumps({**PARAMS, key: float("nan")}))

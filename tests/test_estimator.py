@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import finite
+from shuttlekit import estimator
 from shuttlekit.estimator import (
     EkfBelief,
     HitCriteria,
@@ -112,6 +116,76 @@ class TestNoiseConfig:
         with pytest.raises(ValueError, match="^measurement_cov must be finite and symmetric PSD$"):
             NoiseConfig(1.0, r)
 
+    def test_infinite_process_psd_rejected(self):
+        with pytest.raises(ValueError, match="^process_psd must be finite, got inf$"):
+            NoiseConfig(np.inf, np.eye(3))
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (0, 2), (2, 1)])
+    def test_infinite_measurement_cov_rejected_without_a_warning(self, i, j):
+        r = np.eye(3)
+        r[i, j] = r[j, i] = np.inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="^measurement_cov must be finite and symmetric"):
+                NoiseConfig(1.0, r)
+        assert not caught, [str(w.message) for w in caught]
+
+
+@st.composite
+def filter_chains(draw):
+    """A prior, noise, a step and measurements near the predicted track.
+
+    The prior covariance is D A D with A symmetric positive definite and D
+    diagonal over four decades, so its condition number reaches about 1e11.
+    """
+    scales = draw(arrays(np.float64, 6, elements=st.floats(-3.0, 1.0)))
+    d = np.diag(10.0 ** scales)
+    prior = EkfBelief(
+        np.concatenate([draw(arrays(np.float64, 3, elements=finite)),
+                        draw(arrays(np.float64, 3, elements=st.floats(-20.0, 20.0)))]),
+        d @ draw(spd_matrices(6)) @ d,
+    )
+    r = draw(spd_matrices(3)) * 10.0 ** draw(st.floats(-8.0, 0.0))
+    noise = NoiseConfig(draw(st.sampled_from([0.0, 1e-8, 1e-4, 1.0, 10.0])), r)
+    dt = draw(st.floats(1e-3, 0.05))
+    offsets = draw(arrays(np.float64, (draw(st.integers(1, 8)), 3), elements=st.floats(-0.1, 0.1)))
+    return prior, noise, dt, offsets
+
+
+class TestFilterStepChecks:
+    """Predict and update build their beliefs without the public constructor."""
+
+    @staticmethod
+    def _passes_public_check(b):
+        cov = b.covariance
+        assert np.array_equal(cov, cov.T)
+        checked = EkfBelief(b.mean, cov)
+        assert np.array_equal(checked.mean, b.mean) and np.array_equal(checked.covariance, cov)
+
+    @given(filter_chains())
+    def test_chain_outputs_pass_the_public_check(self, chain):
+        b, noise, dt, offsets = chain
+        for dz in offsets:
+            b = ekf_predict(b, PARAMS, noise, dt)
+            self._passes_public_check(b)
+            b, _ = ekf_update(b, b.mean[:3] + dz, noise)
+            self._passes_public_check(b)
+
+    def test_indefinite_process_noise_raises(self, monkeypatch):
+        # symmetric with a positive diagonal, but eigenvalue -1 along e2 - e5
+        q = np.eye(6)
+        q[2, 5] = q[5, 2] = 2.0
+        monkeypatch.setattr(estimator, "process_noise", lambda psd, dt: q)
+        b = EkfBelief(np.array([0.0, 0.0, 3.0, 2.0, 0.0, 4.0]), np.zeros((6, 6)))
+        with pytest.raises(NumericalFailureError, match="covariance is not positive semidefinite"):
+            ekf_predict(b, PARAMS, NOISE, 0.005)
+
+    def test_non_finite_predicted_mean_raises(self):
+        # |v|^2 overflows in the RK4 step
+        b = EkfBelief(np.array([0.0, 0.0, 3.0, 1e200, 0.0, 1e200]), np.eye(6))
+        with pytest.raises(ValueError, match="^mean has non-finite components$"):
+            ekf_predict(b, PARAMS, NOISE, 0.005)
+
 
 class TestPredict:
     def test_mean_follows_simulator(self):
@@ -181,6 +255,13 @@ class TestPredict:
         b = EkfBelief(np.zeros(6), np.eye(6))
         with pytest.raises(ValueError):
             ekf_predict(b, PARAMS, NOISE, 0.0)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_positive_or_non_finite_dt_rejected(self, dt):
+        b = EkfBelief(np.zeros(6), np.eye(6))
+        message = f"^dt must be positive and finite, got {re.escape(str(dt))}$"
+        with pytest.raises(ValueError, match=message):
+            ekf_predict(b, PARAMS, NOISE, dt)
 
 
 class TestUpdate:

@@ -231,37 +231,50 @@ class TestServeTrajectory:
             assert np.linalg.norm(s.position - target.position) < 0.01
 
     def test_one_flight_per_iteration(self, monkeypatch):
-        flown = []
+        flown = []  # (launch velocity, step) of every flight
         position_at = scenario._position_at
 
-        def recording(origin, v0, *args):
-            flown.append(v0.copy())
-            return position_at(origin, v0, *args)
+        def recording(origin, v0, p, t_end, dt):
+            flown.append((v0.copy(), dt))
+            return position_at(origin, v0, p, t_end, dt)
+
+        def repeats(flights):
+            return [(a, b) for a, b in zip(flights, flights[1:]) if np.array_equal(a[0], b[0])]
 
         monkeypatch.setattr(scenario, "_position_at", recording)
         target = ManifoldPoint(np.array([0.3, -0.1, 1.1]), 1.1, 0)
         cfg = ServeConfig()
         state = serve_trajectory(target, COURT, self.PARAMS, None, cfg)
-        # every flight tries a new velocity, the last one is the result
         assert 1 < len(flown) <= cfg.max_iterations + 1
-        assert all(not np.array_equal(a, b) for a, b in zip(flown, flown[1:]))
-        assert np.array_equal(flown[-1], state.velocity)
+        assert {dt for _, dt in flown} <= {scenario._COARSE_DT, DEFAULT_DT}
+        # within one grid no velocity is flown twice
+        for grid in (scenario._COARSE_DT, DEFAULT_DT):
+            velocities = [v.tolist() for v, dt in flown if dt == grid]
+            assert len({tuple(v) for v in velocities}) == len(velocities)
+        # the only repeat is the coarse hit flown again on the fine grid
+        assert [(a[1], b[1]) for a, b in repeats(flown)] == [(scenario._COARSE_DT, DEFAULT_DT)]
+        # the fine grid comes last, and its last flight gave the result
+        steps = [dt for _, dt in flown]
+        assert steps == sorted(steps, reverse=True)
+        assert flown[-1][1] == DEFAULT_DT
+        assert np.array_equal(flown[-1][0], state.velocity)
         flown.clear()
         with pytest.raises(InfeasibleTargetError):
             serve_trajectory(target, COURT, self.PARAMS, None, ServeConfig(max_iterations=2))
         # the iteration budget ran out after two corrections
         assert len(flown) == 3
-        assert all(not np.array_equal(a, b) for a, b in zip(flown, flown[1:]))
+        assert not repeats(flown)
 
     def test_few_flights_per_serve(self, monkeypatch):
-        # Broyden-updated corrections: about six flights per serve over easy
+        # coarse-grid Broyden corrections and one fine confirmation, in
+        # DEFAULT_DT flight equivalents (a coarse flight counts 1/8), over easy
         # and hard volumes, jittered origins and hit times of 0.6-1.6 s
         flights = []
         position_at = scenario._position_at
 
-        def counting(*args):
-            flights[-1] += 1
-            return position_at(*args)
+        def counting(origin, v0, p, t_end, dt):
+            flights[-1] += DEFAULT_DT / dt
+            return position_at(origin, v0, p, t_end, dt)
 
         monkeypatch.setattr(scenario, "_position_at", counting)
         rng = np.random.default_rng(29)
@@ -271,9 +284,9 @@ class TestServeTrajectory:
             volume = strike_volume(("easy", "hard")[k % 2], CENTER)
             position = volume.center + rng.uniform(-0.5, 0.5, 3) * volume.size
             target = ManifoldPoint(position, rng.uniform(0.6, 1.6), 0)
-            flights.append(0)
+            flights.append(0.0)
             serve_trajectory(target, COURT, self.PARAMS, rng, cfg)
-        assert np.mean(flights) <= 7.0
+        assert np.mean(flights) <= 2.5
         assert max(flights) <= 10
 
     def test_zero_time_target_infeasible(self):

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import vec3
+from shuttlekit import shuttle
 from shuttlekit.shuttle import (
     CourtGeometry,
     NoContactError,
@@ -108,6 +111,38 @@ class TestStep:
         with pytest.raises(ValueError):
             step(s, PARAMS, -0.01)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_positive_or_non_finite_dt_rejected(self, dt):
+        s = ShuttleState(np.array([0.0, 0.0, 2.0]), np.array([3.0, 0.0, 1.0]), [1.0, 0.0, 0.0])
+        message = f"^dt must be positive and finite, got {re.escape(str(dt))}$"
+        with pytest.raises(ValueError, match=message):
+            step(s, PARAMS, dt)
+
+    def test_stepped_state_passes_the_constructor_unchanged(self):
+        # step builds its state without ShuttleState's checks; they accept it
+        damped = ShuttleParams(mass=0.005, drag_coeff=0.001, axis_damping=3.0)
+        launch = ShuttleState(np.array([0.0, 0.0, 2.0]), np.array([6.0, -1.0, 4.0]), [0.6, 0.0, 0.8])
+        for params in (PARAMS, damped):
+            s = launch
+            for _ in range(50):
+                s = step(s, params, 0.005)
+                checked = ShuttleState(s.position, s.velocity, s.axis)
+                assert np.array_equal(checked.position, s.position)
+                assert np.array_equal(checked.velocity, s.velocity)
+                assert s.position.dtype == s.velocity.dtype == s.axis.dtype == np.float64
+                assert abs(np.linalg.norm(s.axis) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("state, name", [
+        ((0.0, np.inf, 1.0, 1.0, 0.0, 0.0), "position"),
+        ((np.nan, 0.0, 1.0, np.nan, 0.0, 0.0), "position"),
+        ((0.0, 0.0, 1.0, 1.0, 0.0, -np.inf), "velocity"),
+    ])
+    def test_non_finite_step_names_the_field(self, monkeypatch, state, name):
+        monkeypatch.setattr(shuttle, "_rk4_step", lambda *args: state)
+        s = ShuttleState(np.array([0.0, 0.0, 2.0]), np.array([3.0, 0.0, 1.0]), [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=f"^{name} has non-finite components$"):
+            step(s, PARAMS, 0.005)
+
 
 class TestEnergy:
     def test_conserved_without_drag(self):
@@ -168,6 +203,13 @@ class TestSimulateToGround:
         s = ShuttleState(np.array([0.0, 0.0, 2.0]), np.array([1e200, 0.0, 1e200]))
         with pytest.raises(ValueError, match=r"stopped being finite at t = 0\.005 s"):
             simulate_to_ground(s, PARAMS, dt=0.005, t_max=10.0)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_positive_or_non_finite_dt_rejected(self, dt):
+        s = ShuttleState(np.array([0.0, 0.0, 2.0]), np.array([3.0, 0.0, 1.0]))
+        message = f"^dt must be positive and finite, got {re.escape(str(dt))}$"
+        with pytest.raises(ValueError, match=message):
+            simulate_to_ground(s, PARAMS, dt=dt)
 
     def test_drag_free_flight_at_overflowing_speed_stays_finite(self):
         # |v|^2 overflows, but without drag nothing depends on it
