@@ -104,8 +104,10 @@ def ekf_predict(b: EkfBelief, p: ShuttleParams, n: NoiseConfig, dt: float) -> Ek
     _check_dt(dt)
     mean = _rk4_step(b.mean.tolist(), p, dt)
     f = transition_jacobian(b.mean, p, dt)
-    cov = f @ b.covariance @ f.T + process_noise(n.process_psd, dt)
-    return _checked(np.array(mean), 0.5 * (cov + cov.T))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads inf: _checked refuses it
+        cov = f @ b.covariance @ f.T + process_noise(n.process_psd, dt)
+        cov = 0.5 * (cov + cov.T)
+    return _checked(np.array(mean), cov)
 
 
 def ekf_update(
@@ -134,9 +136,11 @@ def ekf_update(
     mean = b.mean + gain @ residual
     i_kh = np.eye(6)
     i_kh[:, :3] -= gain
-    cov = i_kh @ p_cov @ i_kh.T + gain @ n.measurement_cov @ gain.T
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads inf: _checked refuses it
+        cov = i_kh @ p_cov @ i_kh.T + gain @ n.measurement_cov @ gain.T
+        cov = 0.5 * (cov + cov.T)
     nis = float(residual @ s_inv @ residual)
-    return _checked(mean, 0.5 * (cov + cov.T)), InnovationStats(nis)
+    return _checked(mean, cov), InnovationStats(nis)
 
 
 def predict_trajectory(

@@ -36,6 +36,7 @@ from .spatial import (
     load_chain,
     quat_boxminus,
     quat_boxplus,
+    quat_to_matrix,
 )
 
 Array = np.ndarray
@@ -165,7 +166,7 @@ class RetargetProblem:
             if i < n:  # a joint's own angle moves its frame
                 moved_by[i, 6 + i] = 1.0
         object.__setattr__(self, "_moved_by", moved_by)
-        object.__setattr__(self, "_axes", np.array([j.axis for j in chain_frames[:n]]).reshape(n, 3))
+        object.__setattr__(self, "_axes", np.reshape([j.axis for j in chain_frames[:n]], (n, 3)).T)
         object.__setattr__(self, "_sphere_rows", np.array([rows[s.frame] for s in spheres], int))
         object.__setattr__(self, "_limits", self.chain.joint_limits().T)
         object.__setattr__(self, "_adjacent_segments", tuple(
@@ -294,6 +295,12 @@ def _skew(v: Array) -> Array:
     return out
 
 
+def _cross(a: Array, b: Array) -> Array:
+    """a x b of each column of two (3, m) arrays, in numpy's cross-product arithmetic."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+
+
 def _so3_inverse_jacobian(phi: Array, side: float) -> Array:
     """J_r^-1(phi) for side +1 and J_l^-1(phi) for side -1 (Sola et al. 2018, "A micro
     Lie theory"): to first order, log(exp(phi) exp(e)) = phi + J_r^-1 e and
@@ -327,22 +334,22 @@ def _linearize(
     point p carried along moves by v0 + w x p. Joint k turns about its world axis a_k
     through its origin o_k (Murray, Li & Sastry 1994, 3.4), the root increment about the
     root. `tg` and `p` name every chain frame by its FK row (`chain.frame_rows`), which
-    indexes the FK poses, their positions and `p._moved_by`, the columns that move it.
+    indexes FK's `positions` and `orientations` and `p._moved_by`, the columns that move it.
     """
     n, root, q = it.q.size, it.root, it.q
-    poses = list(forward_kinematics(p.chain, root, q).values())  # FK rows
-    pos = np.array([f.position for f in poses])
+    fk = forward_kinematics(p.chain, root, q)
+    pos, quats = fk.positions, fk.orientations
     n_rows = (3 * (len(tg.keypoints) + len(tg.segments) + len(tg.rotations)) + len(tg.angles)
               + len(p._sphere_pairs) + n + (0 if prev is None else 6 + n))
     res, jac = np.empty(n_rows), None
     k0 = 6 if it.with_root else 0  # the first joint column
     n_pose = k0 + n
     if jacobian:
-        quats = np.array([f.orientation for f in poses[:n]]).reshape(n, 4)
-        twice = 2.0 * np.cross(quats[:, 1:], p._axes)  # a_k = q axis_k q^-1, row by row
-        axes = p._axes + quats[:, :1] * twice + np.cross(quats[:, 1:], twice)
+        w, v = quats[:n, 0], quats[:n, 1:].T
+        twice = 2.0 * _cross(v, p._axes)  # a_k = q axis_k q^-1, column by column
+        axes = p._axes + w * twice + _cross(v, twice)
         turn, origin = np.zeros((3, n_pose)), np.zeros((3, n_pose))
-        turn[:, k0:], origin[:, k0:] = axes.T, np.cross(pos[:n], axes).T
+        turn[:, k0:], origin[:, k0:] = axes, _cross(pos[:n].T, axes)
         if k0:
             turn[:, 3:6], origin[:, :3], origin[:, 3:6] = np.eye(3), np.eye(3), _skew(root.position)
         moved_by = p._moved_by[:, 6 - k0 :]
@@ -389,14 +396,14 @@ def _linearize(
         row += 1
     bounds.append(row)
     for f, q_tg in tg.rotations:  # ee_rotation
-        res[row : row + 3] = _rotvec_between(q_tg, poses[f].orientation.tolist())
+        res[row : row + 3] = _rotvec_between(q_tg, quats[f].tolist())
         if jacobian:
             jac[row : row + 3, :n_pose] = (-_so3_inverse_jacobian(res[row : row + 3], 1.0)
                                            @ (turn * moved_by[f]))
         row += 3
     bounds.append(row)
     if p._sphere_pairs:  # collision
-        centers = np.array([poses[f].transform_point(s.offset)
+        centers = np.array([quat_to_matrix(quats[f]) @ s.offset + pos[f]
                             for f, s in zip(p._sphere_rows, p.collision_spheres)])
         sphere_cols = carried(centers, p._sphere_rows) if jacobian else None
         for i, j, radii in p._sphere_pairs:
@@ -556,30 +563,19 @@ def solve_retarget(
     return solution, costs
 
 
-def _feet_frame_names(
-    chain: KinematicChain, feet_frames: Optional[Sequence[str]]
-) -> list[str]:
-    if feet_frames is not None:
-        names = list(feet_frames)
-    else:
-        names = [
-            n
-            for n in chain.end_effector_names()
-            if "foot" in n.lower() or "ankle" in n.lower()
-        ]
+def _foot_heights(
+    sol: RetargetSolution, chain: KinematicChain, feet_frames: Optional[Sequence[str]]
+) -> Array:
+    """(frames, feet) heights of the feet frames: those named, else the end effectors
+    whose names hold 'foot' or 'ankle'."""
+    names = list(feet_frames) if feet_frames is not None else [
+        n for n in chain.end_effector_names() if "foot" in n.lower() or "ankle" in n.lower()]
     if not names:
         raise ValueError("no feet frames found on the chain")
-    return names
-
-
-def _foot_heights(
-    sol: RetargetSolution, chain: KinematicChain, names: Sequence[str]
-) -> Array:
-    heights = np.empty((sol.n_frames, len(names)))
-    for i in range(sol.n_frames):
-        fk = forward_kinematics(chain, sol.root_poses[i], sol.joint_angles[i])
-        for k, name in enumerate(names):
-            heights[i, k] = fk[name].position[2]
+    rows = [chain.frame_rows[name] for name in names]
+    heights = np.empty((sol.n_frames, len(rows)))
+    for i, (root, q) in enumerate(zip(sol.root_poses, sol.joint_angles)):
+        heights[i] = forward_kinematics(chain, root, q).positions[rows, 2]
     return heights
 
 
@@ -589,8 +585,7 @@ def align_to_ground(
     feet_frames: Optional[Sequence[str]] = None,
 ) -> RetargetSolution:
     """Shift the whole clip vertically so the lowest foot sample sits at z = 0."""
-    names = _feet_frame_names(chain, feet_frames)
-    shift = float(np.min(_foot_heights(sol, chain, names)))
+    shift = float(np.min(_foot_heights(sol, chain, feet_frames)))
     roots = tuple(
         Pose(r.position - np.array([0.0, 0.0, shift]), r.orientation)
         for r in sol.root_poses
@@ -607,9 +602,7 @@ def extract_contacts(
     """Per-frame binary foot contacts: 1 where foot height < threshold."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    names = _feet_frame_names(chain, feet_frames)
-    heights = _foot_heights(sol, chain, names)
-    return (heights < threshold).astype(int)
+    return (_foot_heights(sol, chain, feet_frames) < threshold).astype(int)
 
 
 def solution_to_clip(

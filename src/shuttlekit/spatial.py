@@ -15,8 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -314,20 +314,34 @@ class KinematicChain:
         return np.clip(np.asarray(q, dtype=np.float64), lims[:, 0], lims[:, 1])
 
 
-def _compose(frame: tuple, offset_pos, offset_quat) -> tuple:
-    """The float (position, quaternion) frame `frame` applied after the offset."""
-    (px, py, pz), rot = frame
-    m = _matrix_entries(rot)
-    x, y, z = offset_pos
-    return ((m[0] * x + m[1] * y + m[2] * z + px,
-             m[3] * x + m[4] * y + m[5] * z + py,
-             m[6] * x + m[7] * y + m[8] * z + pz), _quat_product(rot, offset_quat))
+class FramePoses(Mapping):
+    """World poses of a chain's frames, by frame name, held as rows in `chain.frame_rows`
+    order: `positions` (F, 3) and `orientations` (F, 4), both read-only. `fk[name]` is
+    the `Pose` of that row, built only when a caller asks for it."""
+
+    def __init__(self, rows: Mapping[str, int], positions: Array, orientations: Array):
+        positions.flags.writeable = orientations.flags.writeable = False
+        self._rows, self.positions, self.orientations = rows, positions, orientations
+
+    def __getitem__(self, name: str) -> Pose:
+        i = self._rows[name]
+        pose = object.__new__(Pose)  # each row already is what Pose(p, r) stores
+        object.__setattr__(pose, "position", self.positions[i])
+        object.__setattr__(pose, "orientation", self.orientations[i])
+        return pose
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
 
 
-def forward_kinematics(chain: KinematicChain, root: Pose, q) -> dict[str, Pose]:
+def forward_kinematics(chain: KinematicChain, root: Pose, q) -> FramePoses:
     """World pose of every joint and end-effector frame.
 
-    Frame pose of joint j: parent_pose * offset * Rot(axis, q_j).
+    Frame pose of joint j: parent_pose * offset * Rot(axis, q_j). Each row holds what a
+    `Pose` of its frame's floats stores: a finite position, a unit orientation with w >= 0.
     """
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (chain.n_joints,):
@@ -339,14 +353,24 @@ def forward_kinematics(chain: KinematicChain, root: Pose, q) -> dict[str, Pose]:
         raise ValueError("joint angles must be finite")
     base = (tuple(root.position.tolist()), tuple(root.orientation.tolist()))
     frames: list[tuple] = []
-    for i, (parent, pos, quat, axis) in enumerate(chain._fk_table):
-        origin, rot = _compose(base if parent < 0 else frames[parent], pos, quat)
+    for i, (parent, (x, y, z), quat, axis) in enumerate(chain._fk_table):
+        (px, py, pz), rot = base if parent < 0 else frames[parent]
+        m = _matrix_entries(rot)  # the parent frame applied after the offset
+        origin = (m[0] * x + m[1] * y + m[2] * z + px, m[3] * x + m[4] * y + m[5] * z + py,
+                  m[6] * x + m[7] * y + m[8] * z + pz)
+        rot = _quat_product(rot, quat)
         if axis is not None:  # a joint turns by its angle about its axis
             half, (ax, ay, az) = 0.5 * angles[i], axis
             s = math.sin(half)
             rot = _quat_product(rot, (math.cos(half), s * ax, s * ay, s * az))
         frames.append((origin, rot))
-    return {name: Pose(np.array(p), np.array(r)) for name, (p, r) in zip(chain.frame_rows, frames)}
+    positions = np.array([origin for origin, _ in frames]).reshape(-1, 3)
+    if not np.isfinite(positions).all():
+        raise ValueError("position has non-finite components")
+    quats = np.array([rot for _, rot in frames]).reshape(-1, 4)
+    quats /= np.sqrt(np.vecdot(quats, quats))[:, None]  # the sum `_quat` takes, to the bit
+    np.negative(quats, out=quats, where=quats[:, :1] < 0.0)
+    return FramePoses(chain.frame_rows, positions, quats)
 
 
 def _load_json(path, build):

@@ -180,6 +180,19 @@ class TestFilterStepChecks:
         with pytest.raises(NumericalFailureError, match="covariance is not positive semidefinite"):
             ekf_predict(b, PARAMS, NOISE, 0.005)
 
+    @pytest.mark.parametrize("step_of, cov", [
+        (lambda b: ekf_predict(b, PARAMS, NOISE, 1.0), 1e308 * np.eye(6)),
+        # the velocity block overflows in the Joseph form's 0.5 (P + P^T)
+        (lambda b: ekf_update(b, b.mean[:3], NOISE), np.diag([1.0] * 3 + [1e308] * 3)),
+    ], ids=["predict", "update"])
+    def test_covariance_overflow_raises_without_a_warning(self, step_of, cov):
+        b = EkfBelief(np.array([0.0, 0.0, 3.0, 1.0, 0.0, 1.0]), cov)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalFailureError, match="^covariance has non-finite entries$"):
+                step_of(b)
+        assert not caught, [str(w.message) for w in caught]
+
     def test_non_finite_predicted_mean_raises(self):
         # |v|^2 overflows in the RK4 step
         b = EkfBelief(np.array([0.0, 0.0, 3.0, 1e200, 0.0, 1e200]), np.eye(6))

@@ -1,4 +1,5 @@
 import inspect
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -150,6 +151,25 @@ def _fk_pose_oracle(chain, root, q):
     return out
 
 
+def _fk_floats(chain, root, q):
+    """Each frame's position and quaternion floats as `forward_kinematics` chains them,
+    in `chain.frame_rows` order, before anything normalises or signs the quaternion."""
+    base = (tuple(root.position.tolist()), tuple(root.orientation.tolist()))
+    frames = []
+    for angle, (parent, (x, y, z), quat, axis) in zip(
+            q.tolist() + [0.0] * len(chain.end_effectors), chain._fk_table):
+        (px, py, pz), rot = base if parent < 0 else frames[parent]
+        m = spatial._matrix_entries(rot)
+        origin = (m[0] * x + m[1] * y + m[2] * z + px, m[3] * x + m[4] * y + m[5] * z + py,
+                  m[6] * x + m[7] * y + m[8] * z + pz)
+        rot = spatial._quat_product(rot, quat)
+        if axis is not None:
+            s = math.sin(0.5 * angle)
+            rot = spatial._quat_product(rot, (math.cos(0.5 * angle), *(s * a for a in axis)))
+        frames.append((origin, rot))
+    return frames
+
+
 axes = vec3.filter(lambda a: np.linalg.norm(a) > 0.1)
 
 
@@ -219,6 +239,34 @@ class TestForwardKinematics:
         chain = planar_two_link()
         with pytest.raises(ValueError):
             forward_kinematics(chain, Pose.identity(), np.zeros(3))
+
+    def test_overflowing_frame_position_rejected(self):
+        far = Pose(np.array([1e308, 0.0, 0.0]), quat_identity())  # root plus offset overflows
+        chain = KinematicChain((Joint("j", -1, far, np.array([0.0, 0.0, 1.0]), (-1.0, 1.0)),))
+        with pytest.raises(ValueError, match="^position has non-finite components$"):
+            forward_kinematics(chain, far, np.zeros(1))
+
+    @given(chain_states())
+    @example(ARM_STATE)
+    def test_rows_hold_what_a_pose_of_the_fk_floats_stores(self, state):
+        chain, root, q = state
+        built = []
+        with pytest.MonkeyPatch.context() as mp:
+            post_init = Pose.__post_init__
+            mp.setattr(Pose, "__post_init__", lambda pose: built.append(post_init(pose)))
+            fk = forward_kinematics(chain, root, q)
+        assert not built  # the call itself builds no Pose
+        assert list(fk) == list(chain.frame_rows) and len(fk) == len(chain.frame_rows)
+        assert fk.positions.shape == (len(fk), 3) and fk.orientations.shape == (len(fk), 4)
+        for (name, i), (p, r) in zip(chain.frame_rows.items(), _fk_floats(chain, root, q)):
+            pose = Pose(np.array(p), np.array(r))
+            for got in ((fk.positions[i], fk.orientations[i]),
+                        (fk[name].position, fk[name].orientation)):
+                assert got[0].tobytes() == pose.position.tobytes()
+                assert got[1].tobytes() == pose.orientation.tobytes()
+        for rows in (fk.positions, fk.orientations, fk[name].position, fk[name].orientation):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = 0.0
 
     @given(chain_states())
     @example(ARM_STATE)
@@ -409,3 +457,5 @@ def test_retarget_reads_fk_rows_by_the_chain_index():
     source = Path(retarget.__file__).read_text()
     assert "_frame_index" not in source
     assert "index[" not in inspect.getsource(retarget._linearize)
+    # it reads FK's row arrays, and restacks no poses
+    assert "np.cross" not in source and ".values()" not in inspect.getsource(retarget._linearize)
