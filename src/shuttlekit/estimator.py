@@ -90,6 +90,11 @@ class InnovationStats:
     nis: float
 
 
+# A filter step's numpy arithmetic may overflow; the inf or nan it leaves fails the
+# step's own checks, which raise their error with no numpy warning first.
+_overflow_reads_inf = np.errstate(over="ignore", invalid="ignore")
+
+
 def process_noise(psd: float, dt: float) -> Array:
     """White-noise-acceleration discretization, per-axis [dt^3/3, dt^2/2; dt^2/2, dt]."""
     a, b, c = psd * dt**3 / 3.0, psd * dt**2 / 2.0, psd * dt
@@ -99,17 +104,17 @@ def process_noise(psd: float, dt: float) -> Array:
     ))
 
 
+@_overflow_reads_inf
 def ekf_predict(b: EkfBelief, p: ShuttleParams, n: NoiseConfig, dt: float) -> EkfBelief:
     """Propagate mean through the flight model and covariance by F P F^T + Q."""
     _check_dt(dt)
     mean = _rk4_step(b.mean.tolist(), p, dt)
     f = transition_jacobian(b.mean, p, dt)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads inf: _checked refuses it
-        cov = f @ b.covariance @ f.T + process_noise(n.process_psd, dt)
-        cov = 0.5 * (cov + cov.T)
-    return _checked(np.array(mean), cov)
+    cov = f @ b.covariance @ f.T + process_noise(n.process_psd, dt)
+    return _checked(np.array(mean), 0.5 * (cov + cov.T))
 
 
+@_overflow_reads_inf
 def ekf_update(
     b: EkfBelief, z: Array, n: NoiseConfig
 ) -> tuple[EkfBelief, InnovationStats]:
@@ -136,11 +141,9 @@ def ekf_update(
     mean = b.mean + gain @ residual
     i_kh = np.eye(6)
     i_kh[:, :3] -= gain
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads inf: _checked refuses it
-        cov = i_kh @ p_cov @ i_kh.T + gain @ n.measurement_cov @ gain.T
-        cov = 0.5 * (cov + cov.T)
+    cov = i_kh @ p_cov @ i_kh.T + gain @ n.measurement_cov @ gain.T
     nis = float(residual @ s_inv @ residual)
-    return _checked(mean, cov), InnovationStats(nis)
+    return _checked(mean, 0.5 * (cov + cov.T)), InnovationStats(nis)
 
 
 def predict_trajectory(

@@ -573,10 +573,8 @@ def _foot_heights(
     if not names:
         raise ValueError("no feet frames found on the chain")
     rows = [chain.frame_rows[name] for name in names]
-    heights = np.empty((sol.n_frames, len(rows)))
-    for i, (root, q) in enumerate(zip(sol.root_poses, sol.joint_angles)):
-        heights[i] = forward_kinematics(chain, root, q).positions[rows, 2]
-    return heights
+    return np.array([forward_kinematics(chain, root, q).positions[rows, 2]
+                     for root, q in zip(sol.root_poses, sol.joint_angles)]).reshape(-1, len(rows))
 
 
 def align_to_ground(

@@ -164,6 +164,14 @@ class Pose:
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "orientation", quat_canonical(q))
 
+    @classmethod
+    def _of_rows(cls, position: Array, orientation: Array) -> "Pose":
+        """A Pose of these arrays as they are: each must already be what `__post_init__` stores."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "position", position)
+        object.__setattr__(pose, "orientation", orientation)
+        return pose
+
     @staticmethod
     def identity() -> "Pose":
         return Pose(np.zeros(3), quat_identity())
@@ -325,10 +333,7 @@ class FramePoses(Mapping):
 
     def __getitem__(self, name: str) -> Pose:
         i = self._rows[name]
-        pose = object.__new__(Pose)  # each row already is what Pose(p, r) stores
-        object.__setattr__(pose, "position", self.positions[i])
-        object.__setattr__(pose, "orientation", self.orientations[i])
-        return pose
+        return Pose._of_rows(self.positions[i], self.orientations[i])
 
     def __iter__(self):
         return iter(self._rows)
@@ -368,7 +373,7 @@ def forward_kinematics(chain: KinematicChain, root: Pose, q) -> FramePoses:
     if not np.isfinite(positions).all():
         raise ValueError("position has non-finite components")
     quats = np.array([rot for _, rot in frames]).reshape(-1, 4)
-    quats /= np.sqrt(np.vecdot(quats, quats))[:, None]  # the sum `_quat` takes, to the bit
+    quats /= np.sqrt(quats[:, None, :] @ quats[:, :, None])[:, 0]  # `_quat`'s q @ q, by row
     np.negative(quats, out=quats, where=quats[:, :1] < 0.0)
     return FramePoses(chain.frame_rows, positions, quats)
 

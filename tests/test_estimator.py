@@ -180,16 +180,21 @@ class TestFilterStepChecks:
         with pytest.raises(NumericalFailureError, match="covariance is not positive semidefinite"):
             ekf_predict(b, PARAMS, NOISE, 0.005)
 
-    @pytest.mark.parametrize("step_of, cov", [
-        (lambda b: ekf_predict(b, PARAMS, NOISE, 1.0), 1e308 * np.eye(6)),
+    @pytest.mark.parametrize("step_of, cov, message", [
+        (lambda b: ekf_predict(b, PARAMS, NOISE, 1.0), 1e308 * np.eye(6),
+         "covariance has non-finite entries"),
         # the velocity block overflows in the Joseph form's 0.5 (P + P^T)
-        (lambda b: ekf_update(b, b.mean[:3], NOISE), np.diag([1.0] * 3 + [1e308] * 3)),
-    ], ids=["predict", "update"])
-    def test_covariance_overflow_raises_without_a_warning(self, step_of, cov):
+        (lambda b: ekf_update(b, b.mean[:3], NOISE), np.diag([1.0] * 3 + [1e308] * 3),
+         "covariance has non-finite entries"),
+        # P_pp + R overflows in the innovation covariance
+        (lambda b: ekf_update(b, b.mean[:3], NoiseConfig(1.0, 1e308 * np.eye(3))),
+         1e308 * np.eye(6), "singular innovation covariance"),
+    ], ids=["predict", "update", "innovation"])
+    def test_covariance_overflow_raises_without_a_warning(self, step_of, cov, message):
         b = EkfBelief(np.array([0.0, 0.0, 3.0, 1.0, 0.0, 1.0]), cov)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(NumericalFailureError, match="^covariance has non-finite entries$"):
+            with pytest.raises(NumericalFailureError, match=f"^{message}$"):
                 step_of(b)
         assert not caught, [str(w.message) for w in caught]
 
