@@ -3,7 +3,11 @@
 The process model and its Jacobian both come from `shuttle`: the mean is
 propagated by the simulator's RK4 step, with the skirt axis dropped from
 the filter state, and the covariance by `shuttle.transition_jacobian`,
-the exact derivative of that step.
+the exact derivative of that step. Every step checks its belief: a finite
+mean and covariance, and a covariance that is PSD to -1e-9, tested by a
+Cholesky factorisation of P + 1e-9 I. Overflow inside a step reads as inf
+and fails those checks with no numpy warning: each public step enters one
+`np.errstate`, and `track_measurements` one for its whole track.
 """
 
 from __future__ import annotations
@@ -40,24 +44,38 @@ class EkfBelief:
             raise ValueError(f"mean must have shape (6,), got {mean.shape}")
         if cov.shape != (6, 6):
             raise ValueError(f"covariance must have shape (6, 6), got {cov.shape}")
-        _checked(mean, cov, self)
+        _checked(mean, cov)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "covariance", cov)
+
+    @classmethod
+    def _of_checked(cls, mean: Array, cov: Array) -> "EkfBelief":
+        """A belief of these arrays as they are: both must already have passed `_checked`."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "mean", mean)
+        object.__setattr__(b, "covariance", cov)
+        return b
 
 
-def _checked(mean: Array, cov: Array, b: Optional[EkfBelief] = None) -> EkfBelief:
-    """Test a (6,) mean and covariance and store them in b or, for a filter step, a new belief:
-    the step's 0.5 (P + P^T) made cov exactly symmetric, so it skips only the symmetry test."""
+_EYE6, _PSD_SHIFT = np.eye(6), 1e-9 * np.eye(6)
+
+
+def _checked(mean: Array, cov: Array, exactly_symmetric: bool = False) -> tuple[Array, Array]:
+    """The (6,) mean and (6, 6) cov, once the mean is finite and cov is finite, symmetric within
+    1e-9 and PSD: no eigenvalue below -1e-9, tested by a Cholesky factorisation of cov + 1e-9 I.
+    The filter cores make their 0.5 (P + P^T) exactly symmetric and skip the symmetry test."""
     if not all(map(math.isfinite, mean.tolist())):
         raise ValueError("mean has non-finite components")
     if not all(map(math.isfinite, cov.ravel().tolist())):
         raise NumericalFailureError("covariance has non-finite entries")
-    if b is not None and not (cov - cov.T).max() <= 1e-9:  # antisymmetric: max = largest magnitude
+    # cov - cov.T is antisymmetric, so its max is its largest magnitude
+    if not exactly_symmetric and not (cov - cov.T).max() <= 1e-9:
         raise NumericalFailureError("covariance is not symmetric")
-    if not np.linalg.eigvalsh(cov)[0] >= -1e-9:  # eigenvalues come in ascending order
-        raise NumericalFailureError("covariance is not positive semidefinite")
-    b = object.__new__(EkfBelief) if b is None else b
-    object.__setattr__(b, "mean", mean)
-    object.__setattr__(b, "covariance", cov)
-    return b
+    try:
+        np.linalg.cholesky(cov + _PSD_SHIFT)
+    except np.linalg.LinAlgError:
+        raise NumericalFailureError("covariance is not positive semidefinite") from None
+    return mean, cov
 
 
 @dataclass(frozen=True)
@@ -104,14 +122,44 @@ def process_noise(psd: float, dt: float) -> Array:
     ))
 
 
+def _predict(mean: Array, cov: Array, p: ShuttleParams, q: Array, dt: float):
+    """The checked predicted mean and covariance, with q the process noise over dt."""
+    f = transition_jacobian(mean, p, dt)
+    cov = f @ cov @ f.T + q
+    mean = np.array(_rk4_step(mean.tolist(), p, dt))
+    return _checked(mean, 0.5 * (cov + cov.T), exactly_symmetric=True)
+
+
+def _update(mean: Array, cov: Array, z: Array, r: Array):
+    """The checked posterior mean and covariance and the NIS of a (3,) measurement z."""
+    if not all(map(math.isfinite, z.tolist())):
+        raise ValueError("measurement must be finite")
+    # S^-1 by its adjugate: one 3x3 inverse serves the gain and the NIS
+    (s0, s1, s2), (s3, s4, s5), (s6, s7, s8) = (cov[:3, :3] + r).tolist()
+    c0, c3, c6 = s4 * s8 - s5 * s7, s5 * s6 - s3 * s8, s3 * s7 - s4 * s6
+    det = s0 * c0 + s1 * c3 + s2 * c6
+    if det == 0.0 or not math.isfinite(det):
+        raise NumericalFailureError("singular innovation covariance")
+    s_inv = np.array((
+        (c0, s2 * s7 - s1 * s8, s1 * s5 - s2 * s4),
+        (c3, s0 * s8 - s2 * s6, s2 * s3 - s0 * s5),
+        (c6, s1 * s6 - s0 * s7, s0 * s4 - s1 * s3),
+    )) / det
+    residual = z - mean[:3]
+    gain = cov[:, :3] @ s_inv  # P H^T S^-1
+    i_kh = _EYE6.copy()
+    i_kh[:, :3] -= gain
+    cov = i_kh @ cov @ i_kh.T + gain @ r @ gain.T
+    mean, cov = _checked(mean + gain @ residual, 0.5 * (cov + cov.T), exactly_symmetric=True)
+    return mean, cov, float(residual @ s_inv @ residual)
+
+
 @_overflow_reads_inf
 def ekf_predict(b: EkfBelief, p: ShuttleParams, n: NoiseConfig, dt: float) -> EkfBelief:
     """Propagate mean through the flight model and covariance by F P F^T + Q."""
     _check_dt(dt)
-    mean = _rk4_step(b.mean.tolist(), p, dt)
-    f = transition_jacobian(b.mean, p, dt)
-    cov = f @ b.covariance @ f.T + process_noise(n.process_psd, dt)
-    return _checked(np.array(mean), 0.5 * (cov + cov.T))
+    q = process_noise(n.process_psd, dt)
+    return EkfBelief._of_checked(*_predict(b.mean, b.covariance, p, q, dt))
 
 
 @_overflow_reads_inf
@@ -122,28 +170,8 @@ def ekf_update(
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (3,):
         raise ValueError("measurement must have shape (3,)")
-    if not all(map(math.isfinite, z.tolist())):
-        raise ValueError("measurement must be finite")
-    p_cov = b.covariance
-    # S^-1 by its adjugate: one 3x3 inverse serves the gain and the NIS
-    (s0, s1, s2), (s3, s4, s5), (s6, s7, s8) = (p_cov[:3, :3] + n.measurement_cov).tolist()
-    c0, c3, c6 = s4 * s8 - s5 * s7, s5 * s6 - s3 * s8, s3 * s7 - s4 * s6
-    det = s0 * c0 + s1 * c3 + s2 * c6
-    if det == 0.0 or not math.isfinite(det):
-        raise NumericalFailureError("singular innovation covariance")
-    s_inv = np.array((
-        (c0, s2 * s7 - s1 * s8, s1 * s5 - s2 * s4),
-        (c3, s0 * s8 - s2 * s6, s2 * s3 - s0 * s5),
-        (c6, s1 * s6 - s0 * s7, s0 * s4 - s1 * s3),
-    )) / det
-    residual = z - b.mean[:3]
-    gain = p_cov[:, :3] @ s_inv  # P H^T S^-1
-    mean = b.mean + gain @ residual
-    i_kh = np.eye(6)
-    i_kh[:, :3] -= gain
-    cov = i_kh @ p_cov @ i_kh.T + gain @ n.measurement_cov @ gain.T
-    nis = float(residual @ s_inv @ residual)
-    return _checked(mean, 0.5 * (cov + cov.T)), InnovationStats(nis)
+    mean, cov, nis = _update(b.mean, b.covariance, z, n.measurement_cov)
+    return EkfBelief._of_checked(mean, cov), InnovationStats(nis)
 
 
 def predict_trajectory(
@@ -242,15 +270,22 @@ def track_measurements(
     if np.any(np.diff(times) <= 0):
         raise ValueError("timestamps must be strictly increasing")
     rows = np.empty((times.size, 8))
-    belief = b0
-    for i in range(times.size):
-        if i > 0:
-            belief = ekf_predict(belief, p, n, float(times[i] - times[i - 1]))
-        belief, stats = ekf_update(belief, measurements[i], n)
-        rows[i, 0] = times[i]
-        rows[i, 1:7] = belief.mean
-        rows[i, 7] = stats.nis
-    return belief, rows
+    rows[:, 0] = times
+    mean, cov, r, qs = b0.mean, b0.covariance, n.measurement_cov, {}
+    # A fresh errstate per track: numpy 2 refuses a second `with` on one instance,
+    # whose __exit__ keeps its token, so the steps' shared decorator cannot serve here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(times.size):
+            if i > 0:
+                dt = float(times[i] - times[i - 1])
+                q = qs.get(dt)
+                if q is None:  # Q is built once per distinct gap
+                    _check_dt(dt)
+                    q = qs[dt] = process_noise(n.process_psd, dt)
+                mean, cov = _predict(mean, cov, p, q, dt)
+            mean, cov, rows[i, 7] = _update(mean, cov, measurements[i], r)
+            rows[i, 1:7] = mean
+    return EkfBelief._of_checked(mean, cov), rows
 
 
 # ---------------------------------------------------------------------------

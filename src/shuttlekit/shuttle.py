@@ -171,6 +171,26 @@ def _mat3_mul(a: tuple, b: tuple) -> tuple:
     )
 
 
+def _eye_plus(s: float, m: tuple) -> tuple:
+    """I + s m for a row-major 3x3 m; adding the identity's zeros too makes a zero entry +0.0."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    return (1.0 + s * m0, 0.0 + s * m1, 0.0 + s * m2, 0.0 + s * m3, 1.0 + s * m4,
+            0.0 + s * m5, 0.0 + s * m6, 0.0 + s * m7, 1.0 + s * m8)
+
+
+def _rk4_sum(s: float, a: tuple, b: tuple, c: tuple, d: tuple) -> tuple:
+    """s (a + 2 b + 2 c + d) over four row-major 3x3 matrices, entry by entry."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = c
+    d0, d1, d2, d3, d4, d5, d6, d7, d8 = d
+    return (s * (a0 + 2.0 * b0 + 2.0 * c0 + d0), s * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+            s * (a2 + 2.0 * b2 + 2.0 * c2 + d2), s * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+            s * (a4 + 2.0 * b4 + 2.0 * c4 + d4), s * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+            s * (a6 + 2.0 * b6 + 2.0 * c6 + d6), s * (a7 + 2.0 * b7 + 2.0 * c7 + d7),
+            s * (a8 + 2.0 * b8 + 2.0 * c8 + d8))
+
+
 _EYE3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
@@ -211,28 +231,27 @@ def transition_jacobian(mean: Array, p: ShuttleParams, dt: float) -> Array:
     each held as 9 row-major floats, like _rk4_step's scalar state.
     """
     km, g, h = p.drag_coeff / p.mass, p.gravity, 0.5 * dt
-    vel = mean[3:].tolist()
-    v2 = [v + h * a for v, a in zip(vel, _drag_accel(*vel, km, g))]
-    v3 = [v + h * a for v, a in zip(vel, _drag_accel(*v2, km, g))]
-    v4 = [v + dt * a for v, a in zip(vel, _drag_accel(*v3, km, g))]
-    d1, d2, d3, d4 = (_drag_jacobian(*v, km) for v in (vel, v2, v3, v4))
-    n2 = [e + h * d for e, d in zip(_EYE3, d1)]
-    d2n2 = _mat3_mul(d2, n2)
-    n3 = [e + h * x for e, x in zip(_EYE3, d2n2)]
-    d3n3 = _mat3_mul(d3, n3)
-    n4 = [e + dt * x for e, x in zip(_EYE3, d3n3)]
+    vx, vy, vz = mean[3:].tolist()
+    ax1, ay1, az1 = _drag_accel(vx, vy, vz, km, g)
+    v2x, v2y, v2z = vx + h * ax1, vy + h * ay1, vz + h * az1
+    ax2, ay2, az2 = _drag_accel(v2x, v2y, v2z, km, g)
+    v3x, v3y, v3z = vx + h * ax2, vy + h * ay2, vz + h * az2
+    ax3, ay3, az3 = _drag_accel(v3x, v3y, v3z, km, g)
+    d1 = _drag_jacobian(vx, vy, vz, km)
+    n2 = _eye_plus(h, d1)
+    m2 = _mat3_mul(_drag_jacobian(v2x, v2y, v2z, km), n2)
+    n3 = _eye_plus(h, m2)
+    m3 = _mat3_mul(_drag_jacobian(v3x, v3y, v3z, km), n3)
+    n4 = _eye_plus(dt, m3)
+    m4 = _mat3_mul(_drag_jacobian(vx + dt * ax3, vy + dt * ay3, vz + dt * az3, km), n4)
     w = dt / 6.0
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = (
-        w * (e + 2.0 * x + 2.0 * y + z) for e, x, y, z in zip(_EYE3, n2, n3, n4)
-    )
-    c0, c1, c2, c3, c4, c5, c6, c7, c8 = (
-        e + w * (d + 2.0 * x + 2.0 * y + z)
-        for e, d, x, y, z in zip(_EYE3, d1, d2n2, d3n3, _mat3_mul(d4, n4))
-    )
+    # B = w (I + 2 N2 + 2 N3 + N4) and C = I + w (D1 + 2 D2 N2 + 2 D3 N3 + D4 N4)
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = _rk4_sum(w, _EYE3, n2, n3, n4)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _eye_plus(w, _rk4_sum(1.0, d1, m2, m3, m4))
     return np.array((
-        (1.0, 0.0, 0.0, b0, b1, b2), (0.0, 1.0, 0.0, b3, b4, b5), (0.0, 0.0, 1.0, b6, b7, b8),
-        (0.0, 0.0, 0.0, c0, c1, c2), (0.0, 0.0, 0.0, c3, c4, c5), (0.0, 0.0, 0.0, c6, c7, c8),
-    ))
+        1.0, 0.0, 0.0, b0, b1, b2, 0.0, 1.0, 0.0, b3, b4, b5, 0.0, 0.0, 1.0, b6, b7, b8,
+        0.0, 0.0, 0.0, c0, c1, c2, 0.0, 0.0, 0.0, c3, c4, c5, 0.0, 0.0, 0.0, c6, c7, c8,
+    )).reshape(6, 6)
 
 
 def _relax_axis(axis: Optional[Array], state: tuple, rate: float, dt: float) -> Optional[Array]:

@@ -1,9 +1,10 @@
+import hashlib
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -61,6 +62,19 @@ def spd_matrices(n):
 
 
 @st.composite
+def symmetric_matrices(draw):
+    """A A^T of rank 0 to 6 with norm up to about 1e4, half of them shifted down by 1e-12 I
+    to 1e-6 I, so the smallest eigenvalue lands on either side of -1e-9."""
+    rank = draw(st.integers(0, 6))
+    a = draw(arrays(np.float64, (6, rank), elements=st.floats(-1.0, 1.0)))
+    a = a * 10.0 ** draw(st.floats(-3.0, 1.5))
+    shift = 0.0
+    if draw(st.booleans()):
+        shift = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-12, -7))
+    return a @ a.T - shift * np.eye(6)
+
+
+@st.composite
 def measurement_sequences(draw):
     """Strictly increasing times, noisy straight-line positions and a latency."""
     gaps = draw(st.lists(st.floats(1e-3, 2e-2), max_size=15))
@@ -89,6 +103,21 @@ class TestBelief:
     def test_indefinite_covariance_rejected(self):
         with pytest.raises(NumericalFailureError, match="not positive semidefinite"):
             EkfBelief(np.zeros(6), np.diag([1.0, 1.0, 1.0, 1.0, -1e-8, 1.0]))
+
+    @given(symmetric_matrices())
+    @example(np.zeros((6, 6)))  # the prior several tests start from
+    @settings(max_examples=500)
+    def test_psd_test_accepts_what_the_smallest_eigenvalue_accepts(self, cov):
+        lam = np.linalg.eigvalsh(cov)
+        # within round-off of the -1e-9 threshold either test may tip
+        assume(abs(lam[0] + 1e-9) > 64 * np.finfo(float).eps * np.abs(lam).max())
+        try:
+            EkfBelief(np.zeros(6), cov)
+        except NumericalFailureError as e:
+            assert str(e) == "covariance is not positive semidefinite"
+            assert lam[0] < -1e-9
+        else:
+            assert lam[0] >= -1e-9
 
     @pytest.mark.parametrize("i", range(6))
     def test_nan_on_covariance_diagonal_rejected(self, i):
@@ -179,6 +208,10 @@ class TestFilterStepChecks:
         b = EkfBelief(np.array([0.0, 0.0, 3.0, 2.0, 0.0, 4.0]), np.zeros((6, 6)))
         with pytest.raises(NumericalFailureError, match="covariance is not positive semidefinite"):
             ekf_predict(b, PARAMS, NOISE, 0.005)
+        # the track builds its Q through the same module attribute
+        zs = np.array([[0.0, 0.0, 3.0], [0.01, 0.0, 3.02]])
+        with pytest.raises(NumericalFailureError, match="covariance is not positive semidefinite"):
+            track_measurements([0.0, 0.005], zs, b, PARAMS, NOISE)
 
     @pytest.mark.parametrize("step_of, cov, message", [
         (lambda b: ekf_predict(b, PARAMS, NOISE, 1.0), 1e308 * np.eye(6),
@@ -500,22 +533,79 @@ class TestTrackMeasurements:
         assert np.allclose(lagged[:, 0], plain[:, 0] - 0.02)
         assert np.allclose(lagged[:, 1:], plain[:, 1:])  # same gaps, same estimates
 
-    @given(measurement_sequences())
-    def test_runs_the_public_predict_and_update(self, sequence):
-        times, zs, latency = sequence
-        prior = EkfBelief(np.concatenate([zs[0], np.zeros(3)]), np.diag([0.01] * 3 + [25.0] * 3))
-        belief, rows = track_measurements(times, zs, prior, PARAMS, NOISE, latency=latency)
+    @staticmethod
+    def _matches_the_public_steps(times, zs, prior, noise, latency=0.0):
+        belief, rows = track_measurements(times, zs, prior, PARAMS, noise, latency=latency)
         shifted = times - latency
         b, expected = prior, []
         for i in range(times.size):
             if i > 0:
-                b = ekf_predict(b, PARAMS, NOISE, float(shifted[i] - shifted[i - 1]))
-            b, stats = ekf_update(b, zs[i], NOISE)
+                b = ekf_predict(b, PARAMS, noise, float(shifted[i] - shifted[i - 1]))
+            b, stats = ekf_update(b, zs[i], noise)
             expected.append([shifted[i], *b.mean, stats.nis])
         # bit for bit: the log is exactly what the public calls return
         assert rows.tobytes() == np.array(expected).tobytes()
         assert belief.mean.tobytes() == b.mean.tobytes()
         assert belief.covariance.tobytes() == b.covariance.tobytes()
+
+    @given(measurement_sequences())
+    def test_runs_the_public_predict_and_update(self, sequence):
+        times, zs, latency = sequence
+        prior = EkfBelief(np.concatenate([zs[0], np.zeros(3)]), np.diag([0.01] * 3 + [25.0] * 3))
+        self._matches_the_public_steps(times, zs, prior, NOISE, latency)
+
+    @pytest.mark.parametrize("jitter, gaps", [(0.0, 8), (1e-3, 100)], ids=["regular", "jittered"])
+    def test_process_noise_per_gap_matches_the_public_steps(self, jitter, gaps):
+        rng = np.random.default_rng(17)
+        times = np.arange(101) * 0.005 + rng.uniform(-jitter, jitter, 101)
+        assert np.unique(np.diff(times)).size == gaps
+        s0 = ShuttleState(np.array([0.0, 0.0, 3.0]), np.array([4.0, 1.0, 5.0]))
+        zs = _simulate_positions(s0, PARAMS, 0.005, 100)[:, :3] + rng.normal(0, 0.005, (101, 3))
+        prior = EkfBelief(np.concatenate([zs[0], [4.0, 1.0, 5.0]]), np.diag([0.01] * 3 + [25.0] * 3))
+        # the same gaps under another process noise: a Q kept from the last track would show
+        for noise in (NOISE, NoiseConfig.isotropic(process_psd=1.0, measurement_std=0.005)):
+            self._matches_the_public_steps(times, zs, prior, noise)
+
+    def test_overflowing_track_raises_without_a_warning(self):
+        # drag-free, so the mean stays finite while dt^2 P_vv overflows in the predict
+        prior = EkfBelief(np.array([0.0, 0.0, 3.0, 1.0, 0.0, 1.0]), np.diag([0.01] * 3 + [1e300] * 3))
+        zs = np.array([[0.0, 0.0, 3.0], [1.0, 0.0, 4.0]])
+        before = np.geterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalFailureError, match="^covariance has non-finite entries$"):
+                track_measurements([0.0, 1e5], zs, prior, DRAG_FREE, NOISE)
+        assert not caught, [str(w.message) for w in caught]
+        assert np.geterr() == before
+
+    def test_filter_outputs_match_their_pinned_digest(self):
+        """SHA-256 over the log rows and final beliefs of 12 seeded serves.
+
+        The digest was taken when the track still ran the public steps, so a change to
+        the filter's arithmetic, or to the order of its operations, moves it. It also
+        covers numpy's 6x6 float64 products, which another BLAS build may round differently.
+        """
+        rng = np.random.default_rng(2021)
+        noise = NoiseConfig.isotropic(process_psd=1e-4, measurement_std=0.005)
+        digest = hashlib.sha256()
+        for k in range(12):
+            state = [6.0, 0.0, 2.0, -8.0, 0.0, 5.0] if k == 0 else (
+                [6.0, 0.0, 2.0] + rng.normal(0.0, [0.5, 0.5, 0.3])).tolist() + (
+                [-8.0, 0.0, 5.0] + rng.normal(0.0, [2.0, 1.0, 1.0])).tolist()
+            gaps = np.full(100, 0.005) if k % 3 else rng.uniform(0.003, 0.007, 100)
+            times = np.concatenate([[0.0], np.cumsum(gaps)])
+            truth = [state[:3]]
+            for dt in gaps:
+                state = _rk4_step(state, PARAMS, float(dt))
+                truth.append(state[:3])
+            zs = np.array(truth) + rng.normal(0.0, 0.005, (times.size, 3))
+            prior = EkfBelief(np.concatenate([zs[0], (zs[1] - zs[0]) / gaps[0]]),
+                              np.diag([0.01] * 3 + [25.0] * 3))
+            belief, rows = track_measurements(times, zs, prior, PARAMS, noise)
+            for a in (rows, belief.mean, belief.covariance):
+                digest.update(a.tobytes())
+        assert digest.hexdigest() == (
+            "2605817eb53e6d3dd0dcf89d857a23f407308b73d682eda3903bc4b8f2906631")
 
     @pytest.mark.parametrize("times, latency", [
         ([0.0, np.nan, 0.01], 0.0),
