@@ -170,10 +170,20 @@ def _forward(m: Mlp, x: Array) -> list[Array]:
     a = x
     last = len(m.weights) - 1
     for l, (w, b) in enumerate(zip(m.weights, m.biases)):
-        z = a @ w.T + b
-        a = z if l == last else np.tanh(z)
+        a = a @ w.T
+        a += b
+        if l < last:
+            np.tanh(a, out=a)
         acts.append(a)
     return acts
+
+
+def _tanh_primes(acts: list[Array]) -> list[Array]:
+    """tanh'(z_l) = 1 - a_l^2 of each hidden activation in acts, one new array each."""
+    derivs = [a * a for a in acts[1:-1]]
+    for d in derivs:
+        np.subtract(1.0, d, out=d)
+    return derivs
 
 
 def disc_forward(m: Mlp, obs) -> float:
@@ -210,7 +220,7 @@ def grad_wrt_input(m: Mlp, obs) -> Array:
     if x.shape != (1, m.input_size):
         raise ValueError(f"expected one observation of length {m.input_size}")
     acts = _forward(m, x)
-    return _input_grads(m, acts, [1.0 - a ** 2 for a in acts[1:-1]])[0][1][0]
+    return _input_grads(m, acts, _tanh_primes(acts))[0][1][0]
 
 
 def _param_grads(
@@ -249,10 +259,14 @@ def _param_grads(
         d_w.append(mu.T @ acts[l] + lam.T @ tangents_in[l])
         d_b.append(mu.sum(axis=0))
         if l > 0:
-            alpha = mu @ m.weights[l]   # ds/d(a_{l-1})
-            h = derivs[l - 1]           # tanh'(z_{l-1})
-            mu = alpha * h
-            mu[:n_tan] += tau * (-2.0 * acts[l][:n_tan] * h[:n_tan]) * tangents_out[l - 1]
+            h = derivs[l - 1]     # tanh'(z_{l-1})
+            mu = mu @ m.weights[l]  # ds/d(a_{l-1}), then ds/d(z_{l-1})
+            mu *= h
+            t = -2.0 * acts[l][:n_tan]  # the tangent term ((-2 a h) tau) tz, in this order
+            t *= h[:n_tan]
+            t *= tau
+            t *= tangents_out[l - 1]
+            mu[:n_tan] += t
     return tuple(d_w[::-1]), tuple(d_b[::-1])
 
 
@@ -275,7 +289,8 @@ def disc_loss_and_grads(
          + (w_gp / 2) * mean_real |grad_x D|^2
 
     The penalty is applied to the reference (real) samples only. Parameter
-    gradients of all three terms are exact.
+    gradients of all three terms are exact. The step keeps no state between
+    calls: every array it writes in place is one it allocated in that call.
     """
     x_real = np.stack([_as_batch(o)[0] for o in real]) if isinstance(real, (list, tuple)) else _as_batch(real)
     x_fake = np.stack([_as_batch(o)[0] for o in fake]) if isinstance(fake, (list, tuple)) else _as_batch(fake)
@@ -289,7 +304,7 @@ def disc_loss_and_grads(
     acts = _forward(m, np.concatenate((x_real, x_fake)))
     d_real = acts[-1][:n_real, 0]
     d_fake = acts[-1][n_real:, 0]
-    derivs = [1.0 - a ** 2 for a in acts[1:-1]]
+    derivs = _tanh_primes(acts)
     adjoints = _input_grads(m, [a[:n_real] for a in acts], [h[:n_real] for h in derivs])
     g = adjoints[0][1]
 

@@ -140,8 +140,18 @@ def encode_goal(
     return GoalObservation(tth, hit_delta, recovery_delta, phase)
 
 
+def _read_only(values) -> Array:
+    a = np.array(values, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ClipFrame:
+    """One reference-motion frame. Its arrays, the root pose's included, are
+    read-only float64 copies of the inputs, so a clip's stacked table
+    cannot go stale."""
+
     t: float
     root: Pose
     root_lin: Array
@@ -149,15 +159,25 @@ class ClipFrame:
     q: Array
 
     def __post_init__(self):
-        object.__setattr__(self, "root_lin", np.asarray(self.root_lin, dtype=np.float64))
-        object.__setattr__(self, "root_ang", np.asarray(self.root_ang, dtype=np.float64))
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=np.float64))
+        root = self.root
+        object.__setattr__(
+            self, "root", Pose._of_rows(_read_only(root.position), _read_only(root.orientation))
+        )
+        object.__setattr__(self, "root_lin", _read_only(self.root_lin))
+        object.__setattr__(self, "root_ang", _read_only(self.root_ang))
+        object.__setattr__(self, "q", _read_only(self.q))
 
 
 @dataclass(frozen=True)
 class ReferenceClip:
     """Reference motion: root states and joint vectors over time, with
-    annotated hit and recovery instants."""
+    annotated hit and recovery instants.
+
+    The frames are stacked once, at construction: an (F, 12) table of
+    [position, 0, 0, 0, linear velocity, angular velocity] rows, the
+    orientations as float tuples and an (F, n) joint table. The frames'
+    arrays are read-only, so the table always matches them.
+    """
 
     frames: tuple[ClipFrame, ...]
     hit_times: tuple[float, ...] = ()
@@ -172,8 +192,18 @@ class ReferenceClip:
             if f.q.shape != frames[0].q.shape:
                 raise ValueError(f"frames[{i}].q has {f.q.size} angles, "
                                  f"frames[0].q has {frames[0].q.size}")
+        root_rows = np.zeros((len(frames), 12))
+        for k, f in enumerate(frames):
+            root_rows[k, :3] = f.root.position
+            root_rows[k, 6:9] = f.root_lin
+            root_rows[k, 9:] = f.root_ang
+        joint_rows = np.array([f.q for f in frames]) if frames else np.empty((0, 0))
+        root_rows.flags.writeable = joint_rows.flags.writeable = False
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_root_rows", root_rows)
+        object.__setattr__(self, "_root_quats", tuple(f.root.orientation.tolist() for f in frames))
+        object.__setattr__(self, "_joint_rows", joint_rows)
         object.__setattr__(self, "hit_times", tuple(float(t) for t in self.hit_times))
         object.__setattr__(self, "recovery_times", tuple(float(t) for t in self.recovery_times))
 
@@ -209,22 +239,18 @@ def reference_window(clip: ReferenceClip, t: float, horizon: int) -> ReferenceWi
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     i = clip.frame_index_at(t)
-    last = len(clip) - 1
-    base = clip.frames[i]
-    futs = [clip.frames[min(i + k, last)] for k in range(1, horizon + 1)]
-    base_quat = base.root.orientation.tolist()
+    futs = np.arange(i + 1, i + 1 + horizon)  # taken in "clip" mode: past the end, the last row
+    quats, last = clip._root_quats, len(clip) - 1
+    base_quat = quats[i]
     # world-frame rows [dpos, drot, dlin, dang] per future frame, rotated at once
-    rows = np.array([
-        (
-            f.root.position - base.root.position,
-            _rotvec_between(f.root.orientation.tolist(), base_quat),
-            f.root_lin - base.root_lin,
-            f.root_ang - base.root_ang,
-        )
-        for f in futs
-    ])
-    root_deltas = to_base_frame(rows.reshape(-1, 3), base.root, is_point=False)
-    joint_deltas = np.array([f.q - base.q for f in futs])
+    rows = clip._root_rows.take(futs, axis=0, mode="clip")
+    rows -= clip._root_rows[i]
+    rows[:, 3:6] = [
+        _rotvec_between(quats[min(k, last)], base_quat) for k in range(i + 1, i + 1 + horizon)
+    ]
+    root_deltas = to_base_frame(rows.reshape(-1, 3), clip.frames[i].root, is_point=False)
+    joint_deltas = clip._joint_rows.take(futs, axis=0, mode="clip")
+    joint_deltas -= clip._joint_rows[i]
     return ReferenceWindow(root_deltas.reshape(horizon, 12), joint_deltas)
 
 

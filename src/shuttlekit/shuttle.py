@@ -77,6 +77,15 @@ class ShuttleState:
         if self.axis is not None:
             object.__setattr__(self, "axis", _unit_axis(*_vec3(self.axis, "axis").tolist()))
 
+    @classmethod
+    def _of_checked(cls, position: Array, velocity: Array, axis: Optional[Array]) -> "ShuttleState":
+        """A state of these arrays as they are: each must already be what `__post_init__` stores."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "position", position)
+        object.__setattr__(s, "velocity", velocity)
+        object.__setattr__(s, "axis", axis)
+        return s
+
 
 def _unit_axis(ax: float, ay: float, az: float) -> Array:
     """A skirt axis, which must be unit norm already, divided by its norm."""
@@ -281,11 +290,8 @@ def step(s: ShuttleState, p: ShuttleParams, dt: float) -> ShuttleState:
         name = "velocity" if all(map(math.isfinite, state[:3])) else "position"
         raise ValueError(f"{name} has non-finite components")
     data = np.array(state)
-    out = object.__new__(ShuttleState)
-    object.__setattr__(out, "position", data[:3])
-    object.__setattr__(out, "velocity", data[3:])
-    object.__setattr__(out, "axis", _relax_axis(s.axis, state, p.axis_damping, dt))
-    return out
+    axis = _relax_axis(s.axis, state, p.axis_damping, dt)
+    return ShuttleState._of_checked(data[:3], data[3:], axis)
 
 
 def simulate_to_ground(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from shuttlekit.amp import (
     Mlp,
     assemble_history,
     disc_forward,
+    disc_forward_batch,
     disc_loss_and_grads,
     frame_features,
     grad_wrt_input,
@@ -341,3 +343,43 @@ class TestDiscriminatorLoss:
         with pytest.raises(ValueError):
             disc_loss_and_grads(m, [np.ones(3)], [], self.CFG)
 
+
+PINNED = {
+    "loss": "2daf30e6fbf03a6b2b03f219c5bafbb67cc596c84ace68cefaa085b5ae540595",
+    "real_term": "061af0e370e43bf7ccb34c4ff666f564567ec8fe5050f9756d894a1ed0c85b30",
+    "fake_term": "901ee2861dcdc68eacabba9d4d0f804e96604cb91aeaa798bb2655a27830f9dd",
+    "penalty_term": "b343669a362a7c8c7ffd37e5e2090dc5baea7f28916716564cbed045adc2751d",
+    "weight_grads": "a742e0a91f6a0df9506fb9be90bce8bcab2972e48c60bba4860a1d4c20e58b57",
+    "bias_grads": "16b6a8a2e91632bd27bd92f89b495a8c12ce6a5c3d7423ab47a7b462a133f79f",
+    "disc_forward_batch": "296f28cb42d3d16736a85412dd0bc94d555204c11615ca1178eb63c6570e2125",
+    "grad_wrt_input": "df87761ce7e2861e1140bc1d425c2f8b14ace721005ed0fdeedd0390c9c69603",
+}
+
+
+def _discriminator_digests() -> dict:
+    """SHA-256 over tobytes() of each discriminator output on a seeded net of the
+    benchmark's control-loop shape, [99, 256, 128, 1] with 256 real and 256 fake rows."""
+    rng = np.random.default_rng(2022)
+    m = mlp_init([99, 256, 128, 1], rng)
+    m = Mlp(m.weights, tuple(rng.normal(0.0, 0.2, b.shape) for b in m.biases))
+    real = rng.normal(size=(256, 99))
+    fake = 2.0 * rng.normal(size=(256, 99))
+    res = disc_loss_and_grads(m, real, fake, AmpConfig(grad_penalty_weight=2.5))
+    outputs = {
+        "loss": np.float64(res.loss),
+        "real_term": np.float64(res.real_term),
+        "fake_term": np.float64(res.fake_term),
+        "penalty_term": np.float64(res.penalty_term),
+        "weight_grads": np.concatenate([g.ravel() for g in res.weight_grads]),
+        "bias_grads": np.concatenate(res.bias_grads),
+        "disc_forward_batch": disc_forward_batch(m, np.concatenate((real, fake))),
+        "grad_wrt_input": np.stack([grad_wrt_input(m, x) for x in real[:8]]),
+    }
+    return {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in outputs.items()}
+
+
+def test_discriminator_outputs_match_their_pinned_digests():
+    """The digests were taken before the step wrote its temporaries in place, so a change to
+    the arithmetic, or to the order of its operations, moves them. They also cover numpy's
+    float64 matrix products, which another BLAS build may round differently."""
+    assert _discriminator_digests() == PINNED

@@ -243,8 +243,9 @@ class TestReferenceWindow:
         assert np.allclose(window.root_deltas[0, 0:3], [0.0, -1.0, 0.0], atol=1e-12)
 
     def test_empty_clip_errors(self):
-        with pytest.raises(ValueError):
-            reference_window(ReferenceClip(()), 0.0, 1)
+        clip = ReferenceClip(())
+        with pytest.raises(ValueError, match="reference clip is empty"):
+            reference_window(clip, 0.0, 1)
 
 
 class TestFrameIndexAt:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import finite, poses, unit_quats, vec3
 from shuttlekit.goal import ClipFrame, ReferenceClip, pose_delta_in_base, reference_window
 from shuttlekit.spatial import (
+    _rotvec_between,
     quat_boxminus,
     quat_boxplus,
     quat_conj,
@@ -84,6 +85,27 @@ def clips(draw):
     return ReferenceClip(tuple(frames))
 
 
+def per_frame_window(clip, t, horizon):
+    """The reference for reference_window: its rows built frame by frame from the ClipFrames."""
+    i = clip.frame_index_at(t)
+    last = len(clip) - 1
+    base = clip.frames[i]
+    futs = [clip.frames[min(i + k, last)] for k in range(1, horizon + 1)]
+    base_quat = base.root.orientation.tolist()
+    rows = np.array([
+        (
+            f.root.position - base.root.position,
+            _rotvec_between(f.root.orientation.tolist(), base_quat),
+            f.root_lin - base.root_lin,
+            f.root_ang - base.root_ang,
+        )
+        for f in futs
+    ])
+    root_deltas = to_base_frame(rows.reshape(-1, 3), base.root, is_point=False)
+    joint_deltas = np.array([f.q - base.q for f in futs])
+    return root_deltas.reshape(horizon, 12), joint_deltas
+
+
 @given(clips(), st.floats(-2.0, 4.0), st.integers(1, 5))
 def test_reference_window_matches_per_frame_oracle(clip, t, horizon):
     times = np.array([f.t for f in clip.frames])
@@ -104,3 +126,11 @@ def test_reference_window_matches_per_frame_oracle(clip, t, horizon):
         ])
         assert np.allclose(window.root_deltas[k - 1], expected, rtol=0.0, atol=1e-12)
         assert np.array_equal(window.joint_deltas[k - 1], fut.q - base.q)
+    root_deltas, joint_deltas = per_frame_window(clip, t, horizon)
+    assert window.joint_deltas.shape == joint_deltas.shape
+    assert window.root_deltas.tobytes() == root_deltas.tobytes()
+    assert window.joint_deltas.tobytes() == joint_deltas.tobytes()
+    # the stacked table cannot go stale: the frames' arrays are read-only
+    for frame_array in (clip.frames[0].q, clip.frames[0].root_lin, clip.frames[0].root.position):
+        with pytest.raises(ValueError, match="read-only"):
+            frame_array[...] = 1.0
