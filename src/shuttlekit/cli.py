@@ -127,8 +127,8 @@ def _config_from_dict(data) -> tuple:
     return values, noise, criteria
 
 
-def cmd_simulate(cfg: RunConfig, state_path: str, out_dir: str) -> int:
-    state = _load_json(state_path, lambda data: shuttle.ShuttleState(**_check(data, STATE)))
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out_dir: str) -> int:
+    state = _load_json(args.input, lambda data: shuttle.ShuttleState(**_check(data, STATE)))
     sim = cfg.sections["sim"]
     result = shuttle.simulate_to_ground(state, cfg.params, dt=sim["dt"], t_max=sim["t_max"])
     os.makedirs(out_dir, exist_ok=True)  # only once the command has something to write
@@ -155,9 +155,9 @@ def _pose_to_dict(pose: Pose) -> dict:
     }
 
 
-def cmd_track(cfg: RunConfig, measurements_path: str, out_dir: str) -> int:
+def cmd_track(cfg: RunConfig, args: argparse.Namespace, out_dir: str) -> int:
     track = cfg.sections["track"]
-    times, zs = estimator.load_measurements_csv(measurements_path)
+    times, zs = estimator.load_measurements_csv(args.input)
     vel0 = np.zeros(3)
     if len(times) > 1 and times[1] > times[0]:
         vel0 = (zs[1] - zs[0]) / (times[1] - times[0])
@@ -192,7 +192,8 @@ def cmd_track(cfg: RunConfig, measurements_path: str, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_retarget(cfg: RunConfig, problem_path: str, out_dir: str) -> int:
+def cmd_retarget(cfg: RunConfig, args: argparse.Namespace, out_dir: str) -> int:
+    problem_path = args.input
     base = os.path.dirname(os.path.abspath(problem_path))
     # the run config's chain serves a problem that names none
     problem, init = _load_json(
@@ -212,18 +213,16 @@ def cmd_retarget(cfg: RunConfig, problem_path: str, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_expand(
-    cfg: RunConfig, dataset_path: str, mode: str, count: int, seed: int, out_dir: str
-) -> int:
-    points = scenario.load_manifold_points(dataset_path)
+def cmd_expand(cfg: RunConfig, args: argparse.Namespace, out_dir: str) -> int:
+    points = scenario.load_manifold_points(args.input)
     expand = cfg.sections["expand"]
     manifold = scenario.expand_manifold(
         [(p.position, p.time_offset) for p in points],
         radius=expand["radius"],
         time_jitter=expand["time_jitter"],
-        count=count,
-        mode=mode,
-        seed=seed,
+        count=args.count,
+        mode=args.mode,
+        seed=cfg.seed if args.seed is None else args.seed,
         center=tuple(expand["center"]),
     )
     os.makedirs(out_dir, exist_ok=True)
@@ -231,8 +230,8 @@ def cmd_expand(
     return EXIT_OK
 
 
-def cmd_score(cfg: RunConfig, episode_path: str, out_dir: str) -> int:
-    logs = scenario.load_episode_csv(episode_path)
+def cmd_score(cfg: RunConfig, args: argparse.Namespace, out_dir: str) -> int:
+    logs = scenario.load_episode_csv(args.input)
     metrics = scenario.evaluate_episodes(
         logs,
         in_bounds_weight=cfg.sections["score"]["in_bounds_weight"],
@@ -240,7 +239,7 @@ def cmd_score(cfg: RunConfig, episode_path: str, out_dir: str) -> int:
     )
     # MSE is NaN, by definition, only when no serve was intercepted
     if not (math.isfinite(metrics.ibr) and (math.isfinite(metrics.mse) or metrics.sr == 0.0)):
-        raise ValueError(f"{episode_path}: metrics overflow (MSE {metrics.mse}, IBR {metrics.ibr})")
+        raise ValueError(f"{args.input}: metrics overflow (MSE {metrics.mse}, IBR {metrics.ibr})")
     os.makedirs(out_dir, exist_ok=True)
     _write_json(
         {"SR": metrics.sr, "MSE": metrics.mse, "IBR": metrics.ibr},
@@ -257,23 +256,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="shuttlekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", parents=[common], help="fly a shuttle to the ground")
-    p.add_argument("state", help="initial state JSON")
-
-    p = sub.add_parser("track", parents=[common], help="filter measurements, plan a strike")
-    p.add_argument("measurements", help="measurement CSV (t,x,y,z)")
-
-    p = sub.add_parser("retarget", parents=[common], help="fit a chain to keypoint targets")
-    p.add_argument("problem", help="retargeting problem JSON")
-
-    p = sub.add_parser("expand", parents=[common], help="densify strike targets")
-    p.add_argument("dataset", help="dataset JSON ([{pos, t, src}])")
-    p.add_argument("--mode", choices=("easy", "hard"), default="easy")
-    p.add_argument("--count", type=int, default=1000)
-
-    p = sub.add_parser("score", parents=[common], help="compute SR / MSE / IBR")
-    p.add_argument("episodes", help="episode log CSV")
+    # built at each call, so a command runs whatever `cmd_<name>` is bound to now
+    for name, run, help_, input_name, input_help in (
+        ("simulate", cmd_simulate, "fly a shuttle to the ground", "state", "initial-state JSON"),
+        ("track", cmd_track, "filter measurements, plan a strike",
+         "measurements", "measurement CSV (t,x,y,z)"),
+        ("retarget", cmd_retarget, "fit a chain to keypoint targets",
+         "problem", "retargeting problem JSON"),
+        ("expand", cmd_expand, "densify strike targets",
+         "dataset", "dataset JSON ([{pos, t, src}])"),
+        ("score", cmd_score, "compute SR / MSE / IBR", "episodes", "episode log CSV"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=help_)
+        p.add_argument("input", metavar=input_name, help=input_help)
+        if name == "expand":
+            p.add_argument("--mode", choices=("easy", "hard"), default="easy")
+            p.add_argument("--count", type=int, default=1000)
+        p.set_defaults(run=run)
     return parser
 
 
@@ -283,27 +282,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config)
-        seed = args.seed if args.seed is not None else cfg.seed
-        out_dir = args.out or cfg.out_dir
         if cfg.params is None and args.command in ("simulate", "track"):
             raise ValueError(f"{args.command} needs a 'params' file in the run config")
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.state, out_dir)
-        if args.command == "track":
-            return cmd_track(cfg, args.measurements, out_dir)
-        if args.command == "retarget":
-            return cmd_retarget(cfg, args.problem, out_dir)
-        if args.command == "expand":
-            return cmd_expand(cfg, args.dataset, args.mode, args.count, seed, out_dir)
-        if args.command == "score":
-            return cmd_score(cfg, args.episodes, out_dir)
-        raise AssertionError(f"unhandled command {args.command}")
-    except (OSError, ValueError, KeyError, TypeError, estimator.NumericalFailureError) as exc:
+        return args.run(cfg, args, args.out or cfg.out_dir)
+    except (OSError, ValueError, KeyError, TypeError, estimator.NumericalFailureError,
+            scenario.InfeasibleTargetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except scenario.InfeasibleTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        infeasible = isinstance(exc, scenario.InfeasibleTargetError)
+        return EXIT_INFEASIBLE if infeasible else EXIT_BAD_INPUT
 
 
 def entry() -> None:

@@ -22,7 +22,6 @@ from .spatial import (
     _matrix_entries,
     _round_floats,
     _rotvec_between,
-    to_base_frame,
 )
 
 Array = np.ndarray
@@ -175,8 +174,9 @@ class ReferenceClip:
 
     The frames are stacked once, at construction: an (F, 12) table of
     [position, 0, 0, 0, linear velocity, angular velocity] rows, the
-    orientations as float tuples and an (F, n) joint table. The frames'
-    arrays are read-only, so the table always matches them.
+    orientations as float tuples, their rotation matrices as an (F, 3, 3)
+    stack and an (F, n) joint table. The frames' arrays are read-only, so
+    the tables always match them.
     """
 
     frames: tuple[ClipFrame, ...]
@@ -198,11 +198,15 @@ class ReferenceClip:
             root_rows[k, 6:9] = f.root_lin
             root_rows[k, 9:] = f.root_ang
         joint_rows = np.array([f.q for f in frames]) if frames else np.empty((0, 0))
-        root_rows.flags.writeable = joint_rows.flags.writeable = False
+        root_quats = tuple(f.root.orientation.tolist() for f in frames)
+        # each frame's orientation matrix R: `rows @ R` applies R^T, world->base, to each row
+        to_base = np.array([_matrix_entries(q) for q in root_quats]).reshape(-1, 3, 3)
+        root_rows.flags.writeable = joint_rows.flags.writeable = to_base.flags.writeable = False
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "_times", times)
         object.__setattr__(self, "_root_rows", root_rows)
-        object.__setattr__(self, "_root_quats", tuple(f.root.orientation.tolist() for f in frames))
+        object.__setattr__(self, "_root_quats", root_quats)
+        object.__setattr__(self, "_to_base", to_base)
         object.__setattr__(self, "_joint_rows", joint_rows)
         object.__setattr__(self, "hit_times", tuple(float(t) for t in self.hit_times))
         object.__setattr__(self, "recovery_times", tuple(float(t) for t in self.recovery_times))
@@ -248,7 +252,7 @@ def reference_window(clip: ReferenceClip, t: float, horizon: int) -> ReferenceWi
     rows[:, 3:6] = [
         _rotvec_between(quats[min(k, last)], base_quat) for k in range(i + 1, i + 1 + horizon)
     ]
-    root_deltas = to_base_frame(rows.reshape(-1, 3), clip.frames[i].root, is_point=False)
+    root_deltas = rows.reshape(-1, 3) @ clip._to_base[i]
     joint_deltas = clip._joint_rows.take(futs, axis=0, mode="clip")
     joint_deltas -= clip._joint_rows[i]
     return ReferenceWindow(root_deltas.reshape(horizon, 12), joint_deltas)

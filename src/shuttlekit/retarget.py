@@ -460,29 +460,26 @@ def evaluate_residuals(
 
 
 def _solve_frame(
-    p: RetargetProblem,
-    it: _FrameIterate,
-    tg: _FrameTargets,
-    prev: Optional[tuple[Pose, Array]],
-    cost_trace: Optional[list] = None,
-) -> tuple[_FrameIterate, ResidualReport]:
+    p: RetargetProblem, it: _FrameIterate, tg: _FrameTargets, prev: Optional[tuple[Pose, Array]]
+) -> tuple[_FrameIterate, ResidualReport, list[float]]:
     """Levenberg-Marquardt over one frame's increment vector.
 
-    Returns the final iterate and the residual report evaluated at it. Every trial is
+    Returns the final iterate, the residual report evaluated at it, and the frame's cost
+    trace: the cost at the start, then the cost after each accepted step. Every trial is
     linearized with its Jacobian, which the next step uses if the trial is accepted.
     """
     lam = 1e-3
     r, report, jac = _linearize(p, it, tg, prev)
-    cost = float(np.dot(r, r))
-    if cost_trace is not None:
-        cost_trace.append(cost)
-    dim = it.dim()
-    for _ in range(_LM_MAX_ITERS):
+    trace = [float(np.dot(r, r))]
+    eye = np.eye(it.dim())
+    done = False
+    while not done and len(trace) <= _LM_MAX_ITERS:  # each pass accepts one step or ends
         jtj = jac.T @ jac
         jtr = jac.T @ r
+        cost = trace[-1]
         while lam <= 1e12:
             try:
-                delta = np.linalg.solve(jtj + lam * np.eye(dim), -jtr)
+                delta = np.linalg.solve(jtj + lam * eye, -jtr)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -490,18 +487,15 @@ def _solve_frame(
             r_trial, trial_report, trial_jac = _linearize(p, trial, tg, prev)
             trial_cost = float(np.dot(r_trial, r_trial))
             if trial_cost < cost:
-                converged = cost - trial_cost < _LM_REL_TOL * max(cost, 1e-30)
-                it, r, cost, report, jac = trial, r_trial, trial_cost, trial_report, trial_jac
-                if cost_trace is not None:
-                    cost_trace.append(cost)
+                done = cost - trial_cost < _LM_REL_TOL * max(cost, 1e-30)
+                it, r, report, jac = trial, r_trial, trial_report, trial_jac
+                trace.append(trial_cost)
                 lam = max(lam / 10.0, 1e-12)
-                if converged:
-                    return it, report
                 break
             lam *= 10.0
         else:  # no damping gave a lower cost
-            return it, report
-    return it, report
+            done = True
+    return it, report, trace
 
 
 @np.errstate(over="ignore")  # a cost that overflows reads inf, which callers check
@@ -517,7 +511,8 @@ def solve_retarget(
     predecessor, with the smoothness residual tying them together. Joint
     angles are clamped into their limits on output; the reported per-term
     costs are evaluated at the converged pre-clamp states. When given,
-    cost_trace collects one list of accepted costs per frame.
+    cost_trace gets one list per solved frame: its starting cost, then the
+    cost after each accepted LM step.
     """
     if len(p.frames) == 0:
         raise ValueError("problem has no frames")
@@ -529,14 +524,8 @@ def solve_retarget(
         raise ValueError("init local_scales must match the segment count")
     targets = [_frame_targets(p, frame) for frame in range(len(p.frames))]
 
-    it = _FrameIterate(
-        root=init.root_poses[0],
-        q=init.joint_angles[0].copy(),
-        g_scale=init.global_scale,
-        l_scales=l_scales.copy(),
-        with_scales=p.optimize_scales,
-        with_root=not p.fix_root,
-    )
+    it = _FrameIterate(init.root_poses[0], init.joint_angles[0], init.global_scale,
+                       l_scales.copy(), p.optimize_scales, not p.fix_root)
     roots: list[Pose] = []
     joints: list[Array] = []
     costs = {t: 0.0 for t in TERM_ORDER}
@@ -544,19 +533,15 @@ def solve_retarget(
     for frame, tg in enumerate(targets):
         if p.fix_root and frame < init.n_frames:
             it.root = init.root_poses[frame]
-        frame_trace: Optional[list] = None
+        it, report, trace = _solve_frame(p, it, tg, prev)
         if cost_trace is not None:
-            frame_trace = []
-            cost_trace.append(frame_trace)
-        it, report = _solve_frame(p, it, tg, prev, cost_trace=frame_trace)
+            cost_trace.append(trace)
         roots.append(it.root)
-        joints.append(it.q.copy())
+        joints.append(it.q)
         for t, block in report.blocks.items():
             costs[t] += p.weights.for_term(t) * float(np.dot(block, block))
-        prev = (it.root, it.q.copy())
-        it = _FrameIterate(
-            it.root, it.q.copy(), it.g_scale, it.l_scales, False, not p.fix_root
-        )
+        prev = (it.root, it.q)
+        it = replace(it, with_scales=False)
     costs["total"] = sum(costs[t] for t in TERM_ORDER)
     clamped = np.stack([p.chain.clamp(q) for q in joints])
     solution = RetargetSolution(tuple(roots), clamped, it.g_scale, it.l_scales)

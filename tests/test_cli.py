@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -886,6 +887,46 @@ def test_bad_table_value_exits_one_before_any_command(workdir, capsys, section, 
     assert code == 1, err
     assert err.startswith(f"error: {workdir / 'config.json'}: {section}.{key} "), err
     assert not (workdir / "out").exists()
+
+
+def _parser_commands():
+    """command -> (input name, input help) of every subcommand the parser accepts."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: next((a.metavar, a.help) for a in p._actions if not a.option_strings)
+            for name, p in sub.choices.items()}
+
+
+def test_readme_lists_every_command_with_its_input():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text.split("## Command line", 1)[1].split("| command", 1)[1].split("\n\n", 1)[0]
+    rows = dict(re.findall(r"^\| `([a-z]+)` +\| ([^|]*?) +\|", table, flags=re.M))
+    commands = _parser_commands()
+    assert sorted(rows) == sorted(commands)
+    for name, listed in rows.items():
+        assert listed in commands[name][1], name
+
+
+@pytest.mark.parametrize("command, input_name", [
+    ("simulate", "state"), ("track", "measurements"), ("retarget", "problem"),
+    ("expand", "dataset"), ("score", "episodes"),
+])
+def test_command_help_names_its_input(capsys, command, input_name):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert re.search(rf"^positional arguments:\n  {input_name} +\S", out, flags=re.M), out
+
+
+def test_main_runs_the_command_bound_at_call_time(workdir, monkeypatch):
+    """A wrapper set on `cli.cmd_<name>` after import is what `main` calls."""
+    calls = []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda cfg, args, out_dir: calls.append(
+        (args.input, out_dir)) or 7)
+    code = main(["simulate", "--config", str(workdir / "config.json"), "--out", "o", "in.json"])
+    assert code == 7
+    assert calls == [("in.json", "o")]
 
 
 def test_readme_lists_every_config_key():

@@ -1,9 +1,12 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import arm_chain, unit_quats
+from conftest import arm_chain, random_quat, unit_quats
 from shuttlekit.retarget import (
     TERM_ORDER,
     _FrameIterate,
@@ -167,7 +170,23 @@ class TestSolveRetarget:
         assert len(trace) == 1
         frame_costs = trace[0]
         assert len(frame_costs) > 2
-        assert all(b <= a for a, b in zip(frame_costs, frame_costs[1:]))
+        # the cost at the start, then one strictly lower cost per accepted step
+        assert all(b < a for a, b in zip(frame_costs, frame_costs[1:]))
+
+    def test_frame_that_raises_leaves_no_cost_trace(self):
+        # frame 0's keypoint sits near the float limit: an LM step overflows the free root
+        problem = RetargetProblem(
+            chain=_one_joint_chain(),
+            keypoint_map={"kp": "tip"},
+            frames=(KeypointFrame(0.0, {"kp": [1.7e308, 0.0, 0.0]}),
+                    KeypointFrame(0.1, {"kp": [1.0, 0.0, 0.0]})),
+            optimize_scales=True,
+        )
+        trace = []
+        init = RetargetSolution((Pose.identity(),) * 2, np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="position has non-finite components"):
+            solve_retarget(problem, init, cost_trace=trace)
+        assert trace == []
 
     def test_weight_scaling_leaves_argmin(self):
         root = Pose(np.array([0.0, 0.0, 0.0]), quat_from_rotvec([0, 0, 0.2]))
@@ -491,3 +510,79 @@ class TestClipExportAndIo:
         assert np.array_equal(init.root_poses[0].position, np.zeros(3))
         assert np.array_equal(init.root_poses[0].orientation, quat_identity())
         assert np.array_equal(init.joint_angles, [chain.joint_limits().mean(axis=1)])
+
+
+def _seeded_problems():
+    """Seeded problems that between them make all six cost terms non-zero: a branching
+    tree chain solved with its scales, the same chain with its root fixed at the truth, and
+    the arm. The keypoints come from joint angles past the limits, a larger body and noise."""
+    rng = np.random.default_rng(2023)
+    joints = tuple(
+        Joint(f"j{i}", parent, Pose(rng.uniform(-0.4, 0.4, 3), random_quat(rng)),
+              rng.normal(size=3), (-0.8, 0.8))
+        for i, parent in enumerate((-1, 0, 0, 1, 2))
+    )
+    ees = tuple(EndEffector(f"e{k}", parent, Pose(rng.uniform(-0.3, 0.3, 3), random_quat(rng)))
+                for k, parent in enumerate((3, 4, -1)))
+    tree = KinematicChain(joints, ees)
+    names = [f.name for f in joints + ees]
+    segments = (("kp_j0", "kp_j1"), ("kp_j1", "kp_j3"), ("kp_j3", "kp_e0"),
+                ("kp_j0", "kp_j2"), ("kp_j2", "kp_j4"), ("kp_j4", "kp_e1"))
+    spheres = tuple(CollisionSphere(name, rng.uniform(-0.05, 0.05, 3), radius)
+                    for name, radius in (("e0", 0.35), ("e1", 0.35), ("j0", 0.25)))
+    roots, frames = [], []
+    for k in range(4):
+        root = Pose(np.array([0.1 * k, 0.05 * k, 0.0]), quat_from_rotvec([0.0, 0.0, 0.2 * k]))
+        fk = forward_kinematics(tree, root, rng.uniform(-1.1, 1.1, 5))
+        rotations = {"e0": fk["e0"].orientation} if k % 2 else {}
+        frames.append(KeypointFrame(0.1 * k, {
+            f"kp_{n}": 1.1 * fk[n].position + rng.normal(0.0, 0.01, 3) for n in names}, rotations))
+        roots.append(root)
+    weights = RetargetWeights(1.0, 0.5, 0.3, 2.0, 4.0, 0.2)
+    scaled = RetargetProblem(tree, {f"kp_{n}": n for n in names}, tuple(frames), segments,
+                             weights, spheres, optimize_scales=True)
+    zeros = np.zeros((4, 5))
+    yield scaled, RetargetSolution((Pose.identity(),) * 4, zeros, local_scales=np.ones(6))
+    yield replace(scaled, optimize_scales=False, fix_root=True), RetargetSolution(roots, zeros)
+    arm_frames = []
+    for k in range(3):  # the elbow ends past its limit of -2
+        fk = forward_kinematics(arm_chain(), Pose.identity(), np.array([0.6, -2.3, 0.4]) * k / 2)
+        keypoints = {f"kp_{n}": fk[n].position for n in ARM_KEYPOINTS}
+        arm_frames.append(KeypointFrame(0.1 * k, keypoints))
+    arm = RetargetProblem(arm_chain(), {f"kp_{n}": n for n in ARM_KEYPOINTS}, tuple(arm_frames),
+                          segments=(("kp_shoulder", "kp_elbow"), ("kp_elbow", "kp_wrist")))
+    yield arm, _identity_init(arm, 3)
+
+
+def _retarget_digest():
+    """SHA-256 over tobytes() of each seeded problem's solution (root poses, joint angles,
+    scales), its per-frame cost traces, its per-term costs and every `evaluate_residuals`
+    block; and the per-term costs summed over the problems."""
+    digest, totals = hashlib.sha256(), dict.fromkeys(TERM_ORDER, 0.0)
+    for problem, init in _seeded_problems():
+        trace = []
+        solution, costs = solve_retarget(problem, init, cost_trace=trace)
+        for root in solution.root_poses:
+            digest.update(root.position.tobytes() + root.orientation.tobytes())
+        digest.update(solution.joint_angles.tobytes())
+        digest.update(np.float64(solution.global_scale).tobytes())
+        digest.update(solution.local_scales.tobytes())
+        for frame_costs in trace:
+            digest.update(np.array(frame_costs).tobytes())
+        digest.update(np.array([costs[t] for t in (*TERM_ORDER, "total")]).tobytes())
+        for frame in range(solution.n_frames):
+            report = evaluate_residuals(problem, solution, frame)
+            for t in TERM_ORDER:
+                digest.update(report.blocks[t].tobytes())
+        for t in TERM_ORDER:
+            totals[t] += costs[t]
+    return digest.hexdigest(), totals
+
+
+def test_retargeting_outputs_match_their_pinned_digest():
+    """The digest was taken before the frame solve returned its own cost trace, so a change
+    to the LM arithmetic, or to the order of its operations, moves it. It also covers
+    numpy's float64 solves and products, which another BLAS build may round differently."""
+    digest, totals = _retarget_digest()
+    assert all(totals[t] > 0.0 for t in TERM_ORDER), totals
+    assert digest == "8593bcd9b589e6e59f81041054b2e4cc3aa4473fe1aef72716094a77fd4aa4b6"
