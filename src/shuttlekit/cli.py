@@ -257,22 +257,23 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="shuttlekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     # built at each call, so a command runs whatever `cmd_<name>` is bound to now
-    for name, run, help_, input_name, input_help in (
-        ("simulate", cmd_simulate, "fly a shuttle to the ground", "state", "initial-state JSON"),
-        ("track", cmd_track, "filter measurements, plan a strike",
+    for name, run, needs_params, help_, input_name, input_help in (
+        ("simulate", cmd_simulate, True, "fly a shuttle to the ground",
+         "state", "initial-state JSON"),
+        ("track", cmd_track, True, "filter measurements, plan a strike",
          "measurements", "measurement CSV (t,x,y,z)"),
-        ("retarget", cmd_retarget, "fit a chain to keypoint targets",
+        ("retarget", cmd_retarget, False, "fit a chain to keypoint targets",
          "problem", "retargeting problem JSON"),
-        ("expand", cmd_expand, "densify strike targets",
+        ("expand", cmd_expand, False, "densify strike targets",
          "dataset", "dataset JSON ([{pos, t, src}])"),
-        ("score", cmd_score, "compute SR / MSE / IBR", "episodes", "episode log CSV"),
+        ("score", cmd_score, False, "compute SR / MSE / IBR", "episodes", "episode log CSV"),
     ):
         p = sub.add_parser(name, parents=[common], help=help_)
         p.add_argument("input", metavar=input_name, help=input_help)
         if name == "expand":
             p.add_argument("--mode", choices=("easy", "hard"), default="easy")
             p.add_argument("--count", type=int, default=1000)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, needs_params=needs_params)
     return parser
 
 
@@ -282,7 +283,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config)
-        if cfg.params is None and args.command in ("simulate", "track"):
+        if cfg.params is None and args.needs_params:
             raise ValueError(f"{args.command} needs a 'params' file in the run config")
         return args.run(cfg, args, args.out or cfg.out_dir)
     except (OSError, ValueError, KeyError, TypeError, estimator.NumericalFailureError,

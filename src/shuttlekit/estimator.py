@@ -6,8 +6,8 @@ the filter state, and the covariance by `shuttle.transition_jacobian`,
 the exact derivative of that step. Every step checks its belief: a finite
 mean and covariance, and a covariance that is PSD to -1e-9, tested by a
 Cholesky factorisation of P + 1e-9 I. Overflow inside a step reads as inf
-and fails those checks with no numpy warning: each public step enters one
-`np.errstate`, and `track_measurements` one for its whole track.
+and fails those checks with no numpy warning: `ekf_predict`, `ekf_update` and
+`track_measurements` share one `np.errstate` guard, which a track enters once.
 """
 
 from __future__ import annotations
@@ -108,8 +108,8 @@ class InnovationStats:
     nis: float
 
 
-# A filter step's numpy arithmetic may overflow; the inf or nan it leaves fails the
-# step's own checks, which raise their error with no numpy warning first.
+# A filter step's numpy arithmetic may overflow; the inf or nan it leaves fails the step's
+# own checks, which raise with no numpy warning first. Each decorated call sets its own token.
 _overflow_reads_inf = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -244,6 +244,7 @@ def select_hit_point(traj: Trajectory, criteria: HitCriteria) -> Optional[Strike
     )
 
 
+@_overflow_reads_inf
 def track_measurements(
     times: Array,
     measurements: Array,
@@ -272,19 +273,16 @@ def track_measurements(
     rows = np.empty((times.size, 8))
     rows[:, 0] = times
     mean, cov, r, qs = b0.mean, b0.covariance, n.measurement_cov, {}
-    # A fresh errstate per track: numpy 2 refuses a second `with` on one instance,
-    # whose __exit__ keeps its token, so the steps' shared decorator cannot serve here.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(times.size):
-            if i > 0:
-                dt = float(times[i] - times[i - 1])
-                q = qs.get(dt)
-                if q is None:  # Q is built once per distinct gap
-                    _check_dt(dt)
-                    q = qs[dt] = process_noise(n.process_psd, dt)
-                mean, cov = _predict(mean, cov, p, q, dt)
-            mean, cov, rows[i, 7] = _update(mean, cov, measurements[i], r)
-            rows[i, 1:7] = mean
+    for i in range(times.size):
+        if i > 0:
+            dt = float(times[i] - times[i - 1])
+            q = qs.get(dt)
+            if q is None:  # Q is built once per distinct gap
+                _check_dt(dt)
+                q = qs[dt] = process_noise(n.process_psd, dt)
+            mean, cov = _predict(mean, cov, p, q, dt)
+        mean, cov, rows[i, 7] = _update(mean, cov, measurements[i], r)
+        rows[i, 1:7] = mean
     return EkfBelief._of_checked(mean, cov), rows
 
 

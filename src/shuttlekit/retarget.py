@@ -596,37 +596,21 @@ def solution_to_clip(
 ) -> ReferenceClip:
     """Convert a solved motion to the reference-clip format.
 
-    Root velocities are computed by central finite differences (one-sided
-    at the ends).
+    Root velocities are central finite differences (one-sided at the ends,
+    zero for a one-frame clip).
     """
     times = np.asarray(times, dtype=np.float64)
     if times.size != sol.n_frames:
         raise ValueError("need one timestamp per frame")
-    n = sol.n_frames
-    frames = []
-    for i in range(n):
-        lo, hi = max(i - 1, 0), min(i + 1, n - 1)
-        dt = times[hi] - times[lo]
-        if dt <= 0:
-            lin = np.zeros(3)
-            ang = np.zeros(3)
-        else:
-            lin = (sol.root_poses[hi].position - sol.root_poses[lo].position) / dt
-            ang = (
-                quat_boxminus(
-                    sol.root_poses[hi].orientation, sol.root_poses[lo].orientation
-                )
-                / dt
-            )
-        frames.append(
-            ClipFrame(
-                t=float(times[i]),
-                root=sol.root_poses[i],
-                root_lin=lin,
-                root_ang=ang,
-                q=sol.joint_angles[i],
-            )
-        )
+    n, poses = sol.n_frames, sol.root_poses
+    lo, hi = np.maximum(np.arange(n) - 1, 0), np.minimum(np.arange(n) + 1, n - 1)
+    dt = (times[hi] - times[lo])[:, None]
+    positions = np.array([pose.position for pose in poses]).reshape(n, 3)
+    turns = np.array([quat_boxminus(poses[b].orientation, poses[a].orientation)
+                      for a, b in zip(lo.tolist(), hi.tolist())]).reshape(n, 3)
+    lin, ang = (np.divide(d, dt, out=np.zeros_like(d), where=dt > 0)
+                for d in (positions[hi] - positions[lo], turns))
+    frames = map(ClipFrame, times.tolist(), poses, lin, ang, sol.joint_angles)
     return ReferenceClip(tuple(frames), tuple(hit_times), tuple(recovery_times))
 
 

@@ -28,6 +28,8 @@ RHYTHM_RANGE = (1.0, 6.0)  # seconds between a hit and the next serve
 
 _MAX_REJECTION_ATTEMPTS = 10_000
 _COARSE_DT = 8 * DEFAULT_DT  # serve iterations aim on this grid; a DEFAULT_DT flight confirms
+_SERVE_TOLERANCE = 0.01  # m: the largest miss a serve may have at the target
+_SERVE_MAX_ITERATIONS = 60  # corrections after the first flight before a target is infeasible
 
 
 class InfeasibleTargetError(RuntimeError):
@@ -200,22 +202,17 @@ def sample_randomization(
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Launch-point geometry and solver settings for synthetic serves."""
+    """Launch-point geometry for synthetic serves. The solver's limits are the module
+    constants `_SERVE_TOLERANCE` and `_SERVE_MAX_ITERATIONS`."""
 
     origin: Array = field(default_factory=lambda: np.array([6.0, 0.0, 2.0]))
     origin_jitter: Array = field(default_factory=lambda: np.zeros(3))
-    tolerance: float = 0.01
-    max_iterations: int = 60
 
     def __post_init__(self):
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.float64))
         object.__setattr__(
             self, "origin_jitter", np.asarray(self.origin_jitter, dtype=np.float64)
         )
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be non-negative")
 
 
 def _position_at(origin: Array, v0: Array, p: ShuttleParams, t_end: float, dt: float) -> Array:
@@ -244,10 +241,10 @@ def serve_trajectory(
     Broyden's "good" update H += (s - H y) s^T H / s^T H y from the step s
     and the change y in the reached position (skipped when s^T H y is below
     1e-12). Flights run on the coarse `_COARSE_DT` grid until one lands
-    within `serve.tolerance`; its velocity is then flown at `DEFAULT_DT`, and
+    within `_SERVE_TOLERANCE`; its velocity is then flown at `DEFAULT_DT`, and
     on a miss the iterations go on at `DEFAULT_DT`, with H kept. Only a
     `DEFAULT_DT` flight within tolerance gives the returned velocity, so the
-    last of the at most `serve.max_iterations + 1` flights, coarse and fine
+    last of the at most `_SERVE_MAX_ITERATIONS + 1` flights, coarse and fine
     together, is a fine one; if none gives it, the target is infeasible.
     The court argument is accepted for call-site symmetry with the rest of
     the pipeline; aiming does not depend on it.
@@ -263,12 +260,12 @@ def serve_trajectory(
     v0 = delta / t_hit + np.array([0.0, 0.0, 0.5 * p.gravity * t_hit])
     inv_sens = np.eye(3) / t_hit
     dt, v_step = _COARSE_DT, None
-    for i in range(serve.max_iterations + 1):
-        dt = DEFAULT_DT if i == serve.max_iterations else dt
+    for i in range(_SERVE_MAX_ITERATIONS + 1):
+        dt = DEFAULT_DT if i == _SERVE_MAX_ITERATIONS else dt
         reached = _position_at(origin, v0, p, t_hit, dt)
         miss = target.position - reached
         miss_norm = np.linalg.norm(miss)
-        if miss_norm <= serve.tolerance:
+        if miss_norm <= _SERVE_TOLERANCE:
             if dt == DEFAULT_DT:
                 speed = np.linalg.norm(v0)
                 return ShuttleState(origin, v0, v0 / speed if speed > 1e-9 else None)

@@ -46,7 +46,7 @@ def _quat(q, name: str = "quaternion") -> Array:
     if out.shape != (4,):
         raise ValueError(f"{name} must have shape (4,), got {out.shape}")
     n = math.sqrt(out @ out)  # np.linalg.norm's sum, without its dispatch
-    if abs(n - 1.0) > QUAT_NORM_TOL:
+    if not abs(n - 1.0) <= QUAT_NORM_TOL:  # NaN fails too
         raise ValueError(f"{name} is not unit norm (|q| = {n})")
     return out / n
 

@@ -890,10 +890,12 @@ def test_bad_table_value_exits_one_before_any_command(workdir, capsys, section, 
 
 
 def _parser_commands():
-    """command -> (input name, input help) of every subcommand the parser accepts."""
+    """command -> (input name, input help, needs params) of every subcommand the parser
+    accepts."""
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    return {name: next((a.metavar, a.help) for a in p._actions if not a.option_strings)
+    return {name: next((a.metavar, a.help, p.get_default("needs_params"))
+                       for a in p._actions if not a.option_strings)
             for name, p in sub.choices.items()}
 
 
@@ -905,6 +907,14 @@ def test_readme_lists_every_command_with_its_input():
     assert sorted(rows) == sorted(commands)
     for name, listed in rows.items():
         assert listed in commands[name][1], name
+
+
+def test_readme_names_the_commands_that_need_params():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("### Run config keys", 1)[1].split("\n#", 1)[0]
+    row = re.search(r"^\| `params` \| [^|]* \| ([^|]*) \|$", section, flags=re.M).group(1)
+    need = [name for name, (_, _, needs_params) in _parser_commands().items() if needs_params]
+    assert sorted(re.findall(r"`([a-z]+)`", row)) == sorted(need)
 
 
 @pytest.mark.parametrize("command, input_name", [

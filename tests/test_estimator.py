@@ -610,6 +610,7 @@ class TestTrackMeasurements:
     @pytest.mark.parametrize("times, latency", [
         ([0.0, np.nan, 0.01], 0.0),
         ([0.0, 0.005, 0.01], np.nan),
+        ([0.0, 1e308, 1.5e308], -1e308),  # the shift overflows
     ])
     def test_non_finite_timestamps_rejected(self, times, latency):
         zs = np.array([[0.0, 0.0, 3.0], [0.02, 0.0, 3.02], [0.04, 0.0, 3.04]])

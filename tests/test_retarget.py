@@ -1,4 +1,5 @@
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import arm_chain, random_quat, unit_quats
+from conftest import arm_chain, random_pose, random_quat, unit_quats
+from shuttlekit.goal import clip_to_dict
 from shuttlekit.retarget import (
     TERM_ORDER,
     _FrameIterate,
@@ -476,6 +478,29 @@ class TestClipExportAndIo:
         assert len(clip) == 4
         assert clip.hit_times == (0.2,)
         assert np.allclose(clip.frames[1].root_lin, [1.0, 0.0, 0.0], atol=1e-9)
+        # one frame has no time step: its velocities are +0.0
+        (frame,) = solution_to_clip(RetargetSolution(roots[2:3], np.zeros((1, 2))), [0.4]).frames
+        for v in (frame.root_lin, frame.root_ang):
+            assert v.tolist() == [0.0] * 3 and not np.signbit(v).any()
+
+    def test_clip_export_matches_its_pinned_digest(self):
+        """SHA-256 over each frame's t, root pose, root_lin, root_ang and q, and over the
+        `clip_to_dict` JSON, of 100 seeded solutions of 1-5 frames. The digest was taken
+        when the velocities came from a per-frame loop."""
+        rng, digest = np.random.default_rng(43), hashlib.sha256()
+        for k in range(100):
+            n = 1 + k % 5
+            sol = RetargetSolution(tuple(random_pose(rng) for _ in range(n)),
+                                   rng.normal(size=(n, 3)))
+            times = rng.uniform(-1.0, 1.0) + np.cumsum(rng.uniform(0.01, 0.2, n))
+            clip = solution_to_clip(sol, times.tolist(), hit_times=(float(times[-1]),))
+            for f in clip.frames:
+                digest.update(np.float64(f.t).tobytes() + f.root.position.tobytes()
+                              + f.root.orientation.tobytes() + f.root_lin.tobytes()
+                              + f.root_ang.tobytes() + f.q.tobytes())
+            digest.update(json.dumps(clip_to_dict(clip)).encode())
+        assert digest.hexdigest() == (
+            "bcabce20f2b567a3bd2f35443d93d06fc3d9aa9dd1aaadf45d4bc9a778cfff67")
 
     def test_problem_from_dict(self):
         chain = arm_chain()

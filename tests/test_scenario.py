@@ -245,7 +245,7 @@ class TestServeTrajectory:
         target = ManifoldPoint(np.array([0.3, -0.1, 1.1]), 1.1, 0)
         cfg = ServeConfig()
         state = serve_trajectory(target, COURT, self.PARAMS, None, cfg)
-        assert 1 < len(flown) <= cfg.max_iterations + 1
+        assert 1 < len(flown) <= scenario._SERVE_MAX_ITERATIONS + 1
         assert {dt for _, dt in flown} <= {scenario._COARSE_DT, DEFAULT_DT}
         # within one grid no velocity is flown twice
         for grid in (scenario._COARSE_DT, DEFAULT_DT):
@@ -259,8 +259,9 @@ class TestServeTrajectory:
         assert flown[-1][1] == DEFAULT_DT
         assert np.array_equal(flown[-1][0], state.velocity)
         flown.clear()
+        monkeypatch.setattr(scenario, "_SERVE_MAX_ITERATIONS", 2)
         with pytest.raises(InfeasibleTargetError):
-            serve_trajectory(target, COURT, self.PARAMS, None, ServeConfig(max_iterations=2))
+            serve_trajectory(target, COURT, self.PARAMS, None, cfg)
         # the iteration budget ran out after two corrections
         assert len(flown) == 3
         assert not repeats(flown)
@@ -329,7 +330,7 @@ class TestServeTrajectory:
         rem = t_hit - n_full * DEFAULT_DT
         if rem > 1e-12:
             s = step(s, self.PARAMS, rem)
-        assert np.linalg.norm(s.position - target.position) <= cfg.tolerance
+        assert np.linalg.norm(s.position - target.position) <= scenario._SERVE_TOLERANCE
 
 
 class TestEvaluateEpisodes:

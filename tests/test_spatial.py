@@ -317,6 +317,25 @@ class TestPose:
         )
 
 
+# each quaternion argument, by the name its check reports, and a call that passes it
+QUAT_ARGUMENTS = {
+    "orientation": lambda q: Pose(np.zeros(3), q),
+    "ref": lambda q: quat_boxminus(q, quat_identity()),
+    "cur": lambda q: quat_boxminus(quat_identity(), q),
+    "quaternion": lambda q: quat_boxplus(q, np.zeros(3)),
+}
+
+
+@pytest.mark.parametrize("name", QUAT_ARGUMENTS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", range(4))
+def test_non_finite_quaternion_entry_rejected(name, bad, slot):
+    q = quat_identity()
+    q[slot] = bad
+    with pytest.raises(ValueError, match=rf"^{name} is not unit norm \(\|q\| = {abs(bad)}\)$"):
+        QUAT_ARGUMENTS[name](q)
+
+
 class TestBox:
     BOX = Box(np.array([0.0, 0.0, 1.0]), np.array([2.0, 0.4, 0.3]))
 
