@@ -21,7 +21,7 @@ import numpy as np
 
 from .goal import StrikeTarget
 from .shuttle import ShuttleParams, Trajectory, _check_dt, _rk4_step, transition_jacobian
-from .spatial import Box, Pose, _csv_records, _write_csv, quat_identity
+from .spatial import Box, Pose, _csv_records, _quat, _write_csv, quat_identity
 
 Array = np.ndarray
 
@@ -211,6 +211,7 @@ class HitCriteria:
             raise ValueError("height band must satisfy lo < hi")
         if self.preference not in ("earliest", "apex"):
             raise ValueError("preference must be 'earliest' or 'apex'")
+        _quat(self.racket_quat, "racket_quat")  # checked only: the value is stored as given
 
 
 def select_hit_point(traj: Trajectory, criteria: HitCriteria) -> Optional[StrikeTarget]:

@@ -139,17 +139,10 @@ def encode_goal(
     return GoalObservation(tth, hit_delta, recovery_delta, phase)
 
 
-def _read_only(values) -> Array:
-    a = np.array(values, dtype=np.float64)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class ClipFrame:
-    """One reference-motion frame. Its arrays, the root pose's included, are
-    read-only float64 copies of the inputs, so a clip's stacked table
-    cannot go stale."""
+    """One reference-motion frame. In a `ReferenceClip` its arrays, the root
+    pose's included, are read-only views of the clip's tables."""
 
     t: float
     root: Pose
@@ -157,26 +150,17 @@ class ClipFrame:
     root_ang: Array
     q: Array
 
-    def __post_init__(self):
-        root = self.root
-        object.__setattr__(
-            self, "root", Pose._of_rows(_read_only(root.position), _read_only(root.orientation))
-        )
-        object.__setattr__(self, "root_lin", _read_only(self.root_lin))
-        object.__setattr__(self, "root_ang", _read_only(self.root_ang))
-        object.__setattr__(self, "q", _read_only(self.q))
-
 
 @dataclass(frozen=True)
 class ReferenceClip:
     """Reference motion: root states and joint vectors over time, with
     annotated hit and recovery instants.
 
-    The frames are stacked once, at construction: an (F, 12) table of
-    [position, 0, 0, 0, linear velocity, angular velocity] rows, the
-    orientations as float tuples, their rotation matrices as an (F, 3, 3)
-    stack and an (F, n) joint table. The frames' arrays are read-only, so
-    the tables always match them.
+    The frames are stacked once, at construction, into read-only tables: an
+    (F, 12) table of [position, 0, 0, 0, linear velocity, angular velocity]
+    rows, an (F, 4) table of orientations, their rotation matrices as an
+    (F, 3, 3) stack and an (F, n) joint table. The tables are the clip's only
+    copy of the numbers: its frames are rebuilt as views of their rows.
     """
 
     frames: tuple[ClipFrame, ...]
@@ -186,26 +170,30 @@ class ReferenceClip:
     def __post_init__(self):
         frames = tuple(self.frames)
         times = tuple(f.t for f in frames)
-        if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
+        if not all(t1 < t2 for t1, t2 in zip(times, times[1:])):  # NaN fails too
             raise ValueError("frame times must be strictly increasing")
         for i, f in enumerate(frames[1:], start=1):
-            if f.q.shape != frames[0].q.shape:
-                raise ValueError(f"frames[{i}].q has {f.q.size} angles, "
-                                 f"frames[0].q has {frames[0].q.size}")
+            if np.shape(f.q) != np.shape(frames[0].q):
+                raise ValueError(f"frames[{i}].q has {np.size(f.q)} angles, "
+                                 f"frames[0].q has {np.size(frames[0].q)}")
         root_rows = np.zeros((len(frames), 12))
         for k, f in enumerate(frames):
             root_rows[k, :3] = f.root.position
             root_rows[k, 6:9] = f.root_lin
             root_rows[k, 9:] = f.root_ang
-        joint_rows = np.array([f.q for f in frames]) if frames else np.empty((0, 0))
-        root_quats = tuple(f.root.orientation.tolist() for f in frames)
+        quats = np.array([f.root.orientation for f in frames], dtype=np.float64).reshape(-1, 4)
         # each frame's orientation matrix R: `rows @ R` applies R^T, world->base, to each row
-        to_base = np.array([_matrix_entries(q) for q in root_quats]).reshape(-1, 3, 3)
-        root_rows.flags.writeable = joint_rows.flags.writeable = to_base.flags.writeable = False
-        object.__setattr__(self, "frames", frames)
+        to_base = np.array([_matrix_entries(q) for q in quats.tolist()]).reshape(-1, 3, 3)
+        joint_rows = np.array([f.q for f in frames], dtype=np.float64)
+        for table in (root_rows, quats, to_base, joint_rows):
+            table.flags.writeable = False
+        object.__setattr__(self, "frames", tuple(
+            ClipFrame(f.t, Pose._of_rows(r[:3], o), r[6:9], r[9:], q)
+            for f, r, o, q in zip(frames, root_rows, quats, joint_rows)
+        ))
         object.__setattr__(self, "_times", times)
         object.__setattr__(self, "_root_rows", root_rows)
-        object.__setattr__(self, "_root_quats", root_quats)
+        object.__setattr__(self, "_quats", quats)
         object.__setattr__(self, "_to_base", to_base)
         object.__setattr__(self, "_joint_rows", joint_rows)
         object.__setattr__(self, "hit_times", tuple(float(t) for t in self.hit_times))
@@ -244,14 +232,12 @@ def reference_window(clip: ReferenceClip, t: float, horizon: int) -> ReferenceWi
         raise ValueError("horizon must be at least 1")
     i = clip.frame_index_at(t)
     futs = np.arange(i + 1, i + 1 + horizon)  # taken in "clip" mode: past the end, the last row
-    quats, last = clip._root_quats, len(clip) - 1
-    base_quat = quats[i]
+    base_quat = clip._quats[i].tolist()
     # world-frame rows [dpos, drot, dlin, dang] per future frame, rotated at once
     rows = clip._root_rows.take(futs, axis=0, mode="clip")
     rows -= clip._root_rows[i]
-    rows[:, 3:6] = [
-        _rotvec_between(quats[min(k, last)], base_quat) for k in range(i + 1, i + 1 + horizon)
-    ]
+    rows[:, 3:6] = [_rotvec_between(q, base_quat)
+                    for q in clip._quats.take(futs, axis=0, mode="clip").tolist()]
     root_deltas = rows.reshape(-1, 3) @ clip._to_base[i]
     joint_deltas = clip._joint_rows.take(futs, axis=0, mode="clip")
     joint_deltas -= clip._joint_rows[i]

@@ -250,8 +250,8 @@ def serve_trajectory(
     the pipeline; aiming does not depend on it.
     """
     t_hit = float(target.time_offset)
-    if t_hit <= 0.0:
-        raise InfeasibleTargetError("target time must be strictly positive")
+    if not 0.0 < t_hit < math.inf:  # NaN fails too
+        raise InfeasibleTargetError(f"target time must be positive and finite, got {t_hit}")
     origin = serve.origin.copy()
     if rng is not None and np.any(serve.origin_jitter > 0):
         origin = origin + rng.uniform(-serve.origin_jitter, serve.origin_jitter)

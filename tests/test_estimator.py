@@ -493,6 +493,22 @@ class TestSelectHitPoint:
         assert earliest.hit_time < apex.hit_time
         assert abs(apex.hit_time - t_apex) <= abs(earliest.hit_time - t_apex)
 
+    @pytest.mark.parametrize("racket_quat, message", [
+        ([2.0, 0.0, 0.0, 0.0], r"^racket_quat is not unit norm \(\|q\| = 2\.0\)$"),
+        ([1.0, 0.0, 0.0], r"^racket_quat must have shape \(4,\), got \(3,\)$"),
+        ([np.nan, 0.0, 0.0, 0.0], r"^racket_quat is not unit norm \(\|q\| = nan\)$"),
+    ], ids=["not_unit", "wrong_shape", "nan"])
+    def test_racket_quat_checked_at_construction(self, racket_quat, message):
+        with pytest.raises(ValueError, match=message):
+            HitCriteria(height_band=(1.0, 1.3), racket_quat=racket_quat)
+
+    def test_racket_quat_stored_as_given(self):
+        quat = np.array([-1.0, 0.0, 0.0, 0.0])
+        criteria = HitCriteria(height_band=(1.0, 1.3), racket_quat=quat)
+        assert criteria.racket_quat is quat
+        target = select_hit_point(self._descending(), criteria)
+        assert target.hit_racket_pose.orientation.tolist() == [1.0, 0.0, 0.0, 0.0]
+
 
 class TestTrackMeasurements:
     def test_log_shape_and_determinism(self, tmp_path):

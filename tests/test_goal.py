@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -279,6 +282,15 @@ class TestClipIo:
         with pytest.raises(ValueError):
             ReferenceClip(frames)
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_time_rejected(self, position):
+        times = [0.0, 0.5, 1.0]
+        times[position] = np.nan
+        frames = tuple(ClipFrame(t, Pose.identity(), np.zeros(3), np.zeros(3), np.zeros(1))
+                       for t in times)
+        with pytest.raises(ValueError, match="^frame times must be strictly increasing$"):
+            ReferenceClip(frames)
+
     def test_joint_vectors_of_another_length_rejected(self):
         frames = tuple(ClipFrame(0.1 * k, Pose.identity(), np.zeros(3), np.zeros(3), np.zeros(n))
                        for k, n in enumerate((3, 3, 2)))
@@ -293,3 +305,22 @@ class TestClipIo:
         with pytest.raises(ValueError, match=rf"^frames\[1\]\.q has {n - 1} angles, "
                                              rf"frames\[0\]\.q has {n}$"):
             clip_from_dict(data)
+
+
+def test_window_and_export_match_their_pinned_digest():
+    """SHA-256 over `reference_window` at horizons 1 and 5 on a 1,001-point time sweep,
+    and over the `clip_to_dict` JSON, of a seeded 40-frame clip. The digest was taken when
+    each frame still held its own copies of the clip's arrays."""
+    rng, digest = np.random.default_rng(1), hashlib.sha256()
+    times = np.cumsum(rng.uniform(0.01, 0.05, 40)).tolist()
+    clip = ReferenceClip(tuple(
+        ClipFrame(t, random_pose(rng), rng.normal(size=3), rng.normal(size=3), rng.normal(size=4))
+        for t in times
+    ), hit_times=(times[20],), recovery_times=(times[30],))
+    for t in np.linspace(times[0] - 0.2, times[-1] + 0.2, 1001).tolist():
+        for horizon in (1, 5):
+            window = reference_window(clip, t, horizon)
+            digest.update(window.root_deltas.tobytes() + window.joint_deltas.tobytes())
+    digest.update(json.dumps(clip_to_dict(clip)).encode())
+    assert digest.hexdigest() == (
+        "3283426502fba632df224213f413d2ec4576a1ffcb5ff92414175ef872a2d1a0")

@@ -130,7 +130,11 @@ def test_reference_window_matches_per_frame_oracle(clip, t, horizon):
     assert window.joint_deltas.shape == joint_deltas.shape
     assert window.root_deltas.tobytes() == root_deltas.tobytes()
     assert window.joint_deltas.tobytes() == joint_deltas.tobytes()
-    # the stacked table cannot go stale: the frames' arrays are read-only
+    # the clip holds its numbers once: each frame's arrays are read-only views of its tables
+    for f, rows, quat, joints in zip(clip.frames, clip._root_rows, clip._quats, clip._joint_rows):
+        for frame_array, table_row in ((f.root.position, rows), (f.root.orientation, quat),
+                                       (f.root_lin, rows), (f.root_ang, rows), (f.q, joints)):
+            assert np.shares_memory(frame_array, table_row) or frame_array.size == 0
     for frame_array in (clip.frames[0].q, clip.frames[0].root_lin, clip.frames[0].root.position):
         with pytest.raises(ValueError, match="read-only"):
             frame_array[...] = 1.0

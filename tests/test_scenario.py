@@ -291,9 +291,13 @@ class TestServeTrajectory:
         assert max(flights) <= 10
 
     def test_zero_time_target_infeasible(self):
-        target = ManifoldPoint(np.array([0.0, 0.0, 1.1]), 0.0, 0)
-        with pytest.raises(InfeasibleTargetError):
-            serve_trajectory(target, COURT, self.PARAMS, None, ServeConfig())
+        # a time that is not positive and finite is named, not met as a numpy error
+        for t_hit, shown in ((0.0, "0.0"), (-1.0, "-1.0"), (np.nan, "nan"),
+                             (np.inf, "inf"), (-np.inf, "-inf")):
+            target = ManifoldPoint(np.array([0.0, 0.0, 1.1]), t_hit, 0)
+            with pytest.raises(InfeasibleTargetError,
+                               match=f"^target time must be positive and finite, got {shown}$"):
+                serve_trajectory(target, COURT, self.PARAMS, None, ServeConfig())
 
     def test_origin_jitter_is_seeded(self):
         target = ManifoldPoint(np.array([0.0, 0.0, 1.1]), 1.0, 0)
