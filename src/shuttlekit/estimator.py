@@ -297,8 +297,8 @@ _MEASUREMENT_COLUMNS = ("t", "x", "y", "z")
 def load_measurements_csv(path) -> tuple[Array, Array]:
     """Read the columns `t,x,y,z`, by header name. Returns (times, positions)."""
 
-    def read(row):
-        values = [float(row[c]) for c in _MEASUREMENT_COLUMNS]
+    def read(cells, at):
+        values = [float(cells[at[c]]) for c in _MEASUREMENT_COLUMNS]
         return values, values
 
     # an empty file has no header to check

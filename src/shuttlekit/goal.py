@@ -172,12 +172,19 @@ class ReferenceClip:
         times = tuple(f.t for f in frames)
         if not all(t1 < t2 for t1, t2 in zip(times, times[1:])):  # NaN fails too
             raise ValueError("frame times must be strictly increasing")
+        if frames and np.ndim(frames[0].q) != 1:
+            raise ValueError(f"frames[0].q must have one dimension, "
+                             f"got shape {np.shape(frames[0].q)}")
         for i, f in enumerate(frames[1:], start=1):
             if np.shape(f.q) != np.shape(frames[0].q):
                 raise ValueError(f"frames[{i}].q has {np.size(f.q)} angles, "
                                  f"frames[0].q has {np.size(frames[0].q)}")
         root_rows = np.zeros((len(frames), 12))
         for k, f in enumerate(frames):
+            for name in ("root_lin", "root_ang"):
+                if np.shape(getattr(f, name)) != (3,):
+                    raise ValueError(f"frames[{k}].{name} must have shape (3,), "
+                                     f"got {np.shape(getattr(f, name))}")
             root_rows[k, :3] = f.root.position
             root_rows[k, 6:9] = f.root_lin
             root_rows[k, 9:] = f.root_ang
@@ -185,6 +192,12 @@ class ReferenceClip:
         # each frame's orientation matrix R: `rows @ R` applies R^T, world->base, to each row
         to_base = np.array([_matrix_entries(q) for q in quats.tolist()]).reshape(-1, 3, 3)
         joint_rows = np.array([f.q for f in frames], dtype=np.float64)
+        # the poses are checked already; one test per table, a frame named only on failure
+        for name, table in (("root_lin", root_rows[:, 6:9]), ("root_ang", root_rows[:, 9:]),
+                            ("q", joint_rows)):
+            if not np.isfinite(table).all():
+                k = next(k for k, row in enumerate(table) if not np.isfinite(row).all())
+                raise ValueError(f"frames[{k}].{name} has non-finite values")
         for table in (root_rows, quats, to_base, joint_rows):
             table.flags.writeable = False
         object.__setattr__(self, "frames", tuple(

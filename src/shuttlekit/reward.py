@@ -220,9 +220,9 @@ def score_episode_csv(path, c: RewardConfig) -> list[dict]:
     columns = ["t", "tth", *(f"hit_sq_{i}" for i in range(n_hit)),
                *(f"rec_sq_{j}" for j in range(len(c.rec_weights)))]
 
-    def read(row):
-        values = [float(row[col]) for col in columns]
-        d = float(row["d"]) if row.get("d") else None
+    def read(cells, at):
+        values = [float(cells[at[col]]) for col in columns]
+        d = float(cells[at["d"]]) if "d" in at and cells[at["d"]] else None
         tth, hit_sq, rec_sq = values[1], values[2:2 + n_hit], values[2 + n_hit:]
         r_hit = _hit_from_sq(hit_sq, tth, c)
         r_hit_sparse = _sparse_hit_from_sq(hit_sq, tth, c)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .shuttle import DEFAULT_DT, CourtGeometry, ShuttleParams, ShuttleState, _rk4_step
-from .spatial import REQUIRED, Box, _csv_records, _load_json, _round_floats, _value
+from .spatial import REQUIRED, Box, _csv_records, _load_json, _numbers, _round9, _value
 
 Array = np.ndarray
 
@@ -46,12 +46,26 @@ def strike_volume(mode: str, center=DEFAULT_VOLUME_CENTER) -> Box:
 
 @dataclass(frozen=True)
 class ManifoldPoint:
+    """A strike target: a finite (3,) position, a finite time offset and an integer source."""
+
     position: Array
     time_offset: float
     source: int
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=np.float64))
+        object.__setattr__(self, "position", _numbers(self.position, (3,), "position"))
+        object.__setattr__(self, "time_offset", _value(self.time_offset, float, "time_offset"))
+        object.__setattr__(self, "source", _value(self.source, int, "source"))
+
+    @classmethod
+    def _of_checked(cls, position: Array, time_offset: float, source: int) -> "ManifoldPoint":
+        """A point of these values as they are: each must already be what `__post_init__`
+        stores."""
+        pt = object.__new__(cls)
+        object.__setattr__(pt, "position", position)
+        object.__setattr__(pt, "time_offset", time_offset)
+        object.__setattr__(pt, "source", source)
+        return pt
 
 
 @dataclass(frozen=True)
@@ -107,7 +121,7 @@ def expand_manifold(
     cx, cy, cz = volume.center.tolist()
     hx, hy, hz = (0.5 * volume.size).tolist()
     n_src = len(base_pos)
-    points = []
+    accepted = []  # ((px, py, pz), t, src) of each point, as floats and an int
     for _ in range(count):
         for attempt in range(_MAX_REJECTION_ATTEMPTS):
             src = int(rng.integers(n_src))
@@ -122,15 +136,18 @@ def expand_manifold(
                 px, py, pz = bx + r * dx, by + r * dy, bz + r * dz
             else:
                 px, py, pz = bx, by, bz
-            t = base_t[src] + rng.uniform(-time_jitter, time_jitter)
+            # the arithmetic of rng.uniform(-time_jitter, time_jitter), on the same stream
+            t = base_t[src] + (-time_jitter + 2.0 * time_jitter * rng.random())
             if abs(px - cx) <= hx and abs(py - cy) <= hy and abs(pz - cz) <= hz:
-                points.append(ManifoldPoint(np.array([px, py, pz]), t, src))
+                accepted.append(((px, py, pz), t, src))
                 break
         else:
             raise InfeasibleTargetError(
                 f"could not place a sample inside the {mode} volume after "
                 f"{_MAX_REJECTION_ATTEMPTS} attempts"
             )
+    xyz, times, sources = zip(*accepted)  # the positions become rows of one array
+    points = map(ManifoldPoint._of_checked, np.array(xyz), times, sources)
     return StrikeManifold(tuple(points), mode, volume)
 
 
@@ -298,9 +315,24 @@ class EpisodeRecord:
         if self.intercepted != (self.impact_offset is not None):
             raise ValueError("impact offset must be present iff intercepted")
         if self.impact_offset is not None:
-            object.__setattr__(
-                self, "impact_offset", np.asarray(self.impact_offset, dtype=np.float64)
-            )
+            offset = _numbers(self.impact_offset, (3,), "impact_offset")
+            object.__setattr__(self, "impact_offset", offset)
+        object.__setattr__(self, "return_speed", _value(self.return_speed, float, "return_speed"))
+
+    @classmethod
+    def _of_checked(cls, serve_id, intercepted, impact_offset, landed, in_bounds, cleared_net,
+                    return_speed) -> "EpisodeRecord":
+        """A record of these values as they are: each must already be what `__post_init__`
+        stores."""
+        r, set_ = object.__new__(cls), object.__setattr__  # in field order: the dicts share keys
+        set_(r, "serve_id", serve_id)
+        set_(r, "intercepted", intercepted)
+        set_(r, "impact_offset", impact_offset)
+        set_(r, "landed", landed)
+        set_(r, "in_bounds", in_bounds)
+        set_(r, "cleared_net", cleared_net)
+        set_(r, "return_speed", return_speed)
+        return r
 
 
 @dataclass(frozen=True)
@@ -345,13 +377,14 @@ def evaluate_episodes(
 
 
 def save_manifold(manifold: StrikeManifold, path) -> None:
-    data = [
-        _round_floats({"pos": pt.position.tolist(), "t": pt.time_offset, "src": pt.source})
-        for pt in manifold.points
-    ]
+    """One JSON list of `{"pos", "t", "src"}` objects, each float rounded by `_round9`,
+    streamed one `json.dumps` (CPython's C encoder) per point."""
     with open(path, "w") as f:
-        json.dump(data, f)
-        f.write("\n")
+        for i, pt in enumerate(manifold.points):
+            point = {"pos": list(map(_round9, pt.position.tolist())),
+                     "t": _round9(pt.time_offset), "src": pt.source}
+            f.write((", " if i else "[") + json.dumps(point))
+        f.write("]\n")
 
 
 MANIFOLD_POINT = {"pos": (REQUIRED, (3,)), "t": (REQUIRED, float), "src": (0, int)}
@@ -373,19 +406,15 @@ def load_episode_csv(path) -> list[EpisodeRecord]:
     return _csv_records(path, _EPISODE_COLUMNS, _episode_record)
 
 
-def _episode_record(row) -> tuple:
-    """The record one episode CSV row holds, and the numbers in it."""
-    intercepted = bool(int(row["intercepted"]))
+def _episode_record(cells, at) -> tuple:
+    """The record one episode CSV row holds, and the numbers in it, parsed in field order
+    after `intercepted` and the offsets; `_csv_records` keeps it only if they are finite."""
+    intercepted = bool(int(cells[at["intercepted"]]))
     offset = None
     if intercepted:
-        offset = [float(row["dx"]), float(row["dy"]), float(row["dz"])]
-    record = EpisodeRecord(
-        serve_id=int(row["serve_id"]),
-        intercepted=intercepted,
-        impact_offset=offset,
-        landed=bool(int(row["landing"])),
-        in_bounds=bool(int(row["in_bounds"])),
-        cleared_net=bool(int(row["cleared_net"])),
-        return_speed=float(row["speed"]),
-    )
+        offset = [float(cells[at["dx"]]), float(cells[at["dy"]]), float(cells[at["dz"]])]
+    record = EpisodeRecord._of_checked(
+        int(cells[at["serve_id"]]), intercepted, None if offset is None else np.array(offset),
+        bool(int(cells[at["landing"]])), bool(int(cells[at["in_bounds"]])),
+        bool(int(cells[at["cleared_net"]])), float(cells[at["speed"]]))
     return record, (*(offset or ()), record.return_speed)

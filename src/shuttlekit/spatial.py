@@ -5,9 +5,9 @@ Quaternions are scalar-first ``[w, x, y, z]`` and kept canonical
 Orientation errors are expressed as rotation vectors (axis * angle).
 
 Every JSON input is read by `_load_json`, each object in it by `_check`
-against a key table, and every CSV input by `_csv_records`, by column name;
-every number written goes through `_round_floats`, and every CSV row through
-`_write_csv`: the input and the output side of each file format.
+against a key table, and every CSV input by `_csv_records`, by the cell index
+each header name resolves to; every float written goes through `_round9`, and
+every CSV row through `_write_csv`: the input and the output side of each format.
 """
 
 from __future__ import annotations
@@ -389,14 +389,15 @@ def _load_json(path, build):
 
 
 def _csv_records(path, columns, read) -> list:
-    """`read(row)` of each row of the CSV file at `path`, as a dict by header name; the
-    header must name every one of `columns`, in any order. `read` returns the row's
-    record and the numbers it read; a row with a cell too many or too few, a cell that
-    does not parse, or a number that is not finite names the file and the row."""
+    """`read(cells, at)` of each row of the CSV file at `path`, `at` mapping each header name
+    to its cell index (a repeated name to its last); the header must name every one of
+    `columns`, in any order. `read` returns the record and the numbers it read; a row with a
+    cell too many or too few, a bad cell or a non-finite number names the file and row."""
     with open(path, newline="") as f:
         rows = csv.reader(f)
         header = next(rows, [])
-        missing = [c for c in columns if c not in header]
+        at = {name: i for i, name in enumerate(header)}
+        missing = [c for c in columns if c not in at]
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
         records = []
@@ -404,7 +405,7 @@ def _csv_records(path, columns, read) -> list:
             if len(cells) != len(header):
                 raise ValueError(f"{path}: row {k} has {len(cells)} cells, expected {len(header)}")
             try:
-                record, numbers = read(dict(zip(header, cells)))
+                record, numbers = read(cells, at)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: row {k}: {exc}") from exc
             if not all(map(math.isfinite, numbers)):
@@ -421,10 +422,15 @@ def _write_csv(path, columns, rows) -> None:
             f.write(",".join(format(v, ".9g") for v in row) + "\n")
 
 
+def _round9(v: float) -> float:
+    """`v` at 9 significant digits, the one rule for reproducible output (NaN, inf stay)."""
+    return float(format(v, ".9g"))
+
+
 def _round_floats(obj):
-    """Limit every float to 9 significant digits for reproducible output."""
+    """`_round9` applied to every float in nested dicts, lists and tuples."""
     if isinstance(obj, float):
-        return float(format(obj, ".9g")) if math.isfinite(obj) else obj
+        return _round9(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -838,7 +838,18 @@ class TestMalformedInputs:
         (EPISODES.replace("0,1,0.1,", "0,1,,"), "row 1: could not convert string to float"),
         ("serve_id,intercepted,dx,dy,dz,landing,in_bounds,cleared_net\n0,0,,,,0,0,0\n",
          "missing column(s) speed"),
-    ], ids=["intercepted-x", "empty-offset", "no-speed-column"])
+        # a row with two bad cells names the first one read: intercepted, the offsets of an
+        # intercepted serve, then the other cells in column order
+        (EPISODES.replace("0,1,0.1,0,0,1,1,1,8", "0,1,abc,0,0,1,1,1,xyz"),
+         "row 1: could not convert string to float: 'abc'\n"),
+        (EPISODES.replace("0,1,0.1,0,0,1,1,1,8", "0,x,0.1,0,0,1,1,1,xyz"),
+         "row 1: invalid literal for int() with base 10: 'x'\n"),
+        (EPISODES.replace("1,0,,,,0,0,0,0", "s,0,,,,l,0,0,v"),
+         "row 2: invalid literal for int() with base 10: 's'\n"),
+        (EPISODES.replace("0,1,0.1,0,0,1,1,1,8", "0,1,0.1,0,0,1,b,1,xyz"),
+         "row 1: invalid literal for int() with base 10: 'b'\n"),
+    ], ids=["intercepted-x", "empty-offset", "no-speed-column", "offset-and-speed",
+            "intercepted-and-speed", "serve_id-and-landing", "in_bounds-and-speed"])
     def test_bad_episode_row_names_it(self, workdir, capsys, text, message):
         path = workdir / "episodes.csv"
         path.write_text(text)
@@ -855,6 +866,75 @@ class TestMalformedInputs:
         path.write_text(json.dumps(entries))
         err = _exit_one(workdir, capsys, "expand", path)
         assert message in err
+
+
+class TestEpisodeColumns:
+    """The episode reader indexes each row by the column positions its header resolves."""
+
+    LOG = (
+        "serve_id,intercepted,dx,dy,dz,landing,in_bounds,cleared_net,speed\n"
+        "0,1,0.1,-0.02,0.03,1,1,1,8\n"
+        "1,0,,,,0,0,0,0\n"
+        "2,1,0.004,0.2,-0.1,1,0,1,9.5\n"
+        "3,1,-0.05,0,0.01,0,0,0,3.25\n"
+    )
+
+    def test_reordered_and_extra_columns_give_the_same_metrics(self, workdir):
+        outputs = []
+        for order, extra in ((None, False), ((8, 3, 0, 7, 2, 6, 4, 1, 5), True)):
+            rows = [line.split(",") for line in self.LOG.splitlines()]
+            if order is not None:
+                rows = [[r[k] for k in order] for r in rows]
+            if extra:  # a column no reader asks for, with cells that would not parse
+                rows = [r[:2] + ["n/a" if i else "note"] + r[2:] for i, r in enumerate(rows)]
+            path = workdir / "episodes.csv"
+            path.write_text("".join(",".join(r) + "\n" for r in rows))
+            assert main(["score", "--config", str(workdir / "config.json"), str(path)]) == 0
+            outputs.append((workdir / "out" / "metrics.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_repeated_column_reads_its_last_cell(self, tmp_path):
+        path = tmp_path / "episodes.csv"
+        path.write_text("speed,serve_id,intercepted,dx,dy,dz,landing,in_bounds,cleared_net,"
+                        "speed\nabc,4,1,0.1,0,0,1,1,1,7.5\n")
+        (record,) = scenario.load_episode_csv(path)
+        assert (record.serve_id, record.return_speed) == (4, 7.5)
+
+    def test_missed_serve_offsets_are_not_read(self, workdir):
+        path = workdir / "episodes.csv"
+        path.write_text(self.LOG.replace("1,0,,,,", "1,0,abc,abc,abc,"))
+        assert main(["score", "--config", str(workdir / "config.json"), str(path)]) == 0
+        assert len(scenario.load_episode_csv(path)) == 4
+
+
+def _head_round_floats(obj):
+    """`spatial._round_floats` before `_round9`: a non-finite float was passed through."""
+    if isinstance(obj, float):
+        return float(format(obj, ".9g")) if math.isfinite(obj) else obj
+    if isinstance(obj, dict):
+        return {k: _head_round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_head_round_floats(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1.0000000005, 1.00000000049, 0.1 + 0.2, 1e300, -1e300,
+    1.7976931348623157e308,
+], ids=repr)
+def test_one_rounding_rule_writes_the_old_bytes(tmp_path, value):
+    rounded, old = spatial._round9(value), _head_round_floats(value)
+    if math.isnan(old):
+        assert math.isnan(rounded)
+    else:
+        assert np.float64(rounded).tobytes() == np.float64(old).tobytes()
+    data = {"v": value, "rows": [[value, 1.0], (2, value)], "name": "x"}
+    cli._write_json(data, tmp_path / "new.json")
+    with open(tmp_path / "old.json", "w") as f:
+        json.dump(_head_round_floats(data), f, indent=2, sort_keys=True)
+        f.write("\n")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
 
 # A value of the wrong kind for every key in the table and, where the key is
@@ -1313,6 +1393,41 @@ def manifolds(draw):
         for _ in range(draw(st.integers(1, 4)))
     ]
     return scenario.StrikeManifold(tuple(points), "hard", volume)
+
+
+def _head_save_manifold(manifold, path):
+    """`scenario.save_manifold` before one `json.dumps` per point: one `json.dump` of the
+    whole rounded list."""
+    data = [_head_round_floats({"pos": pt.position.tolist(), "t": pt.time_offset,
+                                "src": pt.source}) for pt in manifold.points]
+    with open(path, "w") as f:
+        json.dump(data, f)
+        f.write("\n")
+
+
+# signed zeros, subnormals, values on either side of a 9th-digit rounding and the wide end
+edge_floats = st.sampled_from([
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0000000005, 1.00000000049,
+    0.123456789512, -2.50000000500001, 1e300, -1e300,
+]) | st.floats(-1e300, 1e300)
+
+
+@st.composite
+def wide_manifolds(draw):
+    volume = spatial.Box(np.zeros(3), np.full(3, 2e300))  # every coordinate within +-1e300
+    points = [scenario.ManifoldPoint(np.array([draw(edge_floats) for _ in range(3)]),
+                                     draw(edge_floats), draw(st.integers(0, 2**40)))
+              for _ in range(draw(st.integers(1, 5)))]
+    return scenario.StrikeManifold(tuple(points), "hard", volume)
+
+
+@given(wide_manifolds())
+def test_manifold_writer_keeps_the_old_bytes(manifold):
+    with tempfile.TemporaryDirectory() as d:
+        new, old = Path(d) / "new.json", Path(d) / "old.json"
+        scenario.save_manifold(manifold, new)
+        _head_save_manifold(manifold, old)
+        assert new.read_bytes() == old.read_bytes()
 
 
 @given(chains())

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -295,6 +297,37 @@ class TestClipIo:
         frames = tuple(ClipFrame(0.1 * k, Pose.identity(), np.zeros(3), np.zeros(3), np.zeros(n))
                        for k, n in enumerate((3, 3, 2)))
         message = r"^frames\[2\]\.q has 2 angles, frames\[0\]\.q has 3$"
+        with pytest.raises(ValueError, match=message):
+            ReferenceClip(frames)
+
+    @pytest.mark.parametrize("field", ["root_lin", "root_ang", "q"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad_frame", [0, 2])
+    def test_non_finite_table_value_names_its_frame(self, field, value, bad_frame):
+        frames = [ClipFrame(0.1 * k, Pose.identity(), np.zeros(3), np.zeros(3), np.zeros(2))
+                  for k in range(4)]
+        cells = np.zeros(2 if field == "q" else 3)
+        cells[-1] = value
+        frames[bad_frame] = replace(frames[bad_frame], **{field: cells})
+        frames[3] = replace(frames[3], **{field: cells})  # only the first bad frame is named
+        with pytest.raises(ValueError,
+                           match=rf"^frames\[{bad_frame}\]\.{field} has non-finite values$"):
+            ReferenceClip(tuple(frames))
+
+    @pytest.mark.parametrize("field", ["root_lin", "root_ang"])
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+    def test_misshapen_root_velocity_names_its_frame(self, field, shape):
+        frames = [ClipFrame(0.1 * k, Pose.identity(), np.zeros(3), np.zeros(3), np.zeros(2))
+                  for k in range(3)]
+        frames[1] = replace(frames[1], **{field: np.zeros(shape)})
+        message = rf"^frames\[1\]\.{field} must have shape \(3,\), got {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            ReferenceClip(tuple(frames))
+
+    def test_joint_vectors_of_two_dimensions_rejected(self):
+        frames = tuple(ClipFrame(0.1 * k, Pose.identity(), np.zeros(3), np.zeros(3),
+                                 np.zeros((2, 2))) for k in range(3))
+        message = r"^frames\[0\]\.q must have one dimension, got shape \(2, 2\)$"
         with pytest.raises(ValueError, match=message):
             ReferenceClip(frames)
 

@@ -1,3 +1,6 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,10 +294,11 @@ class TestServeTrajectory:
         assert max(flights) <= 10
 
     def test_zero_time_target_infeasible(self):
-        # a time that is not positive and finite is named, not met as a numpy error
+        # a time that is not positive and finite is named, not met as a numpy error;
+        # ManifoldPoint rejects a non-finite time, so an unchecked point carries it here
         for t_hit, shown in ((0.0, "0.0"), (-1.0, "-1.0"), (np.nan, "nan"),
                              (np.inf, "inf"), (-np.inf, "-inf")):
-            target = ManifoldPoint(np.array([0.0, 0.0, 1.1]), t_hit, 0)
+            target = ManifoldPoint._of_checked(np.array([0.0, 0.0, 1.1]), t_hit, 0)
             with pytest.raises(InfeasibleTargetError,
                                match=f"^target time must be positive and finite, got {shown}$"):
                 serve_trajectory(target, COURT, self.PARAMS, None, ServeConfig())
@@ -394,6 +398,43 @@ class TestEvaluateEpisodes:
             EpisodeRecord(0, True, None)
         with pytest.raises(ValueError):
             EpisodeRecord(0, False, np.zeros(3))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda v: ManifoldPoint([v, 0.0, 1.1], 1.0, 0),
+     "position must be finite numbers of shape (3,)"),
+    (lambda v: ManifoldPoint([0.0, v], 1.0, 0),
+     "position must be finite numbers of shape (3,)"),
+    (lambda v: ManifoldPoint([0.0, 0.0, 1.1], v, 0), "time_offset must be finite, got "),
+    (lambda v: ManifoldPoint([0.0, 0.0, 1.1], 1.0, v), "source must be an integer, got "),
+    (lambda v: EpisodeRecord(0, True, [0.0, v, 0.0]),
+     "impact_offset must be finite numbers of shape (3,)"),
+    (lambda v: EpisodeRecord(0, True, np.full((3, 1), v)),
+     "impact_offset must be finite numbers of shape (3,)"),
+    (lambda v: EpisodeRecord(0, False, None, return_speed=v), "return_speed must be finite, got "),
+], ids=["position", "position-shape", "time_offset", "source", "impact_offset",
+        "impact_offset-shape", "return_speed"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_records_reject_non_finite_or_misshapen_fields(build, message, value):
+    """A record built directly checks its numbers, so no NaN reaches evaluate_episodes'
+    MSE; the message names the field."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        build(value)
+
+
+def test_unchecked_records_match_the_checked_ones():
+    """`_of_checked` stores what `__post_init__` would, in a key-shared instance dict of the
+    same size: a loaded episode log costs no more memory than one built directly."""
+    point = ManifoldPoint(np.array([0.1, 0.2, 1.1]), 1.0, 3)
+    fast = ManifoldPoint._of_checked(np.array([0.1, 0.2, 1.1]), 1.0, 3)
+    record = EpisodeRecord(4, True, [0.1, 0.0, -0.2], True, False, True, 7.5)
+    loaded = EpisodeRecord._of_checked(4, True, np.array([0.1, 0.0, -0.2]), True, False, True, 7.5)
+    for a, b in ((point, fast), (record, loaded)):
+        assert list(vars(a)) == list(vars(b))
+        for key, value in vars(a).items():
+            assert type(value) is type(vars(b)[key])
+            assert np.array_equal(value, vars(b)[key]), key
+        assert sys.getsizeof(vars(a)) == sys.getsizeof(vars(b))
 
 
 class TestIo:

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import math
 import re
@@ -468,6 +469,37 @@ def test_csv_is_parsed_only_in_spatial():
         found = {p.name for p in package.glob("*.py") if needle in p.read_text()}
         assert found <= {"spatial.py"}, (needle, found)
     assert "csv.reader(" in inspect.getsource(spatial._csv_records)
+
+
+def _calls_by_scope(node, scope):
+    """(innermost enclosing def, called expression) of every call under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield scope, ast.unparse(child.func)
+        inner = getattr(child, "name", None) if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        yield from _calls_by_scope(child, f"{scope}.{inner}" if inner else scope)
+
+
+def test_json_is_written_only_by_writers_that_round_through_round9():
+    """Every `json.dump(`/`json.dumps(` sits in a named writer that rounds its floats with
+    `spatial._round9`, directly or through `_round_floats`, and the 9-digit rule is written
+    once for JSON and once for CSV text: no second rounding rule can creep in."""
+    package = Path(spatial.__file__).parent
+    calls: dict[str, set] = {}
+    for p in package.glob("*.py"):
+        assert "from json import" not in p.read_text(), p.name
+        for scope, call in _calls_by_scope(ast.parse(p.read_text()), p.stem):
+            calls.setdefault(scope, set()).add(call)
+    writers = {scope for scope, c in calls.items() if c & {"json.dump", "json.dumps"}}
+    assert writers == {"cli._write_json", "goal.save_clip", "scenario.save_manifold"}
+    for scope in writers:
+        assert calls[scope] & {"_round9", "_round_floats"}, scope
+    assert "_round9" in calls["spatial._round_floats"]
+    nine = {p.name: p.read_text().count('".9g"') for p in package.glob("*.py")}
+    assert {name: n for name, n in nine.items() if n} == {"spatial.py": 2}
+    assert '".9g"' in inspect.getsource(spatial._round9)
+    assert '".9g"' in inspect.getsource(spatial._write_csv)
 
 
 def test_retarget_reads_fk_rows_by_the_chain_index():
