@@ -30,7 +30,7 @@ class AmpConfig:
     def __post_init__(self):
         if self.history_length < 1:
             raise ValueError("history_length must be at least 1")
-        if self.grad_penalty_weight < 0:
+        if not self.grad_penalty_weight >= 0:  # NaN fails too
             raise ValueError("grad_penalty_weight must be non-negative")
 
 

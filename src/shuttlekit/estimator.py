@@ -21,7 +21,7 @@ import numpy as np
 
 from .goal import StrikeTarget
 from .shuttle import ShuttleParams, Trajectory, _check_dt, _rk4_step, transition_jacobian
-from .spatial import Box, Pose, _csv_records, _quat, _write_csv, quat_identity
+from .spatial import Box, Pose, _csv_records, _quat, _record, _write_csv, quat_identity
 
 Array = np.ndarray
 
@@ -47,14 +47,6 @@ class EkfBelief:
         _checked(mean, cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
-
-    @classmethod
-    def _of_checked(cls, mean: Array, cov: Array) -> "EkfBelief":
-        """A belief of these arrays as they are: both must already have passed `_checked`."""
-        b = object.__new__(cls)
-        object.__setattr__(b, "mean", mean)
-        object.__setattr__(b, "covariance", cov)
-        return b
 
 
 _EYE6, _PSD_SHIFT = np.eye(6), 1e-9 * np.eye(6)
@@ -159,7 +151,7 @@ def ekf_predict(b: EkfBelief, p: ShuttleParams, n: NoiseConfig, dt: float) -> Ek
     """Propagate mean through the flight model and covariance by F P F^T + Q."""
     _check_dt(dt)
     q = process_noise(n.process_psd, dt)
-    return EkfBelief._of_checked(*_predict(b.mean, b.covariance, p, q, dt))
+    return _record(EkfBelief, *_predict(b.mean, b.covariance, p, q, dt))
 
 
 @_overflow_reads_inf
@@ -171,7 +163,7 @@ def ekf_update(
     if z.shape != (3,):
         raise ValueError("measurement must have shape (3,)")
     mean, cov, nis = _update(b.mean, b.covariance, z, n.measurement_cov)
-    return EkfBelief._of_checked(mean, cov), InnovationStats(nis)
+    return _record(EkfBelief, mean, cov), InnovationStats(nis)
 
 
 def predict_trajectory(
@@ -284,7 +276,7 @@ def track_measurements(
             mean, cov = _predict(mean, cov, p, q, dt)
         mean, cov, rows[i, 7] = _update(mean, cov, measurements[i], r)
         rows[i, 1:7] = mean
-    return EkfBelief._of_checked(mean, cov), rows
+    return _record(EkfBelief, mean, cov), rows
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,8 +21,10 @@ from .spatial import (
     Twist,
     _check,
     _matrix_entries,
+    _record,
     _round_floats,
     _rotvec_between,
+    _value,
 )
 
 Array = np.ndarray
@@ -44,6 +47,9 @@ class StrikeTarget:
     hit_racket_pose: Pose
     recovery_root_pose: Pose
 
+    def __post_init__(self):
+        object.__setattr__(self, "hit_time", _value(self.hit_time, float, "hit_time"))
+
 
 @dataclass(frozen=True)
 class RobotState:
@@ -59,19 +65,14 @@ class RobotState:
     feet_contacts: Array
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.float64)
-        qd = np.asarray(self.qd, dtype=np.float64)
-        if q.shape != qd.shape:
+        for name in ("q", "qd", "projected_gravity", "last_action", "feet_contacts"):
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            if not all(map(math.isfinite, value.ravel().tolist())):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
+        if self.q.shape != self.qd.shape:
             raise ValueError("q and qd must have matching length")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "qd", qd)
-        object.__setattr__(
-            self, "projected_gravity", np.asarray(self.projected_gravity, dtype=np.float64)
-        )
-        object.__setattr__(self, "last_action", np.asarray(self.last_action, dtype=np.float64))
-        object.__setattr__(
-            self, "feet_contacts", np.asarray(self.feet_contacts, dtype=np.float64)
-        )
+        object.__setattr__(self, "base_height", _value(self.base_height, float, "base_height"))
 
 
 class GoalObservation(NamedTuple):
@@ -201,7 +202,7 @@ class ReferenceClip:
         for table in (root_rows, quats, to_base, joint_rows):
             table.flags.writeable = False
         object.__setattr__(self, "frames", tuple(
-            ClipFrame(f.t, Pose._of_rows(r[:3], o), r[6:9], r[9:], q)
+            ClipFrame(f.t, _record(Pose, r[:3], o), r[6:9], r[9:], q)
             for f, r, o, q in zip(frames, root_rows, quats, joint_rows)
         ))
         object.__setattr__(self, "_times", times)

@@ -48,15 +48,15 @@ class RewardConfig:
             raise ValueError("hit_weights and hit_scales must have matching length")
         if self.rec_weights.shape != self.rec_scales.shape:
             raise ValueError("rec_weights and rec_scales must have matching length")
-        if np.any(self.hit_scales <= 0) or np.any(self.rec_scales <= 0):
+        if not (np.all(self.hit_scales > 0) and np.all(self.rec_scales > 0)):  # NaN fails too
             raise ValueError("kernel scales must be positive")
-        if np.any(self.hit_weights < 0) or np.any(self.rec_weights < 0):
+        if not (np.all(self.hit_weights >= 0) and np.all(self.rec_weights >= 0)):
             raise ValueError("weights must be non-negative")
-        if self.sigma_time <= 0:
+        if not self.sigma_time > 0:
             raise ValueError("sigma_time must be positive")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.w_task < 0 or self.w_style < 0:
+        if not (self.w_task >= 0 and self.w_style >= 0):
             raise ValueError("mixing weights must be non-negative")
 
 
@@ -67,7 +67,8 @@ class TerminationConfig:
     max_ref_deviation: float
 
     def __post_init__(self):
-        if min(self.min_base_height, self.max_base_tilt, self.max_ref_deviation) <= 0:
+        if not all(v > 0 for v in (self.min_base_height, self.max_base_tilt,
+                                     self.max_ref_deviation)):  # NaN fails too
             raise ValueError("termination thresholds must be positive")
 
 
@@ -152,7 +153,7 @@ class HitQualityConfig:
     speed_scale: float
 
     def __post_init__(self):
-        if self.speed_scale <= 0:
+        if not self.speed_scale > 0:  # NaN fails too
             raise ValueError("speed_scale must be positive")
 
 

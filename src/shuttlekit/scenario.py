@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .shuttle import DEFAULT_DT, CourtGeometry, ShuttleParams, ShuttleState, _rk4_step
-from .spatial import REQUIRED, Box, _csv_records, _load_json, _numbers, _round9, _value
+from .spatial import REQUIRED, Box, _csv_records, _load_json, _numbers, _record, _round9, _value
 
 Array = np.ndarray
 
@@ -56,16 +56,6 @@ class ManifoldPoint:
         object.__setattr__(self, "position", _numbers(self.position, (3,), "position"))
         object.__setattr__(self, "time_offset", _value(self.time_offset, float, "time_offset"))
         object.__setattr__(self, "source", _value(self.source, int, "source"))
-
-    @classmethod
-    def _of_checked(cls, position: Array, time_offset: float, source: int) -> "ManifoldPoint":
-        """A point of these values as they are: each must already be what `__post_init__`
-        stores."""
-        pt = object.__new__(cls)
-        object.__setattr__(pt, "position", position)
-        object.__setattr__(pt, "time_offset", time_offset)
-        object.__setattr__(pt, "source", source)
-        return pt
 
 
 @dataclass(frozen=True)
@@ -147,8 +137,10 @@ def expand_manifold(
                 f"{_MAX_REJECTION_ATTEMPTS} attempts"
             )
     xyz, times, sources = zip(*accepted)  # the positions become rows of one array
-    points = map(ManifoldPoint._of_checked, np.array(xyz), times, sources)
-    return StrikeManifold(tuple(points), mode, volume)
+    points = tuple(_record(ManifoldPoint, *point) for point in zip(np.array(xyz), times, sources))
+    # each point passed the bounds test above, the one `StrikeManifold` would repeat on a
+    # fresh (N, 3) stack of the positions; a directly built manifold keeps both checks
+    return _record(StrikeManifold, points, mode, volume)
 
 
 def sample_rhythm_interval(rng: np.random.Generator) -> float:
@@ -319,21 +311,6 @@ class EpisodeRecord:
             object.__setattr__(self, "impact_offset", offset)
         object.__setattr__(self, "return_speed", _value(self.return_speed, float, "return_speed"))
 
-    @classmethod
-    def _of_checked(cls, serve_id, intercepted, impact_offset, landed, in_bounds, cleared_net,
-                    return_speed) -> "EpisodeRecord":
-        """A record of these values as they are: each must already be what `__post_init__`
-        stores."""
-        r, set_ = object.__new__(cls), object.__setattr__  # in field order: the dicts share keys
-        set_(r, "serve_id", serve_id)
-        set_(r, "intercepted", intercepted)
-        set_(r, "impact_offset", impact_offset)
-        set_(r, "landed", landed)
-        set_(r, "in_bounds", in_bounds)
-        set_(r, "cleared_net", cleared_net)
-        set_(r, "return_speed", return_speed)
-        return r
-
 
 @dataclass(frozen=True)
 class EpisodeMetrics:
@@ -413,8 +390,9 @@ def _episode_record(cells, at) -> tuple:
     offset = None
     if intercepted:
         offset = [float(cells[at["dx"]]), float(cells[at["dy"]]), float(cells[at["dz"]])]
-    record = EpisodeRecord._of_checked(
-        int(cells[at["serve_id"]]), intercepted, None if offset is None else np.array(offset),
+    record = _record(
+        EpisodeRecord, int(cells[at["serve_id"]]), intercepted,
+        None if offset is None else np.array(offset),
         bool(int(cells[at["landing"]])), bool(int(cells[at["in_bounds"]])),
         bool(int(cells[at["cleared_net"]])), float(cells[at["speed"]]))
     return record, (*(offset or ()), record.return_speed)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spatial import REQUIRED, Pose, Twist, _check, _load_json, _vec3, _write_csv
+from .spatial import REQUIRED, Pose, Twist, _check, _load_json, _record, _vec3, _write_csv
 
 Array = np.ndarray
 
@@ -77,15 +77,6 @@ class ShuttleState:
         if self.axis is not None:
             object.__setattr__(self, "axis", _unit_axis(*_vec3(self.axis, "axis").tolist()))
 
-    @classmethod
-    def _of_checked(cls, position: Array, velocity: Array, axis: Optional[Array]) -> "ShuttleState":
-        """A state of these arrays as they are: each must already be what `__post_init__` stores."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "position", position)
-        object.__setattr__(s, "velocity", velocity)
-        object.__setattr__(s, "axis", axis)
-        return s
-
 
 def _unit_axis(ax: float, ay: float, az: float) -> Array:
     """A skirt axis, which must be unit norm already, divided by its norm."""
@@ -107,8 +98,10 @@ class CourtGeometry:
     y_max: float
 
     def __post_init__(self):
-        if self.net_height <= 0:
+        if not self.net_height > 0:  # NaN fails too
             raise ValueError("net_height must be positive")
+        if not math.isfinite(self.net_x):
+            raise ValueError(f"net_x must be finite, got {self.net_x}")
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be less than x_max")
         if not self.y_min < self.y_max:
@@ -291,7 +284,7 @@ def step(s: ShuttleState, p: ShuttleParams, dt: float) -> ShuttleState:
         raise ValueError(f"{name} has non-finite components")
     data = np.array(state)
     axis = _relax_axis(s.axis, state, p.axis_damping, dt)
-    return ShuttleState._of_checked(data[:3], data[3:], axis)
+    return _record(ShuttleState, data[:3], data[3:], axis)
 
 
 def simulate_to_ground(

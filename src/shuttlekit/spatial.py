@@ -51,6 +51,15 @@ def _quat(q, name: str = "quaternion") -> Array:
     return out / n
 
 
+def _record(cls, *values):
+    """An instance of the frozen dataclass `cls` holding `values` in field order, exactly as
+    given, with no `__post_init__`: each value must already be what that check stores. Only
+    for records that hold their fields and nothing derived from them."""
+    record = object.__new__(cls)
+    vars(record).update(zip(cls.__dataclass_fields__, values))
+    return record
+
+
 def quat_identity() -> Array:
     return np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -163,14 +172,6 @@ class Pose:
         q = _quat(self.orientation, "orientation")
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "orientation", quat_canonical(q))
-
-    @classmethod
-    def _of_rows(cls, position: Array, orientation: Array) -> "Pose":
-        """A Pose of these arrays as they are: each must already be what `__post_init__` stores."""
-        pose = object.__new__(cls)
-        object.__setattr__(pose, "position", position)
-        object.__setattr__(pose, "orientation", orientation)
-        return pose
 
     @staticmethod
     def identity() -> "Pose":
@@ -333,7 +334,7 @@ class FramePoses(Mapping):
 
     def __getitem__(self, name: str) -> Pose:
         i = self._rows[name]
-        return Pose._of_rows(self.positions[i], self.orientations[i])
+        return _record(Pose, self.positions[i], self.orientations[i])
 
     def __iter__(self):
         return iter(self._rows)

@@ -247,6 +247,10 @@ class TestDiscriminatorLoss:
         out = disc_loss_and_grads(m, real, fake, self.CFG)
         assert out.loss == pytest.approx(0.0, abs=1e-12)
 
+    def test_nan_penalty_weight_rejected(self):
+        with pytest.raises(ValueError, match="^grad_penalty_weight must be non-negative$"):
+            AmpConfig(grad_penalty_weight=math.nan)
+
     def test_zero_discriminator_loss_two(self):
         m = Mlp((np.zeros((1, 3)),), (np.zeros(1),))
         cfg = AmpConfig(history_length=5, grad_penalty_weight=0.0)

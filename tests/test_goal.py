@@ -51,6 +51,21 @@ def make_state(rng=None, root=None):
     )
 
 
+@pytest.mark.parametrize("name, value", [
+    ("q", [0.0, np.nan]), ("qd", [np.nan, 0.0]), ("projected_gravity", [0.0, np.nan, -1.0]),
+    ("last_action", [np.nan, 0.0]), ("feet_contacts", [1.0, np.nan]), ("base_height", np.nan),
+], ids=["q", "qd", "projected_gravity", "last_action", "feet_contacts", "base_height"])
+def test_robot_state_rejects_nan(name, value):
+    """A NaN field is named where the state is built, not met later in a feature or a gate."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        replace(make_state(), **{name: value})
+
+
+def test_strike_target_rejects_nan_hit_time():
+    with pytest.raises(ValueError, match="^hit_time must be finite, got nan$"):
+        StrikeTarget(np.nan, Pose.identity(), Pose.identity())
+
+
 class TestTimeToHit:
     def test_clips_far_future(self):
         assert time_to_hit(0.0, 3.5) == 2.0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,6 +269,27 @@ class TestConfigAndBatch:
             RewardConfig([1.0], [1.0], [1.0], [1.0], -0.5, 0.05)
         with pytest.raises(ValueError):
             RewardConfig([1.0, 1.0], [1.0], [1.0], [1.0], 0.5, 0.05)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: replace(CFG, sigma_time=math.nan), "sigma_time must be positive"),
+        (lambda: replace(CFG, epsilon=math.nan), "epsilon must be positive"),
+        (lambda: replace(CFG, hit_scales=[0.5, math.nan]), "kernel scales must be positive"),
+        (lambda: replace(CFG, rec_scales=[math.nan, 0.3, 0.2]), "kernel scales must be positive"),
+        (lambda: replace(CFG, hit_weights=[math.nan, 0.4]), "weights must be non-negative"),
+        (lambda: replace(CFG, rec_weights=[1.0, 0.5, math.nan]), "weights must be non-negative"),
+        (lambda: replace(CFG, w_task=math.nan), "mixing weights must be non-negative"),
+        (lambda: replace(CFG, w_style=math.nan), "mixing weights must be non-negative"),
+        (lambda: TerminationConfig(math.nan, 0.8, 1.0), "termination thresholds must be positive"),
+        (lambda: TerminationConfig(0.5, math.nan, 1.0), "termination thresholds must be positive"),
+        (lambda: TerminationConfig(0.5, 0.8, math.nan), "termination thresholds must be positive"),
+        (lambda: HitQualityConfig(speed_scale=math.nan), "speed_scale must be positive"),
+    ], ids=["sigma_time", "epsilon", "hit_scales", "rec_scales", "hit_weights", "rec_weights",
+            "w_task", "w_style", "min_base_height", "max_base_tilt", "max_ref_deviation",
+            "speed_scale"])
+    def test_config_rejects_nan(self, build, message):
+        """A NaN setting fails its comparison, so no reward reads NaN from its config."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
     def test_score_episode_csv(self, tmp_path):
         path = tmp_path / "episode.csv"

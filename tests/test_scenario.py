@@ -1,5 +1,4 @@
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from shuttlekit.shuttle import (
     simulate_to_ground,
     step,
 )
+from shuttlekit.spatial import _record
 
 COURT = CourtGeometry(net_height=1.55, net_x=3.0, x_min=3.2, x_max=9.0, y_min=-2.6, y_max=2.6)
 CENTER = (0.0, 0.0, 1.1)
@@ -298,7 +298,7 @@ class TestServeTrajectory:
         # ManifoldPoint rejects a non-finite time, so an unchecked point carries it here
         for t_hit, shown in ((0.0, "0.0"), (-1.0, "-1.0"), (np.nan, "nan"),
                              (np.inf, "inf"), (-np.inf, "-inf")):
-            target = ManifoldPoint._of_checked(np.array([0.0, 0.0, 1.1]), t_hit, 0)
+            target = _record(ManifoldPoint, np.array([0.0, 0.0, 1.1]), t_hit, 0)
             with pytest.raises(InfeasibleTargetError,
                                match=f"^target time must be positive and finite, got {shown}$"):
                 serve_trajectory(target, COURT, self.PARAMS, None, ServeConfig())
@@ -420,21 +420,6 @@ def test_records_reject_non_finite_or_misshapen_fields(build, message, value):
     MSE; the message names the field."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         build(value)
-
-
-def test_unchecked_records_match_the_checked_ones():
-    """`_of_checked` stores what `__post_init__` would, in a key-shared instance dict of the
-    same size: a loaded episode log costs no more memory than one built directly."""
-    point = ManifoldPoint(np.array([0.1, 0.2, 1.1]), 1.0, 3)
-    fast = ManifoldPoint._of_checked(np.array([0.1, 0.2, 1.1]), 1.0, 3)
-    record = EpisodeRecord(4, True, [0.1, 0.0, -0.2], True, False, True, 7.5)
-    loaded = EpisodeRecord._of_checked(4, True, np.array([0.1, 0.0, -0.2]), True, False, True, 7.5)
-    for a, b in ((point, fast), (record, loaded)):
-        assert list(vars(a)) == list(vars(b))
-        for key, value in vars(a).items():
-            assert type(value) is type(vars(b)[key])
-            assert np.array_equal(value, vars(b)[key]), key
-        assert sys.getsizeof(vars(a)) == sys.getsizeof(vars(b))
 
 
 class TestIo:

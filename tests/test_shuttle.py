@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -295,6 +296,13 @@ class TestLandsInCourt:
     COURT = CourtGeometry(
         net_height=1.55, net_x=2.0, x_min=2.5, x_max=8.0, y_min=-2.5, y_max=2.5
     )
+
+    @pytest.mark.parametrize("field, message", [
+        ("net_height", "net_height must be positive"), ("net_x", "net_x must be finite, got nan"),
+    ], ids=["net_height", "net_x"])
+    def test_nan_net_rejected(self, field, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(self.COURT, **{field: float("nan")})
 
     @staticmethod
     def _arc(z_at_net: float, x_land: float = 5.0) -> Trajectory:

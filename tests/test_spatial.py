@@ -1,8 +1,10 @@
 import ast
+import importlib
 import inspect
 import math
 import re
-from dataclasses import replace
+import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,14 @@ from scipy.spatial.transform import Rotation
 
 from conftest import arm_chain, planar_two_link, poses, random_pose, random_quat, vec3
 from shuttlekit import retarget, spatial
+from shuttlekit.estimator import EkfBelief
+from shuttlekit.scenario import (
+    EpisodeRecord,
+    ManifoldPoint,
+    RandomizationTable,
+    StrikeManifold,
+    strike_volume,
+)
 from shuttlekit.shuttle import ShuttleState
 from shuttlekit.spatial import (
     Box,
@@ -500,6 +510,55 @@ def test_json_is_written_only_by_writers_that_round_through_round9():
     assert {name: n for name, n in nine.items() if n} == {"spatial.py": 2}
     assert '".9g"' in inspect.getsource(spatial._round9)
     assert '".9g"' in inspect.getsource(spatial._write_csv)
+
+
+# A checked instance of each class that library code builds through `spatial._record`, built
+# from values that are already what its `__post_init__` stores
+RECORD_VALUES = {
+    Pose: (np.array([0.1, 0.2, 0.3]), np.array([1.0, 0.0, 0.0, 0.0])),
+    EkfBelief: (np.arange(6.0), np.eye(6)),
+    ShuttleState: (np.array([0.0, 0.0, 2.0]), np.array([3.0, 0.0, 2.0]), np.array([0.0, 0, 1])),
+    ManifoldPoint: (np.array([0.1, 0.2, 1.1]), 1.0, 3),
+    EpisodeRecord: (4, True, np.array([0.1, 0.0, -0.2]), True, False, True, 7.5),
+    StrikeManifold: ((ManifoldPoint([0.1, 0.2, 1.1], 1.0, 3),), "easy", strike_volume("easy")),
+}
+
+
+@pytest.mark.parametrize("cls", RECORD_VALUES, ids=lambda cls: cls.__name__)
+def test_record_stores_what_the_checked_constructor_stores(cls):
+    """`_record` stores its values as `__post_init__` would: the same values and types, under
+    the same keys in field order, in an instance dict of the same `sys.getsizeof`."""
+    checked = cls(*RECORD_VALUES[cls])
+    built = spatial._record(cls, *RECORD_VALUES[cls])
+    assert list(vars(built)) == list(vars(checked))
+    for key, value in vars(checked).items():
+        stored = vars(built)[key]
+        assert type(stored) is type(value), key
+        assert np.array_equal(stored, value) if isinstance(value, np.ndarray) else stored == value
+    assert sys.getsizeof(vars(built)) == sys.getsizeof(vars(checked))
+
+
+def test_records_are_built_unchecked_only_through_spatial_record():
+    """`spatial._record` is the one unchecked builder: `object.__new__` is written once, in it,
+    and no per-class one is left. Each class handed to it holds only its dataclass fields once
+    checked, so `_record` never skips a table that `__post_init__` derives, as
+    `ReferenceClip`, `RetargetProblem`, `KinematicChain` and `RandomizationTable` store."""
+    package = Path(spatial.__file__).parent
+    sources = {p.stem: p.read_text() for p in package.glob("*.py")}
+    assert {name: text.count("object.__new__") for name, text in sources.items()
+            if "object.__new__" in text} == {"spatial": 1}
+    assert "object.__new__" in inspect.getsource(spatial._record)
+    assert not any(re.search(r"_of_(checked|rows)\b", text) for text in sources.values())
+    built = set()
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_record":
+                module = importlib.import_module(f"shuttlekit.{name}")
+                built.add(getattr(module, ast.unparse(node.args[0])))
+    assert built and built <= set(RECORD_VALUES), built - set(RECORD_VALUES)
+    for cls in built:
+        assert list(vars(cls(*RECORD_VALUES[cls]))) == [f.name for f in fields(cls)], cls
+    assert list(vars(RandomizationTable())) != [f.name for f in fields(RandomizationTable)]
 
 
 def test_retarget_reads_fk_rows_by_the_chain_index():
