@@ -3,10 +3,10 @@
 The process model and its Jacobian both come from `shuttle`: the mean is
 propagated by the simulator's RK4 step, with the skirt axis dropped from
 the filter state, and the covariance by `shuttle.transition_jacobian`,
-the exact derivative of that step. Every step checks its belief: a finite
-mean and covariance, and a covariance that is PSD to -1e-9, tested by a
-Cholesky factorisation of P + 1e-9 I. Overflow inside a step reads as inf
-and fails those checks with no numpy warning: `ekf_predict`, `ekf_update` and
+the exact derivative of that step. Every belief is checked, in step order, a
+block at a time: a finite mean and covariance, and a covariance that is PSD to
+-1e-9, tested by a Cholesky factorisation of P + 1e-9 I. Overflow inside a step
+reads as inf and fails those checks with no numpy warning: the two steps and
 `track_measurements` share one `np.errstate` guard, which a track enters once.
 """
 
@@ -50,12 +50,14 @@ class EkfBelief:
 
 
 _EYE6, _PSD_SHIFT = np.eye(6), 1e-9 * np.eye(6)
+_HELD = 32  # a track holds the beliefs (two a step) of at most this many steps unchecked
 
 
 def _checked(mean: Array, cov: Array, exactly_symmetric: bool = False) -> tuple[Array, Array]:
     """The (6,) mean and (6, 6) cov, once the mean is finite and cov is finite, symmetric within
     1e-9 and PSD: no eigenvalue below -1e-9, tested by a Cholesky factorisation of cov + 1e-9 I.
-    The filter cores make their 0.5 (P + P^T) exactly symmetric and skip the symmetry test."""
+    The filter cores make their 0.5 (P + P^T) exactly symmetric and skip the symmetry test.
+    Every belief is checked, in step order, a block at a time: a track's by `_check_held`."""
     if not all(map(math.isfinite, mean.tolist())):
         raise ValueError("mean has non-finite components")
     if not all(map(math.isfinite, cov.ravel().tolist())):
@@ -115,15 +117,14 @@ def process_noise(psd: float, dt: float) -> Array:
 
 
 def _predict(mean: Array, cov: Array, p: ShuttleParams, q: Array, dt: float):
-    """The checked predicted mean and covariance, with q the process noise over dt."""
+    """The unchecked predicted mean and covariance, with q the process noise over dt."""
     f = transition_jacobian(mean, p, dt)
     cov = f @ cov @ f.T + q
-    mean = np.array(_rk4_step(mean.tolist(), p, dt))
-    return _checked(mean, 0.5 * (cov + cov.T), exactly_symmetric=True)
+    return np.array(_rk4_step(mean.tolist(), p, dt)), 0.5 * (cov + cov.T)
 
 
 def _update(mean: Array, cov: Array, z: Array, r: Array):
-    """The checked posterior mean and covariance and the NIS of a (3,) measurement z."""
+    """The unchecked posterior mean and covariance and the NIS of a (3,) measurement z."""
     if not all(map(math.isfinite, z.tolist())):
         raise ValueError("measurement must be finite")
     # S^-1 by its adjugate: one 3x3 inverse serves the gain and the NIS
@@ -142,8 +143,23 @@ def _update(mean: Array, cov: Array, z: Array, r: Array):
     i_kh = _EYE6.copy()
     i_kh[:, :3] -= gain
     cov = i_kh @ cov @ i_kh.T + gain @ r @ gain.T
-    mean, cov = _checked(mean + gain @ residual, 0.5 * (cov + cov.T), exactly_symmetric=True)
-    return mean, cov, float(residual @ s_inv @ residual)
+    return mean + gain @ residual, 0.5 * (cov + cov.T), float(residual @ s_inv @ residual)
+
+
+def _check_held(held: list) -> None:
+    """Check a track's held beliefs, [mean, cov, mean, cov, ...] in step order, and drop them:
+    one stacked test passes them all (and an empty list), and only on its failure does
+    `_checked` go over them in order, to raise the first failure as a per-step check would."""
+    means, covs = np.array(held[::2]).reshape(-1, 6), np.array(held[1::2]).reshape(-1, 6, 6)
+    held.clear()
+    try:
+        if np.isfinite(means).all() and np.isfinite(covs).all():
+            np.linalg.cholesky(covs + _PSD_SHIFT)
+            return
+    except np.linalg.LinAlgError:
+        pass
+    for mean, cov in zip(means, covs):
+        _checked(mean, cov, exactly_symmetric=True)
 
 
 @_overflow_reads_inf
@@ -151,7 +167,8 @@ def ekf_predict(b: EkfBelief, p: ShuttleParams, n: NoiseConfig, dt: float) -> Ek
     """Propagate mean through the flight model and covariance by F P F^T + Q."""
     _check_dt(dt)
     q = process_noise(n.process_psd, dt)
-    return _record(EkfBelief, *_predict(b.mean, b.covariance, p, q, dt))
+    mean, cov = _predict(b.mean, b.covariance, p, q, dt)
+    return _record(EkfBelief, *_checked(mean, cov, exactly_symmetric=True))
 
 
 @_overflow_reads_inf
@@ -163,7 +180,7 @@ def ekf_update(
     if z.shape != (3,):
         raise ValueError("measurement must have shape (3,)")
     mean, cov, nis = _update(b.mean, b.covariance, z, n.measurement_cov)
-    return _record(EkfBelief, mean, cov), InnovationStats(nis)
+    return _record(EkfBelief, *_checked(mean, cov, exactly_symmetric=True)), InnovationStats(nis)
 
 
 def predict_trajectory(
@@ -183,13 +200,9 @@ def predict_trajectory(
 
 @dataclass(frozen=True)
 class HitCriteria:
-    """Feasibility window for strike selection.
-
-    A sample is feasible when its height lies in height_band and, if a
-    reachable volume is given, the point falls inside it. The racket
-    orientation and recovery root pose are carried through into the
-    resulting strike target.
-    """
+    """Feasibility window for strike selection: a sample is feasible when its height lies in
+    height_band and, if a reachable volume is given, it falls inside it. The racket orientation
+    and recovery root pose are carried through into the resulting strike target."""
 
     height_band: tuple[float, float]
     volume: Optional[Box] = None
@@ -207,13 +220,9 @@ class HitCriteria:
 
 
 def select_hit_point(traj: Trajectory, criteria: HitCriteria) -> Optional[StrikeTarget]:
-    """Pick the strike sample from a predicted trajectory.
-
-    'earliest' returns the first feasible sample (maximizing preparation
-    time); 'apex' returns the feasible sample closest in time to the
-    trajectory apex. Ties break toward the earlier sample. Returns None
-    when nothing is feasible.
-    """
+    """Pick the strike sample from a predicted trajectory: 'earliest' returns the first feasible
+    sample (the most preparation time), 'apex' the feasible sample closest in time to the
+    trajectory apex, ties going to the earlier sample. Returns None when nothing is feasible."""
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
     lo, hi = criteria.height_band
@@ -246,13 +255,12 @@ def track_measurements(
     n: NoiseConfig,
     latency: float = 0.0,
 ) -> tuple[EkfBelief, Array]:
-    """Run predict/update over a measurement sequence.
-
-    The first measurement updates the prior in place; each later one is
-    preceded by a predict over the timestamp gap. `latency` shifts all
-    timestamps earlier by a fixed lag before filtering. Returns the final
-    belief and a log array with rows [t, mean(6), nis].
-    """
+    """Run predict/update over a measurement sequence: the first measurement updates the prior
+    in place, each later one follows a predict over the timestamp gap, and `latency` shifts all
+    timestamps earlier by a fixed lag before filtering. Returns the final belief and a log array
+    with rows [t, mean(6), nis]. The beliefs are checked a block at a time, and always before an
+    error from a later step is raised: the first belief that fails raises, as if each step had
+    checked its own."""
     times = np.asarray(times, dtype=np.float64) - latency
     measurements = np.asarray(measurements, dtype=np.float64)
     if times.ndim != 1 or measurements.shape != (times.size, 3):
@@ -265,17 +273,25 @@ def track_measurements(
         raise ValueError("timestamps must be strictly increasing")
     rows = np.empty((times.size, 8))
     rows[:, 0] = times
-    mean, cov, r, qs = b0.mean, b0.covariance, n.measurement_cov, {}
-    for i in range(times.size):
-        if i > 0:
-            dt = float(times[i] - times[i - 1])
-            q = qs.get(dt)
-            if q is None:  # Q is built once per distinct gap
-                _check_dt(dt)
-                q = qs[dt] = process_noise(n.process_psd, dt)
-            mean, cov = _predict(mean, cov, p, q, dt)
-        mean, cov, rows[i, 7] = _update(mean, cov, measurements[i], r)
-        rows[i, 1:7] = mean
+    mean, cov, r, qs, held = b0.mean, b0.covariance, n.measurement_cov, {}, []
+    try:
+        for i in range(times.size):
+            if i > 0:
+                dt = float(times[i] - times[i - 1])
+                q = qs.get(dt)
+                if q is None:  # Q is built once per distinct gap, and kept for one block
+                    _check_dt(dt)
+                    q = qs[dt] = process_noise(n.process_psd, dt)
+                mean, cov = _predict(mean, cov, p, q, dt)
+                held += mean, cov
+            mean, cov, rows[i, 7] = _update(mean, cov, measurements[i], r)
+            held += mean, cov
+            rows[i, 1:7] = mean
+            if i % _HELD == _HELD - 1:
+                _check_held(held)
+                qs.clear()
+    finally:  # a failing belief raises in place of any error that a later step hit
+        _check_held(held)
     return _record(EkfBelief, mean, cov), rows
 
 

@@ -30,6 +30,7 @@ from .spatial import (
     _numbers,
     _quat,
     _rotvec_between,
+    _value,
     _vec3,
     chain_from_dict,
     forward_kinematics,
@@ -101,16 +102,11 @@ class KeypointFrame:
     rotations: dict[str, Array] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "keypoints",
-            {k: _vec3(v, f"keypoint {k!r}") for k, v in self.keypoints.items()},
-        )
-        object.__setattr__(
-            self,
-            "rotations",
-            {k: np.asarray(v, dtype=np.float64) for k, v in self.rotations.items()},
-        )
+        object.__setattr__(self, "t", _value(self.t, float, "t"))
+        keypoints = {k: _vec3(v, f"keypoint {k!r}") for k, v in self.keypoints.items()}
+        object.__setattr__(self, "keypoints", keypoints)
+        rotations = {k: np.asarray(v, dtype=np.float64) for k, v in self.rotations.items()}
+        object.__setattr__(self, "rotations", rotations)
 
 
 @dataclass(frozen=True)
@@ -129,8 +125,6 @@ class RetargetProblem:
         object.__setattr__(self, "segments", tuple(tuple(s) for s in self.segments))
         object.__setattr__(self, "collision_spheres", tuple(self.collision_spheres))
         for i, kf in enumerate(self.frames):
-            if not math.isfinite(kf.t):
-                raise ValueError(f"frame {i} has a non-finite time t = {kf.t}")
             if i and not kf.t > self.frames[i - 1].t:
                 raise ValueError(
                     f"frame times must be strictly increasing: frame {i} has t = {kf.t} "

@@ -80,9 +80,9 @@ class TerminationResult:
 
 def exp_kernel(err_sq: float, sigma: float) -> float:
     """exp(-err_sq / sigma): 1 at zero error, strictly decreasing."""
-    if sigma <= 0:
+    if not sigma > 0:  # NaN fails too
         raise ValueError("sigma must be positive")
-    if err_sq < 0:
+    if not err_sq >= 0:
         raise ValueError("squared error must be non-negative")
     return math.exp(-err_sq / sigma)
 

@@ -1,6 +1,10 @@
+import ast
 import hashlib
 import re
+import tracemalloc
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,8 +29,15 @@ from shuttlekit.estimator import (
     track_measurements,
     transition_jacobian,
 )
-from shuttlekit.shuttle import ShuttleParams, ShuttleState, _rk4_step, simulate_to_ground, step
-from shuttlekit.spatial import Box
+from shuttlekit.shuttle import (
+    ShuttleParams,
+    ShuttleState,
+    _check_dt,
+    _rk4_step,
+    simulate_to_ground,
+    step,
+)
+from shuttlekit.spatial import Box, _record
 
 PARAMS = ShuttleParams(mass=0.005, drag_coeff=0.001)
 DRAG_FREE = ShuttleParams(mass=0.005, drag_coeff=0.0)
@@ -633,3 +644,138 @@ class TestTrackMeasurements:
         prior = EkfBelief(np.array([0.0, 0.0, 3.0, 4.0, 0.0, 4.0]), np.eye(6) * 0.01)
         with pytest.raises(ValueError, match="timestamps shifted by latency"):
             track_measurements(times, zs, prior, PARAMS, NOISE, latency=latency)
+
+
+def _per_step_track(times, zs, b0, p, n):
+    """The track as a loop that checks each belief as soon as its step makes it, as
+    `track_measurements` did before it held its beliefs: the same cores, checks and order."""
+    times = np.asarray(times, dtype=np.float64)
+    mean, cov = b0.mean, b0.covariance
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(times.size):
+            if i > 0:
+                dt = float(times[i] - times[i - 1])
+                _check_dt(dt)
+                q = estimator.process_noise(n.process_psd, dt)
+                mean, cov = estimator._checked(*estimator._predict(mean, cov, p, q, dt), True)
+            mean, cov, _ = estimator._update(mean, cov, zs[i], n.measurement_cov)
+            estimator._checked(mean, cov, True)
+
+
+def _raised(run):
+    """The type and message of what `run()` raises, or None."""
+    try:
+        run()
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+# eigenvalue 1 - 2e3 along e2 - e5 (and 1 + 2e3 along e2 + e5): no prior absorbs it
+_INDEFINITE_Q = np.eye(6)
+_INDEFINITE_Q[2, 5] = _INDEFINITE_Q[5, 2] = 2e3
+
+
+def _injected_track(kind, n, k, later):
+    """A track of n measurements that fails at step k: a non-finite measurement, a huge one
+    whose next predicted mean overflows under drag, a covariance that overflows over a 1e5 s
+    gap, an indefinite Q over step k's gap, or a non-PSD prior built unchecked. `later`
+    puts a NaN measurement after step k, so a later step raises too. Returns the track's
+    arguments and the process-noise patch to run it under."""
+    times = np.arange(n) * 0.005
+    zs = np.array([0.0, 0.0, 3.0]) + times[:, None] * [4.0, 0.0, 4.0]
+    zs = zs + np.random.default_rng([n, k]).normal(0.0, 0.005, (n, 3))
+    prior = EkfBelief(np.array([0.0, 0.0, 3.0, 4.0, 0.0, 4.0]), np.diag([0.01] * 3 + [25.0] * 3))
+    p, noise_of = PARAMS, estimator.process_noise
+    if kind == "measurement":
+        zs[k] = np.nan
+    elif kind == "mean":
+        zs[k] = 1e300
+    elif kind == "overflow":
+        # drag-free, with gaps so short that P_vv stays near 1e300 until step k's 1e5 s gap
+        times = np.concatenate([np.arange(k) * 1e-160, 1e5 + 0.005 * np.arange(n - k)])
+        prior = EkfBelief(np.array([0.0, 0.0, 3.0, 1.0, 0.0, 1.0]), np.diag([0.01] * 3 + [1e300] * 3))
+        p = DRAG_FREE
+    elif kind == "indefinite_q":
+        times[k:] += 0.0021
+        gap = float(times[k] - times[k - 1])
+
+        def noise_of(psd, dt, real=estimator.process_noise):
+            return _INDEFINITE_Q if dt == gap else real(psd, dt)
+    else:
+        prior = _record(EkfBelief, prior.mean, np.diag([0.01] * 3 + [25.0, 25.0, -1e-3]))
+    if later is not None:
+        zs[later] = np.nan
+    return (times, zs, prior, p, NOISE), mock.patch.object(estimator, "process_noise", noise_of)
+
+
+@st.composite
+def injected_failures(draw):
+    """A kind, a track longer than two blocks of held beliefs, a failing step, and maybe a
+    later step that raises as well."""
+    kind = draw(st.sampled_from(["measurement", "mean", "overflow", "indefinite_q", "prior"]))
+    n = draw(st.integers(2 * estimator._HELD + 1, 4 * estimator._HELD + 20))
+    k = draw(st.integers(0 if kind in ("measurement", "mean", "prior") else 1, n - 2))
+    later = draw(st.none() | st.integers(k + 1, n - 1))
+    return kind, n, k, later
+
+
+class TestHeldBeliefChecks:
+    """A track checks its beliefs a block at a time, and raises what a per-step check would."""
+
+    @given(injected_failures())
+    @settings(max_examples=60)
+    def test_first_failure_matches_the_per_step_loop(self, failure):
+        args, patch = _injected_track(*failure)
+        with patch:
+            expected = _raised(lambda: _per_step_track(*args))
+            assert expected is not None  # every kind fails at or after step k
+            assert _raised(lambda: track_measurements(*args)) == expected
+
+    def test_failure_in_the_second_block_after_a_clean_first(self):
+        args, patch = _injected_track("indefinite_q", 100, 40, later=45)
+        # a block holds the beliefs of _HELD steps, two a step but one at step 0
+        failing, second = 2 * 40 - 1, 2 * estimator._HELD - 1  # step 40's predicted belief
+        assert second <= failing < second + 2 * estimator._HELD
+        with patch, mock.patch.object(estimator, "_checked", wraps=estimator._checked) as checked:
+            with pytest.raises(NumericalFailureError,
+                               match="^covariance is not positive semidefinite$"):
+                track_measurements(*args)
+        # the first block passed its stacked check; the second is gone over from its start
+        assert checked.call_count == failing - second + 1
+
+    def test_memory_does_not_grow_with_the_track(self):
+        """Beyond its (N, 8) log, a track holds one block of beliefs and the Q of at most that
+        many gaps: stacking every belief would add 2N x 42 floats (3.4 MB here), and a Q kept
+        for each of these jittered gaps about 2.4 MB. N is kept at 5,000 because tracemalloc
+        slows the track about tenfold."""
+        n = 5_000
+        rng = np.random.default_rng(5)
+        times = np.arange(n) * 0.005 + rng.uniform(-1e-3, 1e-3, n)
+        zs = np.array([0.0, 0.0, 3.0]) + times[:, None] * [4.0, 0.0, 4.0]
+        zs += rng.normal(0.0, 0.005, (n, 3))
+        prior = EkfBelief(np.array([0.0, 0.0, 3.0, 4.0, 0.0, 4.0]), np.diag([0.01] * 3 + [25.0] * 3))
+        tracemalloc.start()
+        try:
+            _, rows = track_measurements(times, zs, prior, PARAMS, NOISE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows.nbytes + 512 * 1024, peak - rows.nbytes
+
+    def test_only_the_held_block_and_the_public_steps_check(self):
+        """The cores neither check nor factorise, so no per-step Cholesky comes back into the
+        track unseen: `_checked` is called by the belief's constructor, the two public steps
+        and the held-block check alone, and `cholesky` is called in the last two checks only."""
+        functions = {}
+        for node in ast.parse(Path(estimator.__file__).read_text()).body:
+            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(fn, ast.FunctionDef):
+                    prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+                    functions[prefix + fn.name] = ast.unparse(fn)
+        for core in ("_predict", "_update"):
+            assert "_checked" not in functions[core] and "np.linalg" not in functions[core]
+        assert {name for name, source in functions.items() if "_checked(" in source} == {
+            "EkfBelief.__post_init__", "_checked", "_check_held", "ekf_predict", "ekf_update"}
+        assert {name for name, source in functions.items() if "cholesky" in source} == {
+            "_checked", "_check_held"}

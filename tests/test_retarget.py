@@ -536,6 +536,16 @@ class TestClipExportAndIo:
         assert np.array_equal(init.root_poses[0].orientation, quat_identity())
         assert np.array_equal(init.joint_angles, [chain.joint_limits().mean(axis=1)])
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_frame_time_rejected(self, t):
+        """A frame built directly and one read by problem_from_dict name `t` alike."""
+        with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
+            KeypointFrame(t, {"kp_hand": [0.0, 0.0, 1.0]})
+        data = {"chain": chain_to_dict(arm_chain()), "keypoint_map": {"kp_hand": "hand"},
+                "frames": [{"t": t, "keypoints": {"kp_hand": [0.0, 0.0, 1.0]}}]}
+        with pytest.raises(ValueError, match=rf"^frames\[0\]\.t must be finite, got {t}$"):
+            problem_from_dict(data)
+
 
 def _seeded_problems():
     """Seeded problems that between them make all six cost terms non-zero: a branching

@@ -60,6 +60,14 @@ class TestExpKernel:
         with pytest.raises(ValueError):
             exp_kernel(-0.1, 1.0)
 
+    @pytest.mark.parametrize("err_sq, sigma, message", [
+        (1.0, math.nan, "sigma must be positive"),
+        (math.nan, 1.0, "squared error must be non-negative"),
+    ], ids=["sigma", "err_sq"])
+    def test_nan_rejected(self, err_sq, sigma, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            exp_kernel(err_sq, sigma)
+
     def test_strictly_decreasing(self):
         values = [exp_kernel(e, 0.3) for e in np.linspace(0.0, 2.0, 50)]
         assert all(b < a for a, b in zip(values, values[1:]))
