@@ -9,13 +9,14 @@ checkable against finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .goal import RobotState
-from .spatial import KinematicChain, Pose, to_base_frame
+from .spatial import KinematicChain, Pose, _record, to_base_frame
 
 Array = np.ndarray
 
@@ -36,9 +37,10 @@ class AmpConfig:
 
 @dataclass(frozen=True)
 class AmpFrame:
-    """Single-frame feature vector, everything in the robot base frame.
+    """Discriminator feature vector, everything in the robot base frame: one frame, or a
+    history window of frames, newest first, as `assemble_history` builds it.
 
-    Layout: [base linear velocity(3), joint angles(n), base height(1),
+    Frame layout: [base linear velocity(3), joint angles(n), base height(1),
     projected gravity(3), end-effector positions(3E), end-effector
     velocities(3E)] for E end-effectors in a fixed order.
     """
@@ -46,20 +48,10 @@ class AmpFrame:
     features: Array
 
     def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-
-    def __len__(self) -> int:
-        return self.features.size
-
-
-@dataclass(frozen=True)
-class AmpObservation:
-    """History window of frames, newest first."""
-
-    features: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
+        features = np.asarray(self.features, dtype=np.float64)
+        if features.ndim != 1 or not all(map(math.isfinite, features.tolist())):
+            raise ValueError(f"features must be a finite 1-D vector, got shape {features.shape}")
+        object.__setattr__(self, "features", features)
 
     def __len__(self) -> int:
         return self.features.size
@@ -96,7 +88,7 @@ def frame_features(
     ))
 
 
-def assemble_history(buffer: Sequence[AmpFrame], cfg: AmpConfig) -> AmpObservation:
+def assemble_history(buffer: Sequence[AmpFrame], cfg: AmpConfig) -> AmpFrame:
     """Concatenate the newest history_length frames, newest first.
 
     The buffer is chronological (oldest to newest). At episode start, when
@@ -107,12 +99,9 @@ def assemble_history(buffer: Sequence[AmpFrame], cfg: AmpConfig) -> AmpObservati
     width = len(buffer[0])
     if any(len(f) != width for f in buffer):
         raise ValueError("frames in the buffer have inconsistent lengths")
-    h = cfg.history_length
-    picked = []
-    for k in range(h):
-        idx = max(len(buffer) - 1 - k, 0)
-        picked.append(buffer[idx].features)
-    return AmpObservation(np.concatenate(picked))
+    newest = len(buffer) - 1
+    picked = [buffer[max(newest - k, 0)].features for k in range(cfg.history_length)]
+    return _record(AmpFrame, np.concatenate(picked))  # checked frames make a checked window
 
 
 @dataclass(frozen=True)
@@ -155,13 +144,21 @@ def mlp_init(layer_sizes: Sequence[int], rng: np.random.Generator) -> Mlp:
     return Mlp(tuple(weights), tuple(biases))
 
 
-def _as_batch(obs) -> Array:
-    if isinstance(obs, AmpObservation):
-        return obs.features[None, :]
-    arr = np.asarray(obs, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[None, :]
-    return arr
+def _rows(obs, m: Mlp, name: str) -> Array:
+    """The (k, m.input_size) float64 rows of obs, an AmpFrame, a vector, a 2-D array, or a
+    list or tuple of frames or vectors: the one reader of the discriminator's inputs. An
+    empty, ragged, wrong-width or non-finite batch raises, naming the argument `name`."""
+    if isinstance(obs, (list, tuple)):
+        obs = [o.features if isinstance(o, AmpFrame) else o for o in obs]
+    try:
+        x = np.asarray(obs.features if isinstance(obs, AmpFrame) else obs, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        x = np.empty(0)
+    x = x[None, :] if x.ndim == 1 else x
+    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != m.input_size or not np.isfinite(x).all():
+        raise ValueError(
+            f"{name} must be a non-empty batch of finite rows of length {m.input_size}")
+    return x
 
 
 def _forward(m: Mlp, x: Array) -> list[Array]:
@@ -188,17 +185,14 @@ def _tanh_primes(acts: list[Array]) -> list[Array]:
 
 def disc_forward(m: Mlp, obs) -> float:
     """Discriminator score for a single observation."""
-    x = _as_batch(obs)
-    if x.shape != (1, m.input_size):
-        raise ValueError(f"expected one observation of length {m.input_size}")
+    x = _rows(obs, m, "obs")
+    if x.shape[0] != 1:
+        raise ValueError(f"obs must be one observation, got {x.shape[0]} rows")
     return float(_forward(m, x)[-1][0, 0])
 
 
 def disc_forward_batch(m: Mlp, batch) -> Array:
-    x = _as_batch(batch)
-    if x.shape[1] != m.input_size:
-        raise ValueError(f"expected observations of length {m.input_size}")
-    return _forward(m, x)[-1][:, 0]
+    return _forward(m, _rows(batch, m, "batch"))[-1][:, 0]
 
 
 def _input_grads(m: Mlp, acts: list[Array], derivs: list[Array]) -> list[tuple[Array, Array]]:
@@ -216,9 +210,9 @@ def _input_grads(m: Mlp, acts: list[Array], derivs: list[Array]) -> list[tuple[A
 
 def grad_wrt_input(m: Mlp, obs) -> Array:
     """Exact gradient of the scalar output with respect to the input."""
-    x = _as_batch(obs)
-    if x.shape != (1, m.input_size):
-        raise ValueError(f"expected one observation of length {m.input_size}")
+    x = _rows(obs, m, "obs")
+    if x.shape[0] != 1:
+        raise ValueError(f"obs must be one observation, got {x.shape[0]} rows")
     acts = _forward(m, x)
     return _input_grads(m, acts, _tanh_primes(acts))[0][1][0]
 
@@ -292,14 +286,8 @@ def disc_loss_and_grads(
     gradients of all three terms are exact. The step keeps no state between
     calls: every array it writes in place is one it allocated in that call.
     """
-    x_real = np.stack([_as_batch(o)[0] for o in real]) if isinstance(real, (list, tuple)) else _as_batch(real)
-    x_fake = np.stack([_as_batch(o)[0] for o in fake]) if isinstance(fake, (list, tuple)) else _as_batch(fake)
-    if x_real.shape[0] == 0 or x_fake.shape[0] == 0:
-        raise ValueError("real and fake batches must be non-empty")
-    if x_real.shape[1] != m.input_size or x_fake.shape[1] != m.input_size:
-        raise ValueError(f"observations must have length {m.input_size}")
-    n_real = x_real.shape[0]
-    n_fake = x_fake.shape[0]
+    x_real, x_fake = _rows(real, m, "real"), _rows(fake, m, "fake")
+    n_real, n_fake = len(x_real), len(x_fake)
 
     acts = _forward(m, np.concatenate((x_real, x_fake)))
     d_real = acts[-1][:n_real, 0]

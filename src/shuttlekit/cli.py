@@ -169,12 +169,12 @@ def cmd_track(cfg: RunConfig, args: argparse.Namespace, out_dir: str) -> int:
     belief, rows = estimator.track_measurements(
         times, zs, prior, cfg.params, cfg.noise, latency=latency
     )
-    os.makedirs(out_dir, exist_ok=True)
-    estimator.save_filter_log_csv(rows, os.path.join(out_dir, "filter_log.csv"))
-
     traj = estimator.predict_trajectory(
         belief, cfg.params, track["dt"], track["horizon"], t0=float(times[-1] - latency)
     )
+    os.makedirs(out_dir, exist_ok=True)
+    estimator.save_filter_log_csv(rows, os.path.join(out_dir, "filter_log.csv"))
+
     target = estimator.select_hit_point(traj, cfg.criteria)
     target_path = os.path.join(out_dir, "strike_target.json")
     if target is None:

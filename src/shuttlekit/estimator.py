@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .goal import StrikeTarget
-from .shuttle import ShuttleParams, Trajectory, _check_dt, _rk4_step, transition_jacobian
+from .shuttle import (ShuttleParams, Trajectory, _check_dt, _finite_states, _rk4_step,
+                      transition_jacobian)
 from .spatial import Box, Pose, _csv_records, _quat, _record, _write_csv, quat_identity
 
 Array = np.ndarray
@@ -109,7 +110,10 @@ _overflow_reads_inf = np.errstate(over="ignore", invalid="ignore")
 
 def process_noise(psd: float, dt: float) -> Array:
     """White-noise-acceleration discretization, per-axis [dt^3/3, dt^2/2; dt^2/2, dt]."""
-    a, b, c = psd * dt**3 / 3.0, psd * dt**2 / 2.0, psd * dt
+    try:
+        a, b, c = psd * dt**3 / 3.0, psd * dt**2 / 2.0, psd * dt
+    except OverflowError:  # a float's power raises where numpy's reads inf
+        raise ValueError(f"process noise overflows over a gap of {dt:.9g} s") from None
     return np.array((
         (a, 0.0, 0.0, b, 0.0, 0.0), (0.0, a, 0.0, 0.0, b, 0.0), (0.0, 0.0, a, 0.0, 0.0, b),
         (b, 0.0, 0.0, c, 0.0, 0.0), (0.0, b, 0.0, 0.0, c, 0.0), (0.0, 0.0, b, 0.0, 0.0, c),
@@ -186,7 +190,8 @@ def ekf_update(
 def predict_trajectory(
     b: EkfBelief, p: ShuttleParams, dt: float, horizon: float, t0: float = 0.0
 ) -> Trajectory:
-    """Noise-free mean propagation, sampled at t0, t0+dt, ... up to t0+horizon."""
+    """Noise-free mean propagation, sampled at t0, t0+dt, ... up to t0+horizon. A state that
+    stops being finite raises ValueError naming the time."""
     _check_dt(dt)
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -194,8 +199,9 @@ def predict_trajectory(
     states = [b.mean.tolist()]
     for _ in range(steps):
         states.append(_rk4_step(states[-1], p, dt))
-    data = np.array(states)
-    return Trajectory(t0 + dt * np.arange(steps + 1), data[:, :3], data[:, 3:])
+    times = t0 + dt * np.arange(steps + 1)
+    data = _finite_states(times, states)
+    return Trajectory(times, data[:, :3], data[:, 3:])
 
 
 @dataclass(frozen=True)

@@ -287,6 +287,15 @@ def step(s: ShuttleState, p: ShuttleParams, dt: float) -> ShuttleState:
     return _record(ShuttleState, data[:3], data[3:], axis)
 
 
+def _finite_states(times, states: list) -> Array:
+    """The array of a flight's states, once the last is finite: a non-finite one never recovers."""
+    data = np.array(states)
+    if not all(map(math.isfinite, states[-1])):
+        first = int(np.argmin(np.isfinite(data).all(axis=1)))
+        raise ValueError(f"flight state stopped being finite at t = {times[first]:.9g} s")
+    return data
+
+
 def simulate_to_ground(
     s: ShuttleState, p: ShuttleParams, dt: float = DEFAULT_DT, t_max: float = 10.0
 ) -> FlightResult:
@@ -316,11 +325,7 @@ def simulate_to_ground(
             landing = Landing(time=t + frac * h, point=pos + frac * (np.array(state[:3]) - pos))
             break
         t = new_t
-    data = np.array(states)
-    # a non-finite state never becomes finite again, so the last sample tells
-    if not all(map(math.isfinite, states[-1])):
-        first = int(np.argmin(np.isfinite(data).all(axis=1)))
-        raise ValueError(f"flight state stopped being finite at t = {times[first]:.9g} s")
+    data = _finite_states(times, states)
     return FlightResult(Trajectory(np.array(times), data[:, :3], data[:, 3:]), landing)
 
 

@@ -1,5 +1,8 @@
+import ast
 import hashlib
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import arm_chain, humanoid_chain, random_pose
+from shuttlekit import amp
 from shuttlekit.amp import (
     AmpConfig,
     AmpFrame,
@@ -145,6 +149,100 @@ class TestAssembleHistory:
     def test_empty_buffer_errors(self):
         with pytest.raises(ValueError):
             assemble_history([], self.CFG)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AmpConfig(history_length=0), "history_length must be at least 1"),
+    (lambda: AmpFrame([np.nan, 1.0]), "features must be a finite 1-D vector, got shape (2,)"),
+    (lambda: AmpFrame([1.0, -np.inf]), "features must be a finite 1-D vector, got shape (2,)"),
+    (lambda: AmpFrame([[1.0, 2.0]]), "features must be a finite 1-D vector, got shape (1, 2)"),
+    (lambda: assemble_history([AmpFrame([1.0]), AmpFrame([1.0, 2.0])], AmpConfig()),
+     "frames in the buffer have inconsistent lengths"),
+    (lambda: Mlp((np.ones((1, 2)),), ()), "need one bias vector per weight matrix"),
+    (lambda: Mlp((np.ones(2),), (np.ones(1),)), "layer 0 has inconsistent shapes"),
+    (lambda: Mlp((np.ones((3, 2)), np.ones((1, 4))), (np.ones(3), np.ones(1))),
+     "layer 1 input dim does not match layer 0 output"),
+    (lambda: Mlp((np.ones((2, 2)),), (np.ones(2),)), "output layer must produce a scalar"),
+], ids=["history-length", "nan-feature", "inf-feature", "2-d-features", "ragged-buffer",
+        "no-biases", "1-d-weights", "chained-widths", "vector-output"])
+def test_bad_record_is_rejected_with_its_own_message(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_history_window_is_one_feature_record():
+    """`assemble_history` returns an `AmpFrame`, and `AmpObservation`, its field-for-field
+    copy, is gone."""
+    window = assemble_history([AmpFrame([1.0, 2.0]), AmpFrame([3.0, 4.0])], AmpConfig(3))
+    assert type(window) is AmpFrame and len(window) == 6
+    assert window.features.tolist() == [3.0, 4.0, 1.0, 2.0, 1.0, 2.0]
+    assert not hasattr(amp, "AmpObservation")
+
+
+class TestBatchReader:
+    NET = Mlp((np.ones((1, 3)),), (np.zeros(1),))
+    ROWS = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+    @pytest.mark.parametrize("form", [
+        lambda rows: rows,
+        lambda rows: list(rows),
+        lambda rows: tuple(rows.tolist()),
+        lambda rows: [AmpFrame(r) for r in rows],
+        lambda rows: [AmpFrame(rows[0]), rows[1]],
+    ], ids=["2-d", "list-of-vectors", "tuple-of-lists", "list-of-frames", "mixed-list"])
+    def test_every_batch_form_reads_the_same_rows(self, form):
+        x = amp._rows(form(self.ROWS), self.NET, "real")
+        assert x.dtype == np.float64 and x.tobytes() == self.ROWS.tobytes()
+
+    @pytest.mark.parametrize("form", [
+        lambda row: row, lambda row: row[None, :], lambda row: AmpFrame(row), lambda row: [row],
+    ], ids=["vector", "one-row", "frame", "list"])
+    def test_every_single_form_reads_one_row(self, form):
+        row = self.ROWS[0]
+        assert amp._rows(form(row), self.NET, "obs").tobytes() == row.tobytes()
+        assert disc_forward(self.NET, form(row)) == 6.0
+        assert grad_wrt_input(self.NET, form(row)).tolist() == [1.0, 1.0, 1.0]
+        assert disc_forward_batch(self.NET, form(row)).tolist() == [6.0]
+
+    @pytest.mark.parametrize("argument", ["real", "fake"])
+    @pytest.mark.parametrize("batch", [
+        [], (), np.empty((0, 3)), [np.ones(3), np.ones(2)], [np.ones(3), "abc"],
+        [np.ones(3), np.array([1.0, np.nan, 1.0])], np.full((2, 3), np.inf), np.ones((2, 4)),
+        np.ones(4), np.ones((1, 2, 3)), [np.ones((1, 3))],
+    ], ids=["empty-list", "empty-tuple", "no-rows", "ragged", "not-numbers", "nan-row",
+            "inf-rows", "wide-rows", "wide-vector", "3-d", "list-of-rows"])
+    def test_bad_batch_names_the_argument(self, argument, batch):
+        good = [np.ones(3)]
+        real, fake = (batch, good) if argument == "real" else (good, batch)
+        with pytest.raises(ValueError, match=(
+                f"^{argument} must be a non-empty batch of finite rows of length 3$")):
+            disc_loss_and_grads(self.NET, real, fake, AmpConfig())
+
+    def test_single_observation_entries_name_their_argument(self):
+        for step in (disc_forward, grad_wrt_input):
+            with pytest.raises(ValueError, match="^obs must be one observation, got 2 rows$"):
+                step(self.NET, self.ROWS)
+            with pytest.raises(ValueError, match="^obs must be a non-empty batch of finite rows"):
+                step(self.NET, [np.nan, 1.0, 1.0])
+        with pytest.raises(ValueError, match="^batch must be a non-empty batch of finite rows"):
+            disc_forward_batch(self.NET, np.ones((2, 4)))
+
+    def test_every_entry_point_reads_its_input_through_the_one_reader(self):
+        """One reader turns observations into rows: the four public entry points call it,
+        and no other function in `amp` stacks or converts an observation."""
+        functions = {}
+        for node in ast.parse(Path(amp.__file__).read_text()).body:
+            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(fn, ast.FunctionDef):
+                    prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+                    functions[prefix + fn.name] = ast.unparse(fn)
+        assert {name for name, source in functions.items() if "_rows(" in source} == {
+            "_rows", "disc_forward", "disc_forward_batch", "grad_wrt_input",
+            "disc_loss_and_grads"}
+        # the feature record checks one vector, and the net its parameters
+        assert {name for name, source in functions.items() if "np.asarray(" in source} == {
+            "_rows", "AmpFrame.__post_init__", "Mlp.__post_init__"}
+        assert not re.search(r"np\.v?stack\(|_as_batch", "".join(functions.values()))
 
 
 class TestForward:

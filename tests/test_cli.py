@@ -601,6 +601,17 @@ class TestNonFiniteInputs:
         err = _exit_one(workdir, capsys, "retarget", path)
         assert err == f"error: {path}: position has non-finite components\n", err
 
+    @pytest.mark.parametrize("row, message", [
+        ("1e103,0.1,0,3", "process noise overflows over a gap of 1e+103 s"),
+        # a finite belief moving at 1e80 m/s, whose predicted flight overflows
+        ("1e-80,1,0,3", "flight state stopped being finite at t = 0.005 s"),
+    ], ids=["process-noise", "prediction"])
+    def test_overflowing_track_exits_one(self, workdir, capsys, row, message):
+        (workdir / "params.json").write_text(json.dumps({**PARAMS, "drag_coeff": 1e-4}))
+        path = workdir / "measurements.csv"
+        path.write_text(f"t,x,y,z\n0,0,0,3\n{row}\n")
+        assert _exit_one(workdir, capsys, "track", path) == f"error: {message}\n"
+
     @pytest.mark.parametrize("key, command", [("mass", "simulate"), ("drag_coeff", "track")])
     def test_non_finite_shuttle_param_names_it(self, workdir, capsys, key, command):
         (workdir / "params.json").write_text(json.dumps({**PARAMS, key: float("nan")}))

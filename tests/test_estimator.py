@@ -325,6 +325,17 @@ class TestPredict:
         with pytest.raises(ValueError, match=message):
             ekf_predict(b, PARAMS, NOISE, dt)
 
+    @pytest.mark.parametrize("run", [
+        lambda b: ekf_predict(b, PARAMS, NOISE, 1e103),
+        lambda b: track_measurements([0.0, 1e103], [b.mean[:3]] * 2, b, PARAMS, NOISE),
+    ], ids=["predict", "track"])
+    def test_gap_whose_process_noise_overflows_is_named(self, run):
+        """dt**3 of a float raises past about 5.6e102 s; the gap is named, not an OverflowError."""
+        assert np.isfinite(process_noise(NOISE.process_psd, 5e102)).all()
+        b = EkfBelief(np.array([0.0, 0.0, 3.0, 1.0, 0.0, 1.0]), np.eye(6))
+        with pytest.raises(ValueError, match=r"^process noise overflows over a gap of 1e\+103 s$"):
+            run(b)
+
 
 class TestUpdate:
     def test_exact_measurement_keeps_mean(self):
@@ -456,6 +467,13 @@ class TestPredictTrajectory:
         b = EkfBelief(np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), np.eye(6) * 0.01)
         traj = predict_trajectory(b, PARAMS, 0.01, 0.5)
         assert np.argmax(traj.positions[:, 2]) == 0
+
+    def test_overflowing_prediction_names_the_time(self):
+        """A finite belief whose flight overflows raises, as `simulate_to_ground` does, rather
+        than return NaN samples that no strike point can be selected from."""
+        b = EkfBelief(np.array([0.0, 0.0, 3.0, 1e80, 0.0, 0.0]), np.eye(6))
+        with pytest.raises(ValueError, match=r"^flight state stopped being finite at t = 1.01 s$"):
+            predict_trajectory(b, PARAMS, 0.01, 0.5, t0=1.0)
 
     def test_short_horizon_single_sample(self):
         b = EkfBelief(np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), np.eye(6) * 0.01)

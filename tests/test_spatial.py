@@ -15,6 +15,7 @@ from scipy.spatial.transform import Rotation
 
 from conftest import arm_chain, planar_two_link, poses, random_pose, random_quat, vec3
 from shuttlekit import retarget, spatial
+from shuttlekit.amp import AmpFrame
 from shuttlekit.estimator import EkfBelief
 from shuttlekit.scenario import (
     EpisodeRecord,
@@ -401,6 +402,17 @@ class TestVectorFields:
         with pytest.raises(ValueError, match=f"^{name} has non-finite components$"):
             build(v)
 
+    @pytest.mark.parametrize("case", VECTOR_FIELDS)
+    @pytest.mark.parametrize("v, message", [
+        (["x", 0.0, 0.0], "must hold numbers: could not convert string to float: 'x'"),
+        ([0.0, 0.0], "must have shape (3,), got (2,)"),
+        ([[0.0], [0.0], [0.0]], "must have shape (3,), got (3, 1)"),
+    ], ids=["non-numeric", "short", "column"])
+    def test_non_numeric_or_misshapen_vector_names_the_field(self, case, v, message):
+        name, build = case
+        with pytest.raises(ValueError, match=f"^{name} {re.escape(message)}$"):
+            build(v)
+
     # the axis is stored normalized, so it is left out
     @given(st.sampled_from([c for c in VECTOR_FIELDS if c[0] != "axis"]), vec3)
     def test_finite_entries_are_stored_as_float64(self, case, v):
@@ -521,6 +533,7 @@ RECORD_VALUES = {
     ManifoldPoint: (np.array([0.1, 0.2, 1.1]), 1.0, 3),
     EpisodeRecord: (4, True, np.array([0.1, 0.0, -0.2]), True, False, True, 7.5),
     StrikeManifold: ((ManifoldPoint([0.1, 0.2, 1.1], 1.0, 3),), "easy", strike_volume("easy")),
+    AmpFrame: (np.arange(4.0),),
 }
 
 
