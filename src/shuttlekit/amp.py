@@ -48,7 +48,10 @@ class AmpFrame:
     features: Array
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
+        try:
+            features = np.asarray(self.features, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"features must hold numbers: {exc}") from exc
         if features.ndim != 1 or not all(map(math.isfinite, features.tolist())):
             raise ValueError(f"features must be a finite 1-D vector, got shape {features.shape}")
         object.__setattr__(self, "features", features)
@@ -124,6 +127,9 @@ class Mlp:
                 raise ValueError(f"layer {i} has inconsistent shapes")
             if i > 0 and w.shape[1] != ws[i - 1].shape[0]:
                 raise ValueError(f"layer {i} input dim does not match layer {i-1} output")
+            for part, values in (("weights", w), ("biases", b)):
+                if not np.isfinite(values).all():
+                    raise ValueError(f"layer {i} {part} must be finite")
         if ws[-1].shape[0] != 1:
             raise ValueError("output layer must produce a scalar")
         object.__setattr__(self, "weights", ws)

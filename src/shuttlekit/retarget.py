@@ -3,8 +3,8 @@
 Each frame is solved as a damped least-squares problem over the root pose
 and joint angles (root orientation updated through rotation-vector
 increments), warm-started from the previous solved frame and tied to it by
-a smoothness residual. One pass over the cost terms writes each term's
-residual rows and analytic Jacobian rows together. Morphological scales
+a smoothness residual; only the iterates LM steps start from get analytic
+Jacobian rows, built from what their residual pass kept. Morphological scales
 (one global, one per segment) can be solved jointly on the first frame and
 are then held fixed.
 """
@@ -191,6 +191,9 @@ class RetargetSolution:
             q = q[None, :]
         if len(self.root_poses) != q.shape[0]:
             raise ValueError("one root pose per frame of joint angles required")
+        if not np.isfinite(q).all():
+            i = int(np.flatnonzero(~np.isfinite(q).all(axis=1))[0])
+            raise ValueError(f"joint_angles of frame {i} must be finite, got {q[i].tolist()}")
         object.__setattr__(self, "joint_angles", q)
         scales = np.asarray(self.local_scales, dtype=np.float64)
         for name, scale in (("global_scale", self.global_scale), *(
@@ -262,22 +265,14 @@ class _FrameIterate:
         return base + 1 + self.l_scales.size if self.with_scales else base
 
     def apply(self, delta: Array) -> "_FrameIterate":
-        n = self.q.size
-        root = self.root
-        k = 0
-        if self.with_root:
-            root = Pose(
-                self.root.position + delta[:3],
-                quat_boxplus(self.root.orientation, delta[3:6]),
-            )
-            k = 6
+        n, k, root = self.q.size, 6 if self.with_root else 0, self.root
+        if k:
+            root = Pose(root.position + delta[:3], quat_boxplus(root.orientation, delta[3:6]))
         q = self.q + delta[k : k + n]
         g_scale, l_scales = self.g_scale, self.l_scales
         if self.with_scales:
             g_scale = float(np.clip(self.g_scale + delta[k + n], *GLOBAL_SCALE_BOUNDS))
-            l_scales = np.clip(
-                self.l_scales + delta[k + n + 1 :], *LOCAL_SCALE_BOUNDS
-            )
+            l_scales = np.clip(self.l_scales + delta[k + n + 1 :], *LOCAL_SCALE_BOUNDS)
         return _FrameIterate(root, q, g_scale, l_scales, self.with_scales, self.with_root)
 
 
@@ -306,13 +301,11 @@ def _so3_inverse_jacobian(phi: Array, side: float) -> Array:
     return np.eye(3) + 0.5 * side * k + coef * (k @ k)
 
 
-def _linearize(
-    p: RetargetProblem, it: _FrameIterate, tg: _FrameTargets,
-    prev: Optional[tuple[Pose, Array]], jacobian: bool = True,
-) -> tuple[Array, ResidualReport, Optional[Array]]:
-    """The weighted residuals at `it`, their unweighted blocks and, when `jacobian` is
-    set, their derivative in `it.apply`'s increment (else None). One pass over the
-    terms, in TERM_ORDER, writes each term's residual rows and Jacobian rows together:
+def _residuals(
+    p: RetargetProblem, it: _FrameIterate, tg: _FrameTargets, prev: Optional[tuple[Pose, Array]]
+) -> tuple[Array, ResidualReport, tuple]:
+    """The weighted residuals at `it`, their unweighted blocks, and what `_jacobian`
+    reads of this pass. One FK call; the terms, in TERM_ORDER:
 
     global: FK keypoint minus globally scaled target position.
     local:  segment vectors vs scaled target segment vectors, plus the
@@ -324,10 +317,7 @@ def _linearize(
     smooth: finite difference of root pose and joints vs the previous
             frame (empty on frame 0).
 
-    Each pose column is a twist: a turn w and the velocity v0 of the world origin, so a
-    point p carried along moves by v0 + w x p. Joint k turns about its world axis a_k
-    through its origin o_k (Murray, Li & Sastry 1994, 3.4), the root increment about the
-    root. `tg` and `p` name every chain frame by its FK row (`chain.frame_rows`), which
+    `tg` and `p` name every chain frame by its FK row (`chain.frame_rows`), which
     indexes FK's `positions` and `orientations` and `p._moved_by`, the columns that move it.
     """
     n, root, q = it.q.size, it.root, it.q
@@ -335,84 +325,45 @@ def _linearize(
     pos, quats = fk.positions, fk.orientations
     n_rows = (3 * (len(tg.keypoints) + len(tg.segments) + len(tg.rotations)) + len(tg.angles)
               + len(p._sphere_pairs) + n + (0 if prev is None else 6 + n))
-    res, jac = np.empty(n_rows), None
-    k0 = 6 if it.with_root else 0  # the first joint column
-    n_pose = k0 + n
-    if jacobian:
-        w, v = quats[:n, 0], quats[:n, 1:].T
-        twice = 2.0 * _cross(v, p._axes)  # a_k = q axis_k q^-1, column by column
-        axes = p._axes + w * twice + _cross(v, twice)
-        turn, origin = np.zeros((3, n_pose)), np.zeros((3, n_pose))
-        turn[:, k0:], origin[:, k0:] = axes, _cross(pos[:n].T, axes)
-        if k0:
-            turn[:, 3:6], origin[:, :3], origin[:, 3:6] = np.eye(3), np.eye(3), _skew(root.position)
-        moved_by = p._moved_by[:, 6 - k0 :]
-
-        def carried(points: Array, frames) -> Array:
-            """(m, 3, n_pose) columns of (m, 3) points carried by the frames at rows `frames`."""
-            return (origin - _skew(points) @ turn) * moved_by[frames][:, None, :]
-
-        frame_cols = carried(pos, slice(None))
-        jac = np.zeros((n_rows, it.dim()))
-
+    res = np.empty(n_rows)
     row, bounds = 0, [0]  # each term's first row, then the end
     for f, target in tg.keypoints:  # global
         res[row : row + 3] = pos[f] - it.g_scale * target
-        if jacobian:
-            jac[row : row + 3, :n_pose] = frame_cols[f]
-            if it.with_scales:
-                jac[row : row + 3, n_pose] = -target
         row += 3
     bounds.append(row)
-    segments = {}  # segment index -> (FK segment vector, its Jacobian rows)
+    segments = {}  # segment index -> FK segment vector
     for si, (a, b, vec_tg) in tg.segments.items():  # local: segment vectors
-        u = pos[a] - pos[b]
-        segments[si] = u, frame_cols[a] - frame_cols[b] if jacobian else None
+        segments[si] = u = pos[a] - pos[b]
         s_l = it.l_scales[si] if si < it.l_scales.size else 1.0
         res[row : row + 3] = u - s_l * it.g_scale * vec_tg
-        if jacobian:
-            jac[row : row + 3, :n_pose] = segments[si][1]
-            if it.with_scales:
-                jac[row : row + 3, n_pose] = -it.l_scales[si] * vec_tg
-                jac[row : row + 3, n_pose + 1 + si] = -it.g_scale * vec_tg
         row += 3
+    angles = []  # (row, segment i, segment j, angle, |u|, |v|) of each angle row
     for i, j, ang_tg in tg.angles:  # local: the angle between segments u and v
-        (u, ju), (v, jv) = segments[i], segments[j]
-        angle = _angle_between(u, v)
+        angle = _angle_between(segments[i], segments[j])
         if angle is None:
             continue  # no row: the rows after it move up, and the unused ones are trimmed
-        angle, nu, nv = angle
-        res[row] = angle - ang_tg
-        sin = math.sin(angle)
-        if jacobian and sin >= 1e-12:  # below, the angle has no derivative
-            c, u, v = math.cos(angle), u / nu, v / nv
-            jac[row, :n_pose] = -((v - c * u) / nu @ ju + (u - c * v) / nv @ jv) / sin
+        angles.append((row, i, j, *angle))
+        res[row] = angle[0] - ang_tg
         row += 1
     bounds.append(row)
     for f, q_tg in tg.rotations:  # ee_rotation
         res[row : row + 3] = _rotvec_between(q_tg, quats[f].tolist())
-        if jacobian:
-            jac[row : row + 3, :n_pose] = (-_so3_inverse_jacobian(res[row : row + 3], 1.0)
-                                           @ (turn * moved_by[f]))
         row += 3
     bounds.append(row)
+    centers, hinges = None, []  # hinges: (row, sphere i, sphere j, d, |d|) of each active pair
     if p._sphere_pairs:  # collision
         centers = np.array([quat_to_matrix(quats[f]) @ s.offset + pos[f]
                             for f, s in zip(p._sphere_rows, p.collision_spheres)])
-        sphere_cols = carried(centers, p._sphere_rows) if jacobian else None
         for i, j, radii in p._sphere_pairs:
             d = centers[i] - centers[j]
             dist = float(np.linalg.norm(d))
             res[row] = max(0.0, radii - dist)
-            if jacobian and res[row] > 0.0 and d.any():
-                jac[row, :n_pose] = -d / dist @ (sphere_cols[i] - sphere_cols[j])
+            if res[row] > 0.0 and d.any():  # in contact, and the centers apart
+                hinges.append((row, i, j, d, dist))
             row += 1
     bounds.append(row)
     lo, hi = p._limits  # limit
-    diag = np.arange(n)
     res[row : row + n] = np.maximum(0.0, lo - q) + np.maximum(0.0, q - hi)
-    if jacobian:
-        jac[row + diag, k0 + diag] = np.where(q < lo, -1.0, np.where(q > hi, 1.0, 0.0))
     row += n
     bounds.append(row)
     if prev is not None:  # smooth
@@ -420,11 +371,6 @@ def _linearize(
         res[row : row + 3] = root.position - prev_root.position
         res[row + 3 : row + 6] = quat_boxminus(root.orientation, prev_root.orientation)
         res[row + 6 : row + 6 + n] = q - prev_q
-        if jacobian:
-            jac[row + 6 + diag, k0 + diag] = 1.0
-            if k0:
-                jac[row : row + 3, :3] = np.eye(3)
-                jac[row + 3 : row + 6, 3:6] = _so3_inverse_jacobian(res[row + 3 : row + 6], -1.0)
         row += 6 + n
     bounds.append(row)
 
@@ -434,15 +380,72 @@ def _linearize(
         bad = [t for t in TERM_ORDER if not np.all(np.isfinite(report.blocks[t]))]
         raise ValueError(f"non-finite residuals in terms: {bad}")
     weights = np.repeat(p._sqrt_weights, [b - a for a, b in zip(bounds, bounds[1:])])
-    if jacobian:
-        jac = jac[:row] * weights[:, None]
-    return res * weights, report, jac
+    return res * weights, report, (pos, quats, res, segments, angles, centers, hinges, bounds,
+                                   weights)
 
 
-def evaluate_residuals(
-    p: RetargetProblem, x: RetargetSolution, frame: int
-) -> ResidualReport:
-    """Raw residual blocks of one frame, in TERM_ORDER; `_linearize` states each term."""
+def _jacobian(p: RetargetProblem, it: _FrameIterate, tg: _FrameTargets, kept: tuple) -> Array:
+    """The derivative of `_residuals`' weighted residuals in `it.apply`'s increment, built
+    from what that pass kept at `it`, term by term in TERM_ORDER.
+
+    Each pose column is a twist: a turn w and the velocity v0 of the world origin, so a
+    point p carried along moves by v0 + w x p. Joint k turns about its world axis a_k
+    through its origin o_k (Murray, Li & Sastry 1994, 3.4), the root increment about the
+    root.
+    """
+    pos, quats, res, segments, angles, centers, hinges, bounds, weights = kept
+    n, q, k0 = it.q.size, it.q, 6 if it.with_root else 0  # k0: the first joint column
+    n_pose = k0 + n
+    w, v = quats[:n, 0], quats[:n, 1:].T
+    twice = 2.0 * _cross(v, p._axes)  # a_k = q axis_k q^-1, column by column
+    axes = p._axes + w * twice + _cross(v, twice)
+    turn, origin = np.zeros((3, n_pose)), np.zeros((3, n_pose))
+    turn[:, k0:], origin[:, k0:] = axes, _cross(pos[:n].T, axes)
+    if k0:
+        turn[:, 3:6], origin[:, :3], origin[:, 3:6] = np.eye(3), np.eye(3), _skew(it.root.position)
+    moved_by = p._moved_by[:, 6 - k0 :]
+
+    def carried(points: Array, frames) -> Array:
+        """(m, 3, n_pose) columns of (m, 3) points carried by the frames at rows `frames`."""
+        return (origin - _skew(points) @ turn) * moved_by[frames][:, None, :]
+
+    frame_cols = carried(pos, slice(None))
+    jac = np.zeros((res.size, it.dim()))
+    for row, (f, target) in zip(range(0, bounds[1], 3), tg.keypoints):  # global
+        jac[row : row + 3, :n_pose] = frame_cols[f]
+        if it.with_scales:
+            jac[row : row + 3, n_pose] = -target
+    segment_cols = {}  # local: segment index -> its Jacobian rows; the angle rows follow them
+    for row, (si, (a, b, vec_tg)) in zip(range(bounds[1], bounds[2], 3), tg.segments.items()):
+        segment_cols[si] = jac[row : row + 3, :n_pose] = frame_cols[a] - frame_cols[b]
+        if it.with_scales:
+            jac[row : row + 3, n_pose] = -it.l_scales[si] * vec_tg
+            jac[row : row + 3, n_pose + 1 + si] = -it.g_scale * vec_tg
+    for row, i, j, angle, nu, nv in angles:  # local: the angle between segments u and v
+        sin = math.sin(angle)
+        if sin >= 1e-12:  # below, the angle has no derivative
+            c, u, v = math.cos(angle), segments[i] / nu, segments[j] / nv
+            jac[row, :n_pose] = -((v - c * u) / nu @ segment_cols[i]
+                                  + (u - c * v) / nv @ segment_cols[j]) / sin
+    for row, (f, _) in zip(range(bounds[2], bounds[3], 3), tg.rotations):  # ee_rotation
+        jac[row : row + 3, :n_pose] = (-_so3_inverse_jacobian(res[row : row + 3], 1.0)
+                                       @ (turn * moved_by[f]))
+    if hinges:  # collision
+        sphere_cols = carried(centers, p._sphere_rows)
+        for row, i, j, d, dist in hinges:
+            jac[row, :n_pose] = -d / dist @ (sphere_cols[i] - sphere_cols[j])
+    (lo, hi), diag = p._limits, np.arange(n)  # limit
+    jac[bounds[4] + diag, k0 + diag] = np.where(q < lo, -1.0, np.where(q > hi, 1.0, 0.0))
+    if (row := bounds[5]) < bounds[6]:  # smooth
+        jac[row + 6 + diag, k0 + diag] = 1.0
+        if k0:
+            jac[row : row + 3, :3] = np.eye(3)
+            jac[row + 3 : row + 6, 3:6] = _so3_inverse_jacobian(res[row + 3 : row + 6], -1.0)
+    return jac * weights[:, None]
+
+
+def evaluate_residuals(p: RetargetProblem, x: RetargetSolution, frame: int) -> ResidualReport:
+    """Raw residual blocks of one frame, in TERM_ORDER; `_residuals` states each term."""
     if not 0 <= frame < len(p.frames):
         raise ValueError(f"frame index {frame} out of range")
     if frame >= x.n_frames:
@@ -450,7 +453,7 @@ def evaluate_residuals(
     prev = (x.root_poses[frame - 1], x.joint_angles[frame - 1]) if frame > 0 else None
     it = _FrameIterate(x.root_poses[frame], x.joint_angles[frame], x.global_scale,
                        x.local_scales, False)
-    return _linearize(p, it, _frame_targets(p, frame), prev, jacobian=False)[1]
+    return _residuals(p, it, _frame_targets(p, frame), prev)[1]
 
 
 def _solve_frame(
@@ -459,15 +462,16 @@ def _solve_frame(
     """Levenberg-Marquardt over one frame's increment vector.
 
     Returns the final iterate, the residual report evaluated at it, and the frame's cost
-    trace: the cost at the start, then the cost after each accepted step. Every trial is
-    linearized with its Jacobian, which the next step uses if the trial is accepted.
+    trace: the cost at the start, then the cost after each accepted step. Each LM pass
+    builds the Jacobian of the iterate it starts from, so no trial that ends as rejected or
+    final gets one; a trial is final once it converged or used up _LM_MAX_ITERS.
     """
-    lam = 1e-3
-    r, report, jac = _linearize(p, it, tg, prev)
+    lam, done = 1e-3, False
+    r, report, kept = _residuals(p, it, tg, prev)
     trace = [float(np.dot(r, r))]
     eye = np.eye(it.dim())
-    done = False
     while not done and len(trace) <= _LM_MAX_ITERS:  # each pass accepts one step or ends
+        jac = _jacobian(p, it, tg, kept)
         jtj = jac.T @ jac
         jtr = jac.T @ r
         cost = trace[-1]
@@ -478,11 +482,11 @@ def _solve_frame(
                 lam *= 10.0
                 continue
             trial = it.apply(delta)
-            r_trial, trial_report, trial_jac = _linearize(p, trial, tg, prev)
+            r_trial, trial_report, trial_kept = _residuals(p, trial, tg, prev)
             trial_cost = float(np.dot(r_trial, r_trial))
             if trial_cost < cost:
                 done = cost - trial_cost < _LM_REL_TOL * max(cost, 1e-30)
-                it, r, report, jac = trial, r_trial, trial_report, trial_jac
+                it, r, report, kept = trial, r_trial, trial_report, trial_kept
                 trace.append(trial_cost)
                 lam = max(lam / 10.0, 1e-12)
                 break
@@ -494,9 +498,7 @@ def _solve_frame(
 
 @np.errstate(over="ignore")  # a cost that overflows reads inf, which callers check
 def solve_retarget(
-    p: RetargetProblem,
-    init: RetargetSolution,
-    cost_trace: Optional[list] = None,
+    p: RetargetProblem, init: RetargetSolution, cost_trace: Optional[list] = None
 ) -> tuple[RetargetSolution, dict[str, float]]:
     """Sequential per-frame damped least-squares fit.
 
@@ -563,10 +565,8 @@ def align_to_ground(
 ) -> RetargetSolution:
     """Shift the whole clip vertically so the lowest foot sample sits at z = 0."""
     shift = float(np.min(_foot_heights(sol, chain, feet_frames)))
-    roots = tuple(
-        Pose(r.position - np.array([0.0, 0.0, shift]), r.orientation)
-        for r in sol.root_poses
-    )
+    roots = tuple(Pose(r.position - np.array([0.0, 0.0, shift]), r.orientation)
+                  for r in sol.root_poses)
     return replace(sol, root_poses=roots)
 
 

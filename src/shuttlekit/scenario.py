@@ -218,10 +218,11 @@ class ServeConfig:
     origin_jitter: Array = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.float64))
-        object.__setattr__(
-            self, "origin_jitter", np.asarray(self.origin_jitter, dtype=np.float64)
-        )
+        object.__setattr__(self, "origin", _numbers(self.origin, (3,), "origin"))
+        jitter = _numbers(self.origin_jitter, (3,), "origin_jitter")
+        if not (jitter >= 0.0).all():
+            raise ValueError(f"origin_jitter must be non-negative, got {jitter.tolist()}")
+        object.__setattr__(self, "origin_jitter", jitter)
 
 
 def _position_at(origin: Array, v0: Array, p: ShuttleParams, t_end: float, dt: float) -> Array:

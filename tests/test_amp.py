@@ -163,8 +163,13 @@ class TestAssembleHistory:
     (lambda: Mlp((np.ones((3, 2)), np.ones((1, 4))), (np.ones(3), np.ones(1))),
      "layer 1 input dim does not match layer 0 output"),
     (lambda: Mlp((np.ones((2, 2)),), (np.ones(2),)), "output layer must produce a scalar"),
+    (lambda: AmpFrame(["x"]), "features must hold numbers: could not convert string to float: 'x'"),
+    (lambda: Mlp((np.full((1, 3), np.nan),), (np.zeros(1),)), "layer 0 weights must be finite"),
+    (lambda: Mlp((np.ones((2, 3)), np.ones((1, 2))), (np.ones(2), np.array([np.inf]))),
+     "layer 1 biases must be finite"),
 ], ids=["history-length", "nan-feature", "inf-feature", "2-d-features", "ragged-buffer",
-        "no-biases", "1-d-weights", "chained-widths", "vector-output"])
+        "no-biases", "1-d-weights", "chained-widths", "vector-output", "non-number-feature",
+        "nan-weights", "inf-biases"])
 def test_bad_record_is_rejected_with_its_own_message(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()

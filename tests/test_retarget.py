@@ -8,12 +8,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import arm_chain, random_pose, random_quat, unit_quats
+from shuttlekit import retarget
 from shuttlekit.goal import clip_to_dict
 from shuttlekit.retarget import (
     TERM_ORDER,
     _FrameIterate,
     _frame_targets,
-    _linearize,
+    _jacobian,
+    _residuals,
     CollisionSphere,
     KeypointFrame,
     RetargetProblem,
@@ -270,8 +272,8 @@ def _central_differences(p, it, tg, prev, h=1e-6):
     for k in range(it.dim()):
         step = np.zeros(it.dim())
         step[k] = h
-        plus = _linearize(p, it.apply(step), tg, prev, jacobian=False)[0]
-        minus = _linearize(p, it.apply(-step), tg, prev, jacobian=False)[0]
+        plus = _residuals(p, it.apply(step), tg, prev)[0]
+        minus = _residuals(p, it.apply(-step), tg, prev)[0]
         columns.append((plus - minus) / (2.0 * h))
     return np.stack(columns, axis=1)
 
@@ -342,7 +344,7 @@ def _away_from_kinks(problem, it, tg, prev):
     for i, j, radii in problem._sphere_pairs:
         if abs(radii - np.linalg.norm(centers[i] - centers[j])) < 1e-4:
             return False
-    report = _linearize(problem, it, tg, prev, jacobian=False)[1]
+    report = _residuals(problem, it, tg, prev)[1]
     rotvecs = report.blocks["ee_rotation"].reshape(-1, 3)
     if prev is not None:
         rotvecs = np.vstack([rotvecs, report.blocks["smooth"][3:6]])
@@ -355,7 +357,8 @@ def test_jacobian_matches_central_differences(state):
     problem, it, prev = state
     tg = _frame_targets(problem, 0)
     assume(_away_from_kinks(problem, it, tg, prev))
-    r, _, analytic = _linearize(problem, it, tg, prev)
+    r, _, kept = _residuals(problem, it, tg, prev)
+    analytic = _jacobian(problem, it, tg, kept)
     assert analytic.shape == (r.size, it.dim())
     assert np.allclose(analytic, _central_differences(problem, it, tg, prev),
                        rtol=1e-6, atol=1e-6)
@@ -363,15 +366,116 @@ def test_jacobian_matches_central_differences(state):
 
 @given(frame_states())
 def test_linearize_without_jacobian_gives_the_same_residuals(state):
+    """The Jacobian pass leaves the residual pass's output as it was, and builds the same
+    Jacobian from kept state however late it runs."""
     problem, it, prev = state
     tg = _frame_targets(problem, 0)
-    r, report, _ = _linearize(problem, it, tg, prev)
-    r_only, report_only, jac = _linearize(problem, it, tg, prev, jacobian=False)
-    assert jac is None and r_only.tobytes() == r.tobytes()
+    r, report, kept = _residuals(problem, it, tg, prev)
+    jac = _jacobian(problem, it, tg, kept)
+    r_only, report_only, kept_only = _residuals(problem, it, tg, prev)
+    assert jac.tobytes() == _jacobian(problem, it, tg, kept_only).tobytes()
+    assert r_only.tobytes() == r.tobytes()
     for t in TERM_ORDER:
         assert report_only.blocks[t].tobytes() == report.blocks[t].tobytes()
     weighted = [np.sqrt(problem.weights.for_term(t)) * report.blocks[t] for t in TERM_ORDER]
     assert np.concatenate(weighted).tobytes() == r.tobytes()
+
+
+def _solve_frame_linearizing_every_trial(p, it, tg, prev, passes):
+    """The reference: the LM loop as it was while every trial was linearized with its
+    Jacobian. Appends 1 to `passes` per LM pass."""
+    def linearize(x):
+        r, report, kept = _residuals(p, x, tg, prev)
+        return r, report, _jacobian(p, x, tg, kept)
+
+    lam = 1e-3
+    r, report, jac = linearize(it)
+    trace = [float(np.dot(r, r))]
+    eye = np.eye(it.dim())
+    done = False
+    while not done and len(trace) <= retarget._LM_MAX_ITERS:
+        passes.append(1)
+        jtj = jac.T @ jac
+        jtr = jac.T @ r
+        cost = trace[-1]
+        while lam <= 1e12:
+            try:
+                delta = np.linalg.solve(jtj + lam * eye, -jtr)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            trial = it.apply(delta)
+            r_trial, trial_report, trial_jac = linearize(trial)
+            trial_cost = float(np.dot(r_trial, r_trial))
+            if trial_cost < cost:
+                done = cost - trial_cost < retarget._LM_REL_TOL * max(cost, 1e-30)
+                it, r, report, jac = trial, r_trial, trial_report, trial_jac
+                trace.append(trial_cost)
+                lam = max(lam / 10.0, 1e-12)
+                break
+            lam *= 10.0
+        else:
+            done = True
+    return it, report, trace
+
+
+def _stop_branch(trace):
+    """How a frame's LM ended, read from its cost trace alone."""
+    if len(trace) > retarget._LM_MAX_ITERS:
+        return "max-iters"
+    if len(trace) > 1 and trace[-2] - trace[-1] < retarget._LM_REL_TOL * max(trace[-2], 1e-30):
+        return "converged"
+    return "no-damping"
+
+
+def _two_frame_tip_problem():
+    """A one-joint tip pulled past its joint limit: each frame converges onto the limit."""
+    frames = tuple(KeypointFrame(t, {"kp": [0.0, 2.0, z]}) for t, z in ((0.0, 0.0), (1.0, 0.1)))
+    return (RetargetProblem(_one_joint_chain(), {"kp": "tip"}, frames, fix_root=True),
+            RetargetSolution((Pose.identity(),) * 2, np.zeros((2, 1))))
+
+
+def _arm_at_its_targets_problem():
+    """The arm from identity towards FK-made targets: the cost falls to rounding noise,
+    where no damping lowers it any more."""
+    problem = _arm_problem(Pose(np.array([0.1, 0.2, 0.0]), quat_from_rotvec([0, 0, 0.4])),
+                           np.array([0.3, -0.6, 0.5]))
+    return problem, _identity_init(problem, 3)
+
+
+@pytest.mark.parametrize("build, max_iters, branch", [
+    (_two_frame_tip_problem, None, "converged"),
+    (_arm_at_its_targets_problem, None, "no-damping"),
+    (_arm_at_its_targets_problem, 3, "max-iters"),
+])
+def test_lm_stop_branches_match_the_every_trial_reference(monkeypatch, build, max_iters, branch):
+    """Each way an LM frame ends gives the bits of the loop that linearized every trial, and
+    builds one Jacobian per LM pass: the frame start and each accepted step that another
+    pass follows."""
+    if max_iters is not None:
+        monkeypatch.setattr(retarget, "_LM_MAX_ITERS", max_iters)
+    problem, init = build()
+    passes = []
+    with monkeypatch.context() as m:
+        m.setattr(retarget, "_solve_frame",
+                  lambda p, it, tg, prev: _solve_frame_linearizing_every_trial(
+                      p, it, tg, prev, passes))
+        want_trace = []
+        want, want_costs = solve_retarget(problem, init, cost_trace=want_trace)
+    built = []
+    monkeypatch.setattr(retarget, "_jacobian", lambda *a: built.append(1) or _jacobian(*a))
+    trace = []
+    got, costs = solve_retarget(problem, init, cost_trace=trace)
+
+    assert [_stop_branch(t) for t in trace] == [branch] * len(problem.frames)
+    assert [np.array(t).tobytes() for t in trace] == [np.array(t).tobytes() for t in want_trace]
+    assert got.joint_angles.tobytes() == want.joint_angles.tobytes()
+    for a, b in zip(got.root_poses, want.root_poses):
+        assert a.position.tobytes() == b.position.tobytes()
+        assert a.orientation.tobytes() == b.orientation.tobytes()
+    assert np.array(list(costs.values())).tobytes() == np.array(list(want_costs.values())).tobytes()
+    followed = sum(len(t) - 1 - (_stop_branch(t) != "no-damping") for t in trace)
+    assert len(built) == len(passes) == len(trace) + followed
 
 
 class TestScales:
@@ -404,6 +508,12 @@ class TestScales:
         with pytest.raises(ValueError, match=message):
             RetargetSolution((Pose.identity(),), [[0.0]], global_scale=global_scale,
                              local_scales=local_scales)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_solution_rejects_non_finite_joint_angles_naming_the_frame(self, bad):
+        message = rf"^joint_angles of frame 1 must be finite, got \[0.0, {bad}\]$"
+        with pytest.raises(ValueError, match=message):
+            RetargetSolution((Pose.identity(),) * 3, [[0.0, 0.0], [0.0, bad], [bad, 0.0]])
 
 
 class TestGroundAlignment:

@@ -412,14 +412,23 @@ class TestEvaluateEpisodes:
     (lambda v: EpisodeRecord(0, True, np.full((3, 1), v)),
      "impact_offset must be finite numbers of shape (3,)"),
     (lambda v: EpisodeRecord(0, False, None, return_speed=v), "return_speed must be finite, got "),
+    (lambda v: ServeConfig(origin=[6.0, v, 2.0]), "origin must be finite numbers of shape (3,)"),
+    (lambda v: ServeConfig(origin_jitter=[0.5, 0.5, v]),
+     "origin_jitter must be finite numbers of shape (3,)"),
 ], ids=["position", "position-shape", "time_offset", "source", "impact_offset",
-        "impact_offset-shape", "return_speed"])
+        "impact_offset-shape", "return_speed", "serve-origin", "serve-origin_jitter"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_records_reject_non_finite_or_misshapen_fields(build, message, value):
     """A record built directly checks its numbers, so no NaN reaches evaluate_episodes'
-    MSE; the message names the field."""
+    MSE or a serve flight; the message names the field."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         build(value)
+
+
+def test_serve_config_rejects_a_negative_jitter():
+    message = r"^origin_jitter must be non-negative, got \[0.5, -0.1, 0.3\]$"
+    with pytest.raises(ValueError, match=message):
+        ServeConfig(origin_jitter=[0.5, -0.1, 0.3])
 
 
 class TestIo:

@@ -579,6 +579,7 @@ def test_retarget_reads_fk_rows_by_the_chain_index():
     and its linearization indexes FK rows with no name lookup."""
     source = Path(retarget.__file__).read_text()
     assert "_frame_index" not in source
-    assert "index[" not in inspect.getsource(retarget._linearize)
-    # it reads FK's row arrays, and restacks no poses
-    assert "np.cross" not in source and ".values()" not in inspect.getsource(retarget._linearize)
+    for linearization in (retarget._residuals, retarget._jacobian):
+        assert "index[" not in inspect.getsource(linearization)
+        # it reads FK's row arrays, and restacks no poses
+        assert "np.cross" not in source and ".values()" not in inspect.getsource(linearization)
