@@ -27,6 +27,7 @@ from .spatial import (
     KinematicChain,
     Pose,
     _check,
+    _matrix_entries,
     _numbers,
     _quat,
     _rotvec_between,
@@ -37,7 +38,6 @@ from .spatial import (
     load_chain,
     quat_boxminus,
     quat_boxplus,
-    quat_to_matrix,
 )
 
 Array = np.ndarray
@@ -61,19 +61,10 @@ class RetargetWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            w = getattr(self, f.name)
-            if not 0.0 <= w < math.inf:
-                raise ValueError(f"weights key {f.name!r} must be finite and non-negative, got {w}")
+            object.__setattr__(self, f.name, _value(getattr(self, f.name), NON_NEGATIVE, f.name))
 
     def for_term(self, term: str) -> float:
-        return {
-            "global": self.global_pos,
-            "local": self.local_shape,
-            "ee_rotation": self.ee_rotation,
-            "collision": self.collision,
-            "limit": self.joint_limit,
-            "smooth": self.smoothness,
-        }[term]
+        return getattr(self, fields(self)[TERM_ORDER.index(term)].name)  # fields in TERM_ORDER
 
 
 @dataclass(frozen=True)
@@ -83,19 +74,15 @@ class CollisionSphere:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "offset", _vec3(self.offset, f"collision sphere offset on frame {self.frame!r}")
-        )
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError(
-                f"collision sphere radius on frame {self.frame!r} must be positive and finite, "
-                f"got {self.radius}"
-            )
+        on = f"on frame {self.frame!r}"
+        object.__setattr__(self, "offset", _vec3(self.offset, f"collision sphere offset {on}"))
+        radius = _value(self.radius, POSITIVE, f"collision sphere radius {on}")
+        object.__setattr__(self, "radius", radius)
 
 
 @dataclass(frozen=True)
 class KeypointFrame:
-    """Per-frame targets: named keypoint positions and frame orientations."""
+    """Per-frame targets: named keypoint positions and frame orientations (4 numbers each)."""
 
     t: float
     keypoints: dict[str, Array]
@@ -105,7 +92,7 @@ class KeypointFrame:
         object.__setattr__(self, "t", _value(self.t, float, "t"))
         keypoints = {k: _vec3(v, f"keypoint {k!r}") for k, v in self.keypoints.items()}
         object.__setattr__(self, "keypoints", keypoints)
-        rotations = {k: np.asarray(v, dtype=np.float64) for k, v in self.rotations.items()}
+        rotations = {k: _numbers(v, (4,), f"rotations.{k}") for k, v in self.rotations.items()}
         object.__setattr__(self, "rotations", rotations)
 
 
@@ -162,19 +149,20 @@ class RetargetProblem:
         object.__setattr__(self, "_moved_by", moved_by)
         object.__setattr__(self, "_axes", np.reshape([j.axis for j in chain_frames[:n]], (n, 3)).T)
         object.__setattr__(self, "_sphere_rows", np.array([rows[s.frame] for s in spheres], int))
+        object.__setattr__(self, "_sphere_offsets", np.reshape([s.offset for s in spheres],
+                                                               (-1, 3)))
         object.__setattr__(self, "_limits", self.chain.joint_limits().T)
         object.__setattr__(self, "_adjacent_segments", tuple(
             (i, j) for i in range(len(segs)) for j in range(i + 1, len(segs))
             if len(set(segs[i]) & set(segs[j])) == 1
         ))
-        object.__setattr__(self, "_sphere_pairs", tuple(
-            (i, j, spheres[i].radius + spheres[j].radius)
-            for i in range(len(spheres)) for j in range(i + 1, len(spheres))
-            if spheres[i].frame != spheres[j].frame
-        ))
-        object.__setattr__(self, "_sqrt_weights", tuple(
-            np.sqrt(self.weights.for_term(t)) for t in TERM_ORDER
-        ))
+        pairs = [(i, j) for i in range(len(spheres)) for j in range(i + 1, len(spheres))
+                 if spheres[i].frame != spheres[j].frame]
+        object.__setattr__(self, "_sphere_pairs", np.array(pairs, int).reshape(-1, 2).T)  # (2, P)
+        object.__setattr__(self, "_pair_radii", np.array(
+            [spheres[i].radius + spheres[j].radius for i, j in pairs]))
+        object.__setattr__(self, "_sqrt_weights", np.sqrt([self.weights.for_term(t)
+                                                          for t in TERM_ORDER]))
 
 
 @dataclass(frozen=True)
@@ -216,36 +204,37 @@ class ResidualReport:
 
 def _angle_between(u: Array, v: Array) -> Optional[tuple[float, float, float]]:
     """The angle between u and v and their norms; None if either is shorter than 1e-9."""
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    nu, nv = math.sqrt(u.dot(u)), math.sqrt(v.dot(v))  # numpy's norm, bit for bit
     if nu < 1e-9 or nv < 1e-9:
         return None
-    return float(np.arccos(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))), nu, nv
+    return float(np.arccos(min(max(u.dot(v) / (nu * nv), -1.0), 1.0))), nu, nv
 
 
 @dataclass(frozen=True)
 class _FrameTargets:
-    """One frame's targets in residual order."""
+    """One frame's targets in residual order, each term's rows stacked, and the row weights
+    of each row layout its residual passes have met."""
 
-    keypoints: tuple  # (FK row, target position), by keypoint name
-    segments: dict  # segment index -> (FK row of a, FK row of b, target a - b)
-    angles: tuple  # (segment i, segment j, target angle) of adjacent segments
+    keypoints: tuple  # FK rows (k,) and target positions (k, 3), by keypoint name
+    segments: tuple  # segment indices and FK rows of a and of b (m,), targets a - b (m, 3)
+    angles: tuple  # (i, j, target angle) of adjacent segments at segment rows i and j
     rotations: tuple  # (FK row, unit target quaternion as floats), by frame name
+    row_weights: dict = field(default_factory=dict)  # term bounds -> each row's weight
 
 
 def _frame_targets(p: RetargetProblem, frame: int) -> _FrameTargets:
-    kf, rows, kmap = p.frames[frame], p.chain.frame_rows, p.keypoint_map
-    segments = {
-        si: (rows[kmap[a]], rows[kmap[b]], kf.keypoints[a] - kf.keypoints[b])
-        for si, (a, b) in enumerate(p.segments)
-        if a in kf.keypoints and b in kf.keypoints
-    }
-    angles = [
-        (i, j, _angle_between(segments[i][2], segments[j][2]))
-        for i, j in p._adjacent_segments if i in segments and j in segments
-    ]
+    kps, rows, kmap = p.frames[frame].keypoints, p.chain.frame_rows, p.keypoint_map
+    segs = [(si, a, b) for si, (a, b) in enumerate(p.segments) if a in kps and b in kps]
+    at = {si: r for r, (si, _, _) in enumerate(segs)}  # segment index -> its row
+    ends = np.array([(si, rows[kmap[a]], rows[kmap[b]]) for si, a, b in segs], int)
+    vectors = np.reshape([kps[a] - kps[b] for _, a, b in segs], (-1, 3))
+    angles = [(at[i], at[j], _angle_between(vectors[at[i]], vectors[at[j]]))
+              for i, j in p._adjacent_segments if i in at and j in at]
+    names = sorted(kps)
     return _FrameTargets(
-        tuple((rows[kmap[kp]], kf.keypoints[kp]) for kp in sorted(kf.keypoints)),
-        segments,
+        (np.array([rows[kmap[kp]] for kp in names], int),
+         np.reshape([kps[kp] for kp in names], (-1, 3))),
+        (*ends.reshape(-1, 3).T, vectors),
         tuple((i, j, a[0]) for i, j, a in angles if a is not None),
         p._rotation_targets[frame],
     )
@@ -278,6 +267,9 @@ class _FrameIterate:
 
 def _skew(v: Array) -> Array:
     """[v]x of each (..., 3) row of v, as (..., 3, 3): [v]x w = v x w."""
+    if v.ndim == 1:  # one vector: its entries, with no index arrays
+        x, y, z = v.tolist()
+        return np.array(((0.0, -z, y), (z, 0.0, -x), (-y, x, 0.0)))
     out = np.zeros(v.shape + (3,))
     out[..., [2, 0, 1], [1, 2, 0]] = v
     out[..., [1, 2, 0], [2, 0, 1]] = -v
@@ -305,7 +297,8 @@ def _residuals(
     p: RetargetProblem, it: _FrameIterate, tg: _FrameTargets, prev: Optional[tuple[Pose, Array]]
 ) -> tuple[Array, ResidualReport, tuple]:
     """The weighted residuals at `it`, their unweighted blocks, and what `_jacobian`
-    reads of this pass. One FK call; the terms, in TERM_ORDER:
+    reads of this pass. One FK call; the terms, in TERM_ORDER, each written in one
+    stacked pass over its rows except the few angle and rotation rows:
 
     global: FK keypoint minus globally scaled target position.
     local:  segment vectors vs scaled target segment vectors, plus the
@@ -323,23 +316,20 @@ def _residuals(
     n, root, q = it.q.size, it.root, it.q
     fk = forward_kinematics(p.chain, root, q)
     pos, quats = fk.positions, fk.orientations
-    n_rows = (3 * (len(tg.keypoints) + len(tg.segments) + len(tg.rotations)) + len(tg.angles)
-              + len(p._sphere_pairs) + n + (0 if prev is None else 6 + n))
+    (kp_rows, kp_targets), (seg, a, b, seg_targets) = tg.keypoints, tg.segments
+    n_rows = (3 * (kp_rows.size + a.size + len(tg.rotations)) + len(tg.angles)
+              + p._pair_radii.size + n + (0 if prev is None else 6 + n))
     res = np.empty(n_rows)
-    row, bounds = 0, [0]  # each term's first row, then the end
-    for f, target in tg.keypoints:  # global
-        res[row : row + 3] = pos[f] - it.g_scale * target
-        row += 3
+    row, bounds = 3 * kp_rows.size, [0]  # each term's first row, then the end
+    res[:row] = (pos[kp_rows] - it.g_scale * kp_targets).ravel()  # global
     bounds.append(row)
-    segments = {}  # segment index -> FK segment vector
-    for si, (a, b, vec_tg) in tg.segments.items():  # local: segment vectors
-        segments[si] = u = pos[a] - pos[b]
-        s_l = it.l_scales[si] if si < it.l_scales.size else 1.0
-        res[row : row + 3] = u - s_l * it.g_scale * vec_tg
-        row += 3
-    angles = []  # (row, segment i, segment j, angle, |u|, |v|) of each angle row
+    vectors = pos[a] - pos[b]  # local: segment vectors
+    res[row : row + 3 * a.size] = (
+        vectors - (it.l_scales[seg] * it.g_scale)[:, None] * seg_targets).ravel()
+    row += 3 * a.size
+    angles = []  # (row, segment row i, segment row j, angle, |u|, |v|) of each angle row
     for i, j, ang_tg in tg.angles:  # local: the angle between segments u and v
-        angle = _angle_between(segments[i], segments[j])
+        angle = _angle_between(vectors[i], vectors[j])
         if angle is None:
             continue  # no row: the rows after it move up, and the unused ones are trimmed
         angles.append((row, i, j, *angle))
@@ -350,17 +340,18 @@ def _residuals(
         res[row : row + 3] = _rotvec_between(q_tg, quats[f].tolist())
         row += 3
     bounds.append(row)
-    centers, hinges = None, []  # hinges: (row, sphere i, sphere j, d, |d|) of each active pair
-    if p._sphere_pairs:  # collision
-        centers = np.array([quat_to_matrix(quats[f]) @ s.offset + pos[f]
-                            for f, s in zip(p._sphere_rows, p.collision_spheres)])
-        for i, j, radii in p._sphere_pairs:
-            d = centers[i] - centers[j]
-            dist = float(np.linalg.norm(d))
-            res[row] = max(0.0, radii - dist)
-            if res[row] > 0.0 and d.any():  # in contact, and the centers apart
-                hinges.append((row, i, j, d, dist))
-            row += 1
+    centers, hinges = None, None  # hinges: the active pairs, their center gaps and distances
+    if p._pair_radii.size:  # collision
+        # spatial's one matrix formula; the stacked matmul keeps quat_to_matrix(q) @ offset's bits
+        mats = np.reshape([_matrix_entries(r) for r in quats[p._sphere_rows].tolist()], (-1, 3, 3))
+        centers = (mats @ p._sphere_offsets[:, :, None])[:, :, 0] + pos[p._sphere_rows]
+        first, second = p._sphere_pairs
+        d = centers[first] - centers[second]
+        dist = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+        hinge = res[row : row + dist.size] = np.maximum(0.0, p._pair_radii - dist)
+        active = np.flatnonzero((hinge > 0.0) & d.any(axis=1))  # in contact, centers apart
+        hinges = (active, d[active], dist[active]) if active.size else None
+        row += dist.size
     bounds.append(row)
     lo, hi = p._limits  # limit
     res[row : row + n] = np.maximum(0.0, lo - q) + np.maximum(0.0, q - hi)
@@ -375,27 +366,30 @@ def _residuals(
     bounds.append(row)
 
     res = res[:row]
-    report = ResidualReport({t: res[a:b] for t, a, b in zip(TERM_ORDER, bounds, bounds[1:])})
+    report = ResidualReport({t: res[i:j] for t, i, j in zip(TERM_ORDER, bounds, bounds[1:])})
     if not np.all(np.isfinite(res)):
         bad = [t for t in TERM_ORDER if not np.all(np.isfinite(report.blocks[t]))]
         raise ValueError(f"non-finite residuals in terms: {bad}")
-    weights = np.repeat(p._sqrt_weights, [b - a for a, b in zip(bounds, bounds[1:])])
-    return res * weights, report, (pos, quats, res, segments, angles, centers, hinges, bounds,
+    weights = tg.row_weights.get(layout := tuple(bounds))
+    if weights is None:  # a row layout this frame has not met: angle rows drop out
+        weights = tg.row_weights[layout] = np.repeat(p._sqrt_weights, np.diff(layout))
+    return res * weights, report, (pos, quats, res, vectors, angles, centers, hinges, bounds,
                                    weights)
 
 
 def _jacobian(p: RetargetProblem, it: _FrameIterate, tg: _FrameTargets, kept: tuple) -> Array:
     """The derivative of `_residuals`' weighted residuals in `it.apply`'s increment, built
-    from what that pass kept at `it`, term by term in TERM_ORDER.
+    from what that pass kept at `it`, term by term in TERM_ORDER, each in one stacked pass
+    over its rows except the few angle and rotation rows.
 
     Each pose column is a twist: a turn w and the velocity v0 of the world origin, so a
     point p carried along moves by v0 + w x p. Joint k turns about its world axis a_k
     through its origin o_k (Murray, Li & Sastry 1994, 3.4), the root increment about the
     root.
     """
-    pos, quats, res, segments, angles, centers, hinges, bounds, weights = kept
+    pos, quats, res, vectors, angles, centers, hinges, bounds, weights = kept
     n, q, k0 = it.q.size, it.q, 6 if it.with_root else 0  # k0: the first joint column
-    n_pose = k0 + n
+    n_pose, dim = k0 + n, it.dim()
     w, v = quats[:n, 0], quats[:n, 1:].T
     twice = 2.0 * _cross(v, p._axes)  # a_k = q axis_k q^-1, column by column
     axes = p._axes + w * twice + _cross(v, twice)
@@ -410,30 +404,31 @@ def _jacobian(p: RetargetProblem, it: _FrameIterate, tg: _FrameTargets, kept: tu
         return (origin - _skew(points) @ turn) * moved_by[frames][:, None, :]
 
     frame_cols = carried(pos, slice(None))
-    jac = np.zeros((res.size, it.dim()))
-    for row, (f, target) in zip(range(0, bounds[1], 3), tg.keypoints):  # global
-        jac[row : row + 3, :n_pose] = frame_cols[f]
-        if it.with_scales:
-            jac[row : row + 3, n_pose] = -target
-    segment_cols = {}  # local: segment index -> its Jacobian rows; the angle rows follow them
-    for row, (si, (a, b, vec_tg)) in zip(range(bounds[1], bounds[2], 3), tg.segments.items()):
-        segment_cols[si] = jac[row : row + 3, :n_pose] = frame_cols[a] - frame_cols[b]
-        if it.with_scales:
-            jac[row : row + 3, n_pose] = -it.l_scales[si] * vec_tg
-            jac[row : row + 3, n_pose + 1 + si] = -it.g_scale * vec_tg
+    (kp_rows, kp_targets), (seg, a, b, seg_targets) = tg.keypoints, tg.segments
+    jac = np.zeros((res.size, dim))
+    jac[: bounds[1], :n_pose] = frame_cols[kp_rows].reshape(-1, n_pose)  # global
+    segment_cols = frame_cols[a] - frame_cols[b]  # local: segment vectors
+    local = jac[bounds[1] : bounds[1] + 3 * a.size].reshape(a.size, 3, dim)
+    local[:, :, :n_pose] = segment_cols
+    if it.with_scales:
+        jac[: bounds[1], n_pose] = -kp_targets.ravel()
+        local[:, :, n_pose] = -it.l_scales[seg, None] * seg_targets
+        local[np.arange(a.size), :, n_pose + 1 + seg] = -it.g_scale * seg_targets
     for row, i, j, angle, nu, nv in angles:  # local: the angle between segments u and v
         sin = math.sin(angle)
         if sin >= 1e-12:  # below, the angle has no derivative
-            c, u, v = math.cos(angle), segments[i] / nu, segments[j] / nv
+            c, u, v = math.cos(angle), vectors[i] / nu, vectors[j] / nv
             jac[row, :n_pose] = -((v - c * u) / nu @ segment_cols[i]
                                   + (u - c * v) / nv @ segment_cols[j]) / sin
     for row, (f, _) in zip(range(bounds[2], bounds[3], 3), tg.rotations):  # ee_rotation
         jac[row : row + 3, :n_pose] = (-_so3_inverse_jacobian(res[row : row + 3], 1.0)
                                        @ (turn * moved_by[f]))
-    if hinges:  # collision
+    if hinges is not None:  # collision
+        active, d, dist = hinges
         sphere_cols = carried(centers, p._sphere_rows)
-        for row, i, j, d, dist in hinges:
-            jac[row, :n_pose] = -d / dist @ (sphere_cols[i] - sphere_cols[j])
+        first, second = p._sphere_pairs[:, active]
+        jac[bounds[3] + active, :n_pose] = (
+            (-d / dist[:, None])[:, None, :] @ (sphere_cols[first] - sphere_cols[second]))[:, 0]
     (lo, hi), diag = p._limits, np.arange(n)  # limit
     jac[bounds[4] + diag, k0 + diag] = np.where(q < lo, -1.0, np.where(q > hi, 1.0, 0.0))
     if (row := bounds[5]) < bounds[6]:  # smooth
@@ -451,8 +446,9 @@ def evaluate_residuals(p: RetargetProblem, x: RetargetSolution, frame: int) -> R
     if frame >= x.n_frames:
         raise ValueError("solution has no state for the requested frame")
     prev = (x.root_poses[frame - 1], x.joint_angles[frame - 1]) if frame > 0 else None
+    n_seg = len(p.segments)  # a segment that `x` gives no scale has scale 1
     it = _FrameIterate(x.root_poses[frame], x.joint_angles[frame], x.global_scale,
-                       x.local_scales, False)
+                       np.concatenate((x.local_scales, np.ones(n_seg)))[:n_seg], False)
     return _residuals(p, it, _frame_targets(p, frame), prev)[1]
 
 
@@ -577,8 +573,7 @@ def extract_contacts(
     feet_frames: Optional[Sequence[str]] = None,
 ) -> Array:
     """Per-frame binary foot contacts: 1 where foot height < threshold."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    threshold = _value(threshold, POSITIVE, "threshold")
     return (_foot_heights(sol, chain, feet_frames) < threshold).astype(int)
 
 

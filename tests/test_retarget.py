@@ -1,5 +1,9 @@
+import ast
 import hashlib
+import inspect
 import json
+import math
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -33,10 +37,13 @@ from shuttlekit.spatial import (
     Joint,
     KinematicChain,
     Pose,
+    _rotvec_between,
     chain_to_dict,
     forward_kinematics,
+    quat_boxminus,
     quat_from_rotvec,
     quat_identity,
+    quat_to_matrix,
 )
 
 ARM_KEYPOINTS = ("shoulder", "elbow", "wrist", "hand", "hip_l", "hip_r")
@@ -332,8 +339,9 @@ def _away_from_kinks(problem, it, tg, prev):
     a hinge boundary, a zero-length or (anti)parallel segment pair, a rotation error
     near pi."""
     fk = forward_kinematics(problem.chain, it.root, it.q)
-    pos = [f.position for f in fk.values()]  # by FK row, as the targets name frames
-    vectors = {si: pos[a] - pos[b] for si, (a, b, _) in tg.segments.items()}
+    pos = np.array([f.position for f in fk.values()])  # by FK row, as the targets name frames
+    _, ends_a, ends_b, _ = tg.segments
+    vectors = pos[ends_a] - pos[ends_b]  # by segment row, as the angle targets name them
     for i, j, _ in tg.angles:
         u, v = vectors[i], vectors[j]
         if min(np.linalg.norm(u), np.linalg.norm(v)) < 1e-3:
@@ -341,7 +349,7 @@ def _away_from_kinks(problem, it, tg, prev):
         if np.linalg.norm(np.cross(u, v)) < 1e-3 * np.linalg.norm(u) * np.linalg.norm(v):
             return False
     centers = [fk[s.frame].transform_point(s.offset) for s in problem.collision_spheres]
-    for i, j, radii in problem._sphere_pairs:
+    for i, j, radii in zip(*problem._sphere_pairs, problem._pair_radii):
         if abs(radii - np.linalg.norm(centers[i] - centers[j])) < 1e-4:
             return False
     report = _residuals(problem, it, tg, prev)[1]
@@ -577,6 +585,17 @@ class TestContacts:
         with pytest.raises(ValueError):
             extract_contacts(sol, chain, threshold=0.0)
 
+    @pytest.mark.parametrize("threshold, message", [
+        (-0.5, "must be positive, got -0.5$"),
+        (np.nan, "must be finite, got nan$"),
+        ("x", "must be a number: "),
+    ])
+    def test_a_threshold_that_is_not_a_positive_number_is_named(self, threshold, message):
+        chain = self._chain_with_feet()
+        sol = RetargetSolution((Pose.identity(),), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="^threshold " + message):
+            extract_contacts(sol, chain, threshold=threshold)
+
 
 class TestClipExportAndIo:
     def test_solution_to_clip_velocities(self):
@@ -657,6 +676,33 @@ class TestClipExportAndIo:
             problem_from_dict(data)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: CollisionSphere("hand", np.zeros(3), "x"),
+     "^collision sphere radius on frame 'hand' must be a number: "),
+    (lambda: CollisionSphere("hand", np.zeros(3), np.nan),
+     "^collision sphere radius on frame 'hand' must be finite, got nan$"),
+    (lambda: RetargetWeights(global_pos="x"), "^global_pos must be a number: "),
+    (lambda: RetargetWeights(smoothness=-1.0), "^smoothness must be non-negative, got -1.0$"),
+    (lambda: KeypointFrame(0.0, {}, {"hand": ["x"]}), r"^rotations\.hand must hold numbers: "),
+    (lambda: KeypointFrame(0.0, {}, {"hand": [np.nan] * 4}),
+     r"^rotations\.hand must be finite numbers of shape \(4,\)$"),
+    (lambda: KeypointFrame(0.0, {}, {"hand": [1.0, 0.0]}),
+     r"^rotations\.hand must be finite numbers of shape \(4,\)$"),
+])
+def test_retargeting_records_built_directly_name_the_bad_field(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_keypoint_frame_keeps_a_rotation_as_given():
+    """A frame stores its rotation as the floats given; the problem that holds it checks that
+    it is a unit quaternion."""
+    kf = KeypointFrame(0.0, {"kp_hand": [0.0, 0.0, 1.0]}, {"hand": [0, 0, 0, 2]})
+    assert kf.rotations["hand"].tolist() == [0.0, 0.0, 0.0, 2.0]
+    with pytest.raises(ValueError, match=r"^frames\[0\]\.rotations\.hand is not unit norm"):
+        RetargetProblem(arm_chain(), {"kp_hand": "hand"}, (kf,))
+
+
 def _seeded_problems():
     """Seeded problems that between them make all six cost terms non-zero: a branching
     tree chain solved with its scales, the same chain with its root fixed at the truth, and
@@ -731,3 +777,201 @@ def test_retargeting_outputs_match_their_pinned_digest():
     digest, totals = _retarget_digest()
     assert all(totals[t] > 0.0 for t in TERM_ORDER), totals
     assert digest == "8593bcd9b589e6e59f81041054b2e4cc3aa4473fe1aef72716094a77fd4aa4b6"
+
+
+def _skew_per_row(v):
+    out = np.zeros(v.shape + (3,))
+    out[..., [2, 0, 1], [1, 2, 0]] = v
+    out[..., [1, 2, 0], [2, 0, 1]] = -v
+    return out
+
+
+def _angle_per_row(u, v):
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu < 1e-9 or nv < 1e-9:
+        return None
+    return float(np.arccos(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))), nu, nv
+
+
+def _so3_inverse_jacobian_per_row(phi, side):
+    theta = math.sqrt(float(phi @ phi))
+    k = _skew_per_row(phi)
+    coef = (1.0 / 12.0 if theta < 1e-4 else
+            1.0 / theta**2 - (1.0 + math.cos(theta)) / (2.0 * theta * math.sin(theta)))
+    return np.eye(3) + 0.5 * side * k + coef * (k @ k)
+
+
+def _linearize_per_row(p, it, frame, prev):
+    """The reference: the weighted residuals, their blocks and the weighted Jacobian of frame
+    `frame` at `it`, with every term written one keypoint, segment, angle and sphere pair at a
+    time, as the residual and Jacobian passes were before they stacked each term's rows."""
+    kf, rows, kmap = p.frames[frame], p.chain.frame_rows, p.keypoint_map
+    kp_tg = [(rows[kmap[kp]], kf.keypoints[kp]) for kp in sorted(kf.keypoints)]
+    seg_tg = {si: (rows[kmap[a]], rows[kmap[b]], kf.keypoints[a] - kf.keypoints[b])
+              for si, (a, b) in enumerate(p.segments) if a in kf.keypoints and b in kf.keypoints}
+    ang_tg = [(i, j, _angle_per_row(seg_tg[i][2], seg_tg[j][2]))
+              for i, j in p._adjacent_segments if i in seg_tg and j in seg_tg]
+    ang_tg = [(i, j, a[0]) for i, j, a in ang_tg if a is not None]
+    rot_tg, spheres = p._rotation_targets[frame], p.collision_spheres
+    pairs = [(i, j, spheres[i].radius + spheres[j].radius) for i in range(len(spheres))
+             for j in range(i + 1, len(spheres)) if spheres[i].frame != spheres[j].frame]
+    n, root, q = it.q.size, it.root, it.q
+    fk = forward_kinematics(p.chain, root, q)
+    pos, quats = fk.positions, fk.orientations
+    res = np.empty(3 * (len(kp_tg) + len(seg_tg) + len(rot_tg)) + len(ang_tg) + len(pairs)
+                   + n + (0 if prev is None else 6 + n))
+    row, bounds = 0, [0]
+    for f, target in kp_tg:
+        res[row : row + 3] = pos[f] - it.g_scale * target
+        row += 3
+    bounds.append(row)
+    segments = {}
+    for si, (a, b, vec_tg) in seg_tg.items():
+        segments[si] = u = pos[a] - pos[b]
+        s_l = it.l_scales[si] if si < it.l_scales.size else 1.0
+        res[row : row + 3] = u - s_l * it.g_scale * vec_tg
+        row += 3
+    angles = []
+    for i, j, target in ang_tg:
+        angle = _angle_per_row(segments[i], segments[j])
+        if angle is not None:
+            angles.append((row, i, j, *angle))
+            res[row] = angle[0] - target
+            row += 1
+    bounds.append(row)
+    for f, q_tg in rot_tg:
+        res[row : row + 3] = _rotvec_between(q_tg, quats[f].tolist())
+        row += 3
+    bounds.append(row)
+    hinges = []
+    centers = np.array([quat_to_matrix(quats[f]) @ s.offset + pos[f]
+                        for f, s in zip(p._sphere_rows, spheres)])
+    for i, j, radii in pairs:
+        d = centers[i] - centers[j]
+        dist = float(np.linalg.norm(d))
+        res[row] = max(0.0, radii - dist)
+        if res[row] > 0.0 and d.any():
+            hinges.append((row, i, j, d, dist))
+        row += 1
+    bounds.append(row)
+    lo, hi = p._limits
+    res[row : row + n] = np.maximum(0.0, lo - q) + np.maximum(0.0, q - hi)
+    row += n
+    bounds.append(row)
+    if prev is not None:
+        res[row : row + 3] = root.position - prev[0].position
+        res[row + 3 : row + 6] = quat_boxminus(root.orientation, prev[0].orientation)
+        res[row + 6 : row + 6 + n] = q - prev[1]
+        row += 6 + n
+    bounds.append(row)
+    res = res[:row]
+    blocks = {t: res[a:b] for t, a, b in zip(TERM_ORDER, bounds, bounds[1:])}
+    weights = np.repeat([np.sqrt(p.weights.for_term(t)) for t in TERM_ORDER], np.diff(bounds))
+
+    k0 = 6 if it.with_root else 0
+    n_pose = k0 + n
+    w, v = quats[:n, 0], quats[:n, 1:].T
+    twice = 2.0 * retarget._cross(v, p._axes)
+    axes = p._axes + w * twice + retarget._cross(v, twice)
+    turn, origin = np.zeros((3, n_pose)), np.zeros((3, n_pose))
+    turn[:, k0:], origin[:, k0:] = axes, retarget._cross(pos[:n].T, axes)
+    if k0:
+        turn[:, 3:6], origin[:, :3] = np.eye(3), np.eye(3)
+        origin[:, 3:6] = _skew_per_row(it.root.position)
+    moved_by = p._moved_by[:, 6 - k0 :]
+
+    def carried(points, frames):
+        return (origin - _skew_per_row(points) @ turn) * moved_by[frames][:, None, :]
+
+    frame_cols = carried(pos, slice(None))
+    jac = np.zeros((res.size, it.dim()))
+    for row, (f, target) in zip(range(0, bounds[1], 3), kp_tg):
+        jac[row : row + 3, :n_pose] = frame_cols[f]
+        if it.with_scales:
+            jac[row : row + 3, n_pose] = -target
+    segment_cols = {}
+    for row, (si, (a, b, vec_tg)) in zip(range(bounds[1], bounds[2], 3), seg_tg.items()):
+        segment_cols[si] = jac[row : row + 3, :n_pose] = frame_cols[a] - frame_cols[b]
+        if it.with_scales:
+            jac[row : row + 3, n_pose] = -it.l_scales[si] * vec_tg
+            jac[row : row + 3, n_pose + 1 + si] = -it.g_scale * vec_tg
+    for row, i, j, angle, nu, nv in angles:
+        sin = math.sin(angle)
+        if sin >= 1e-12:
+            c, u, v = math.cos(angle), segments[i] / nu, segments[j] / nv
+            jac[row, :n_pose] = -((v - c * u) / nu @ segment_cols[i]
+                                  + (u - c * v) / nv @ segment_cols[j]) / sin
+    for row, (f, _) in zip(range(bounds[2], bounds[3], 3), rot_tg):
+        jac[row : row + 3, :n_pose] = (-_so3_inverse_jacobian_per_row(res[row : row + 3], 1.0)
+                                       @ (turn * moved_by[f]))
+    if hinges:
+        sphere_cols = carried(centers, p._sphere_rows)
+        for row, i, j, d, dist in hinges:
+            jac[row, :n_pose] = -d / dist @ (sphere_cols[i] - sphere_cols[j])
+    diag = np.arange(n)
+    jac[bounds[4] + diag, k0 + diag] = np.where(q < lo, -1.0, np.where(q > hi, 1.0, 0.0))
+    if (row := bounds[5]) < bounds[6]:
+        jac[row + 6 + diag, k0 + diag] = 1.0
+        if k0:
+            jac[row : row + 3, :3] = np.eye(3)
+            jac[row + 3 : row + 6, 3:6] = _so3_inverse_jacobian_per_row(res[row + 3 : row + 6],
+                                                                        -1.0)
+    return res * weights, blocks, jac * weights[:, None], (len(ang_tg) - len(angles), len(hinges))
+
+
+def _collapsing_segment_problem():
+    """The seeded tree with a tip on j4's origin, so the FK segment j4 -> tip has no length
+    and both its angle rows drop out, though their targets have one."""
+    problem = next(_seeded_problems())[0]
+    chain = problem.chain
+    tip = EndEffector("tip", 4, Pose(np.zeros(3), quat_identity()))
+    chain = KinematicChain(chain.joints, chain.end_effectors + (tip,))
+    frames = tuple(replace(kf, keypoints={**kf.keypoints, "kp_tip": kf.keypoints["kp_j4"] + 0.1})
+                   for kf in problem.frames)
+    return replace(problem, chain=chain, keypoint_map={**problem.keypoint_map, "kp_tip": "tip"},
+                   frames=frames, segments=problem.segments + (("kp_j4", "kp_tip"),))
+
+
+def test_stacked_passes_match_the_per_row_reference():
+    """`_residuals` and `_jacobian` give the per-row passes' bits, on iterates of the seeded
+    problems around their own solutions: with and without root and scale columns, on frame
+    0 with no previous frame, with collision pairs in contact and sphere offsets that are
+    not zero, and with angle rows that drop out for a segment that has collapsed."""
+    rng = np.random.default_rng(31)
+    problems = [*(problem for problem, _ in _seeded_problems()), _collapsing_segment_problem()]
+    seen = {"dropped angle": 0, "hinge": 0, "scales": 0, "fixed root": 0, "frame 0": 0}
+    for problem in problems:
+        n_seg, n = len(problem.segments), problem.chain.n_joints
+        for frame in range(len(problem.frames)):
+            for k in range(4):
+                root = Pose(rng.normal(0.0, 0.05 * k, 3), random_quat(rng) if k == 3
+                            else quat_from_rotvec(rng.normal(0.0, 0.3, 3)))
+                it = _FrameIterate(root, rng.uniform(-1.2, 1.2, n), rng.uniform(0.8, 1.3),
+                                   rng.uniform(0.6, 1.8, n_seg),
+                                   problem.optimize_scales and frame == 0, not problem.fix_root)
+                prev = None if frame == 0 else (random_pose(rng), rng.uniform(-1.0, 1.0, n))
+                r, report, kept = _residuals(problem, it, _frame_targets(problem, frame), prev)
+                jac = _jacobian(problem, it, _frame_targets(problem, frame), kept)
+                want_r, want_blocks, want_jac, (dropped, hinges) = _linearize_per_row(
+                    problem, it, frame, prev)
+                assert r.tobytes() == want_r.tobytes()
+                for t in TERM_ORDER:
+                    assert report.blocks[t].tobytes() == want_blocks[t].tobytes(), t
+                assert jac.tobytes() == want_jac.tobytes()
+                seen["dropped angle"] += dropped > 0
+                seen["hinge"] += hinges > 0
+                seen["scales"] += it.with_scales
+                seen["fixed root"] += not it.with_root
+                seen["frame 0"] += prev is None
+    assert min(seen.values()) > 0, seen
+    assert all(np.any(s.offset) for s in problems[0].collision_spheres)
+
+
+def test_the_row_passes_call_no_per_vector_numpy_wrapper():
+    """`np.linalg.norm` and `np.clip` each cost a Python-level dispatch per call, several
+    times the arithmetic of a 3-vector: the row passes take norms as `math.sqrt(u.dot(u))`
+    or a row-wise matmul, which give the same bits, and clip a cosine with `min`/`max`."""
+    for pass_ in (retarget._residuals, retarget._jacobian, retarget._angle_between):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(pass_)))
+        calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert not calls & {"np.clip", "np.linalg.norm"}, pass_.__name__
