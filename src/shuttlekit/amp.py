@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .goal import RobotState
-from .spatial import KinematicChain, Pose, _record, to_base_frame
+from .spatial import KinematicChain, Pose, _record, _vec3, quat_to_matrix
 
 Array = np.ndarray
 
@@ -60,35 +60,44 @@ class AmpFrame:
         return self.features.size
 
 
-def frame_features(
-    state: RobotState,
-    ee_poses: Mapping[str, Pose],
-    ee_vels: Mapping[str, Array],
-    chain: KinematicChain,
-) -> AmpFrame:
+def frame_features(state: RobotState, ee_poses: Mapping[str, Pose],
+                   ee_vels: Mapping[str, Array], chain: KinematicChain) -> AmpFrame:
     """Assemble one discriminator frame from a robot state.
 
     End-effector poses/velocities are world-frame inputs (e.g. from
     forward kinematics) and get re-expressed in the base frame, which
     makes the features invariant to rigid transforms of the world.
     """
-    chain_frames = set(chain.end_effector_names())
     for name in DEFAULT_EE_ORDER:
-        if name not in chain_frames:
+        if chain.frame_rows.get(name, -1) < chain.n_joints:  # joints' rows come first
             raise ValueError(f"chain has no end effector named {name!r}")
         if name not in ee_poses or name not in ee_vels:
             raise ValueError(f"missing pose/velocity for end effector {name!r}")
     # world-frame rows: base velocity, E positions relative to the base, E velocities
     root = state.root
-    rows = np.array([
-        state.root_twist.linear,
-        *(ee_poses[name].position - root.position for name in DEFAULT_EE_ORDER),
-        *(ee_vels[name] for name in DEFAULT_EE_ORDER),
-    ])
-    local = to_base_frame(rows, root, is_point=False)
-    return AmpFrame(np.concatenate(
-        (local[0], state.q, (state.base_height,), state.projected_gravity, local[1:].ravel())
-    ))
+    px, py, pz = root.position.tolist()
+    flat = state.root_twist.linear.tolist()
+    try:
+        for name in DEFAULT_EE_ORDER:
+            x, y, z = ee_poses[name].position.tolist()
+            flat += (x - px, y - py, z - pz)
+        for v in map(ee_vels.get, DEFAULT_EE_ORDER):
+            x, y, z = v.tolist() if type(v) is np.ndarray else v  # three entries, or raise
+            flat += (x, y, z)
+        rows = np.array(flat, np.float64)
+        if not all(map(math.isfinite, rows.tolist())):
+            raise ValueError("end-effector inputs must be finite")
+    except (AttributeError, TypeError, ValueError):
+        for name in DEFAULT_EE_ORDER:  # name the first bad input
+            if not isinstance(ee_poses[name], Pose):
+                raise ValueError(f"ee_poses[{name!r}] must be a Pose, got {ee_poses[name]!r}")
+            _vec3(ee_vels[name], f"ee_vels[{name!r}]")
+        raise
+    local = rows.reshape(9, 3) @ quat_to_matrix(root.orientation)  # R^T, world->base, per row
+    if not all(map(math.isfinite, local.ravel().tolist())):  # the state's fields are checked
+        raise ValueError("features must be finite: the base-frame rows overflow")
+    return _record(AmpFrame, np.concatenate(
+        (local[0], state.q, (state.base_height,), state.projected_gravity, local[1:].ravel())))
 
 
 def assemble_history(buffer: Sequence[AmpFrame], cfg: AmpConfig) -> AmpFrame:
@@ -99,8 +108,8 @@ def assemble_history(buffer: Sequence[AmpFrame], cfg: AmpConfig) -> AmpFrame:
     """
     if len(buffer) == 0:
         raise ValueError("frame buffer is empty")
-    width = len(buffer[0])
-    if any(len(f) != width for f in buffer):
+    width = buffer[0].features.size
+    if any(f.features.size != width for f in buffer):
         raise ValueError("frames in the buffer have inconsistent lengths")
     newest = len(buffer) - 1
     picked = [buffer[max(newest - k, 0)].features for k in range(cfg.history_length)]

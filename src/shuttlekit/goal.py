@@ -91,6 +91,8 @@ def time_to_hit(now: float, hit_time: float) -> float:
         return TTH_LIMIT
     if tth < -TTH_LIMIT:
         return -TTH_LIMIT
+    if tth != tth:  # NaN fails both clamps
+        raise ValueError(f"time to hit is NaN: now={now}, hit_time={hit_time}")
     return tth
 
 
@@ -162,6 +164,7 @@ class ReferenceClip:
     rows, an (F, 4) table of orientations, their rotation matrices as an
     (F, 3, 3) stack and an (F, n) joint table. The tables are the clip's only
     copy of the numbers: its frames are rebuilt as views of their rows.
+    `reference_window` memoizes its read-only windows here, one per (frame, horizon).
     """
 
     frames: tuple[ClipFrame, ...]
@@ -186,9 +189,7 @@ class ReferenceClip:
                 if np.shape(getattr(f, name)) != (3,):
                     raise ValueError(f"frames[{k}].{name} must have shape (3,), "
                                      f"got {np.shape(getattr(f, name))}")
-            root_rows[k, :3] = f.root.position
-            root_rows[k, 6:9] = f.root_lin
-            root_rows[k, 9:] = f.root_ang
+            root_rows[k, :3], root_rows[k, 6:] = f.root.position, (*f.root_lin, *f.root_ang)
         quats = np.array([f.root.orientation for f in frames], dtype=np.float64).reshape(-1, 4)
         # each frame's orientation matrix R: `rows @ R` applies R^T, world->base, to each row
         to_base = np.array([_matrix_entries(q) for q in quats.tolist()]).reshape(-1, 3, 3)
@@ -201,23 +202,22 @@ class ReferenceClip:
                 raise ValueError(f"frames[{k}].{name} has non-finite values")
         for table in (root_rows, quats, to_base, joint_rows):
             table.flags.writeable = False
-        object.__setattr__(self, "frames", tuple(
-            ClipFrame(f.t, _record(Pose, r[:3], o), r[6:9], r[9:], q)
-            for f, r, o, q in zip(frames, root_rows, quats, joint_rows)
-        ))
-        object.__setattr__(self, "_times", times)
-        object.__setattr__(self, "_root_rows", root_rows)
-        object.__setattr__(self, "_quats", quats)
-        object.__setattr__(self, "_to_base", to_base)
-        object.__setattr__(self, "_joint_rows", joint_rows)
-        object.__setattr__(self, "hit_times", tuple(float(t) for t in self.hit_times))
-        object.__setattr__(self, "recovery_times", tuple(float(t) for t in self.recovery_times))
+        vars(self).update(
+            frames=tuple(ClipFrame(f.t, _record(Pose, r[:3], o), r[6:9], r[9:], q)
+                         for f, r, o, q in zip(frames, root_rows, quats, joint_rows)),
+            hit_times=tuple(map(float, self.hit_times)),
+            recovery_times=tuple(map(float, self.recovery_times)),
+            _times=times, _root_rows=root_rows, _quats=quats, _to_base=to_base,
+            _joint_rows=joint_rows, _windows={},
+        )
 
     def __len__(self) -> int:
         return len(self.frames)
 
     def frame_index_at(self, t: float) -> int:
-        """Index of the last frame at or before t (clamped to [0, len-1])."""
+        """Index of the last frame at or before t (clamped to [0, len-1]). A NaN t raises."""
+        if t != t:
+            raise ValueError(f"t must not be NaN, got {t}")
         i = bisect.bisect_right(self._times, t) - 1
         return min(max(i, 0), len(self.frames) - 1)
 
@@ -227,7 +227,8 @@ class ReferenceWindow:
     """Per-future-frame deltas relative to the query frame, in its base frame.
 
     root_deltas rows: [dpos(3), drot(3), dlin(3), dang(3)]; joint_deltas
-    rows hold the joint-angle differences.
+    rows hold the joint-angle differences. Both arrays are read-only: the
+    clip memoizes the window and returns it to every later query of its key.
     """
 
     root_deltas: Array   # (H, 12)
@@ -238,13 +239,15 @@ def reference_window(clip: ReferenceClip, t: float, horizon: int) -> ReferenceWi
     """Differences between the frame at t and the next `horizon` frames.
 
     Queries past the end of the clip repeat the last frame, so the deltas
-    saturate instead of extrapolating.
+    saturate instead of extrapolating. The clip memoizes each (frame, horizon) window.
     """
     if len(clip) == 0:
         raise ValueError("reference clip is empty")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    if not isinstance(horizon, (int, np.integer)) or isinstance(horizon, bool) or horizon < 1:
+        raise ValueError(f"horizon must be a positive int, got {horizon!r}")
     i = clip.frame_index_at(t)
+    if (i, horizon) in clip._windows:
+        return clip._windows[i, horizon]
     futs = np.arange(i + 1, i + 1 + horizon)  # taken in "clip" mode: past the end, the last row
     base_quat = clip._quats[i].tolist()
     # world-frame rows [dpos, drot, dlin, dang] per future frame, rotated at once
@@ -255,7 +258,9 @@ def reference_window(clip: ReferenceClip, t: float, horizon: int) -> ReferenceWi
     root_deltas = rows.reshape(-1, 3) @ clip._to_base[i]
     joint_deltas = clip._joint_rows.take(futs, axis=0, mode="clip")
     joint_deltas -= clip._joint_rows[i]
-    return ReferenceWindow(root_deltas.reshape(horizon, 12), joint_deltas)
+    root_deltas.flags.writeable = joint_deltas.flags.writeable = False
+    return clip._windows.setdefault(
+        (i, horizon), ReferenceWindow(root_deltas.reshape(horizon, 12), joint_deltas))
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +288,13 @@ def clip_from_dict(data) -> ReferenceClip:
 
 
 def clip_to_dict(clip: ReferenceClip) -> dict:
+    rows, quats, joints = clip._root_rows.tolist(), clip._quats.tolist(), clip._joint_rows.tolist()
     return {
-        "frames": [
-            {
-                "t": f.t,
-                "root_pos": f.root.position.tolist(),
-                "root_quat": f.root.orientation.tolist(),
-                "root_lin": f.root_lin.tolist(),
-                "root_ang": f.root_ang.tolist(),
-                "q": f.q.tolist(),
-            }
-            for f in clip.frames
-        ],
-        "annotations": {
-            "hit_times": list(clip.hit_times),
-            "recovery_times": list(clip.recovery_times),
-        },
+        "frames": [{"t": f.t, "root_pos": r[:3], "root_quat": o, "root_lin": r[6:9],
+                    "root_ang": r[9:], "q": q}
+                   for f, r, o, q in zip(clip.frames, rows, quats, joints)],
+        "annotations": {"hit_times": list(clip.hit_times),
+                        "recovery_times": list(clip.recovery_times)},
     }
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .goal import RobotState
 from .shuttle import CourtResult
-from .spatial import Pose, _csv_records, _matrix_entries
+from .spatial import Pose, _csv_records
 
 Array = np.ndarray
 
@@ -43,7 +43,9 @@ class RewardConfig:
 
     def __post_init__(self):
         for name in ("hit_weights", "hit_scales", "rec_weights", "rec_scales"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            value = np.array(getattr(self, name), dtype=np.float64)  # the caller keeps theirs
+            value.flags.writeable = False  # checked once, here, so it must not change later
+            object.__setattr__(self, name, value)
         if self.hit_weights.shape != self.hit_scales.shape:
             raise ValueError("hit_weights and hit_scales must have matching length")
         if self.rec_weights.shape != self.rec_scales.shape:
@@ -78,6 +80,9 @@ class TerminationResult:
     reason: Optional[str] = None
 
 
+_NO_TERMINATION = TerminationResult(False, None)  # frozen, so every surviving check shares it
+
+
 def exp_kernel(err_sq: float, sigma: float) -> float:
     """exp(-err_sq / sigma): 1 at zero error, strictly decreasing."""
     if not sigma > 0:  # NaN fails too
@@ -88,12 +93,16 @@ def exp_kernel(err_sq: float, sigma: float) -> float:
 
 
 def _kernel_sum(err_sqs: Iterable[float], weights: Array, scales: Array) -> float:
+    """sum_i w_i exp(-e_i / s_i), as `exp_kernel`; `RewardConfig` has checked the scales."""
     err_sqs = list(err_sqs)
     if len(err_sqs) != len(weights):
-        raise ValueError(
-            f"got {len(err_sqs)} error components, config has {len(weights)}"
-        )
-    return float(sum(w * exp_kernel(e, s) for e, w, s in zip(err_sqs, weights, scales)))
+        raise ValueError(f"got {len(err_sqs)} error components, config has {len(weights)}")
+    total = 0.0
+    for e, w, s in zip(err_sqs, weights.tolist(), scales.tolist()):
+        if not e >= 0:  # NaN fails too
+            raise ValueError("squared error must be non-negative")
+        total += w * math.exp(-e / s)
+    return total
 
 
 def _squared_norms(deltas: Sequence[Array]) -> Iterator[float]:
@@ -192,15 +201,15 @@ def termination_check(
     """Safety/performance termination: checks height, then tilt, then deviation."""
     if state.base_height < c.min_base_height:
         return TerminationResult(True, "height")
-    # the body z axis is the rotation matrix's last column; its world z is entry 8
-    cos_tilt = _matrix_entries(state.root.orientation.tolist())[8]
-    tilt = math.acos(min(1.0, max(-1.0, cos_tilt)))
+    # the body z axis's world z: entry 8 of the rotation matrix, as `_matrix_entries` writes it
+    _, x, y, _ = state.root.orientation.tolist()
+    tilt = math.acos(min(1.0, max(-1.0, 1.0 - 2.0 * (x * x + y * y))))
     if tilt > c.max_base_tilt:
         return TerminationResult(True, "tilt")
-    deviation = float(np.linalg.norm(state.root.position - ref_root.position))
-    if deviation > c.max_ref_deviation:
+    d = state.root.position - ref_root.position
+    if math.sqrt(d @ d) > c.max_ref_deviation:  # np.linalg.norm's sum, without its dispatch
         return TerminationResult(True, "deviation")
-    return TerminationResult(False, None)
+    return _NO_TERMINATION
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from shuttlekit.amp import (
     mlp_init,
 )
 from shuttlekit.goal import RobotState
-from shuttlekit.spatial import Pose, Twist, forward_kinematics, quat_identity
+from shuttlekit.spatial import KinematicChain, Pose, Twist, forward_kinematics, quat_identity
 
 
 def _state(root=None, vel=(0.3, 0.1, 0.0)):
@@ -121,6 +122,50 @@ class TestFrameFeatures:
             frame_features(state, poses, vels, chain)
         with pytest.raises(ValueError, match="no end effector named 'left_ankle'"):
             frame_features(state, poses, vels, arm_chain())
+
+    def test_a_joint_of_an_end_effector_name_is_not_an_end_effector(self):
+        chain = humanoid_chain()
+        state = _state()
+        poses, vels = _ee_maps(chain, state)
+        joints = (replace(chain.joints[0], name="left_hand"), chain.joints[1])
+        renamed = KinematicChain(joints, tuple(e for e in chain.end_effectors
+                                               if e.name != "left_hand"))
+        with pytest.raises(ValueError, match="^chain has no end effector named 'left_hand'$"):
+            frame_features(state, poses, vels, renamed)
+
+    @pytest.mark.parametrize("table, value, message", [
+        ("ee_vels", np.zeros(4), "ee_vels['left_hand'] must have shape (3,), got (4,)"),
+        ("ee_vels", np.zeros((3, 1)), "ee_vels['left_hand'] must have shape (3,), got (3, 1)"),
+        ("ee_vels", [1.0, 2.0], "ee_vels['left_hand'] must have shape (3,), got (2,)"),
+        ("ee_vels", 0.5, "ee_vels['left_hand'] must have shape (3,), got ()"),
+        ("ee_vels", ["a", 0, 0],
+         "ee_vels['left_hand'] must hold numbers: could not convert string to float: 'a'"),
+        ("ee_vels", np.array([0.0, np.nan, 0.0]),
+         "ee_vels['left_hand'] has non-finite components"),
+        ("ee_vels", (0.0, 0.0, -np.inf), "ee_vels['left_hand'] has non-finite components"),
+        ("ee_poses", np.zeros(3), "ee_poses['left_hand'] must be a Pose, got array([0., 0., 0.])"),
+    ], ids=["4-vector", "3x1", "2-list", "scalar", "string", "nan", "inf-tuple", "not-a-pose"])
+    def test_a_bad_end_effector_input_is_named(self, table, value, message):
+        """A pair of misshapen velocities that holds 6 numbers between them is refused too."""
+        chain = humanoid_chain()
+        state = _state()
+        poses, vels = _ee_maps(chain, state)
+        (poses if table == "ee_poses" else vels)["left_hand"] = value
+        if table == "ee_vels" and np.shape(value) == (2,):
+            vels["right_hand"] = [1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            frame_features(state, poses, vels, chain)
+
+    def test_sequences_of_three_numbers_read_as_arrays(self, rng):
+        chain = humanoid_chain()
+        state = _state()
+        poses, _ = _ee_maps(chain, state)
+        vels = {n: rng.integers(-3, 4, 3).astype(float) for n in poses}  # exact in every form
+        expected = frame_features(state, poses, vels, chain).features
+        forms = dict(zip(poses, (lambda v: [int(x) for x in v], tuple,
+                                 lambda v: v.astype(np.float32), lambda v: v.astype(np.int64))))
+        got = frame_features(state, poses, {n: forms[n](v) for n, v in vels.items()}, chain)
+        assert got.features.tobytes() == expected.tobytes()
 
 
 class TestAssembleHistory:

@@ -84,6 +84,20 @@ class TestTimeToHit:
             assert v >= prev
             prev = v
 
+    @pytest.mark.parametrize("now, hit_time", [(np.nan, 1.0), (1.0, np.nan), (np.inf, np.inf)])
+    def test_nan_time_to_hit_raises_naming_now(self, now, hit_time):
+        with pytest.raises(ValueError, match=r"^time to hit is NaN: now=.*, hit_time="):
+            time_to_hit(now, hit_time)
+
+    def test_infinite_now_keeps_its_clamp(self):
+        assert time_to_hit(np.inf, 1.0) == -TTH_LIMIT
+        assert time_to_hit(-np.inf, 1.0) == TTH_LIMIT
+
+    def test_encode_goal_rejects_a_nan_now(self, rng):
+        target = StrikeTarget(1.0, random_pose(rng), random_pose(rng))
+        with pytest.raises(ValueError, match="^time to hit is NaN: now=nan"):
+            encode_goal(make_state(), target, np.nan, random_pose(rng))
+
 
 times = st.floats(-5.0, 5.0)
 # (now, hit_time) pairs, with time-to-hit exactly +-0.0 and +-TTH_LIMIT among them
@@ -267,6 +281,26 @@ class TestReferenceWindow:
         with pytest.raises(ValueError, match="reference clip is empty"):
             reference_window(clip, 0.0, 1)
 
+    @pytest.mark.parametrize("horizon", [2.5, 3.0, True, False, 0, -1, np.int64(0), "5", None])
+    def test_horizon_that_is_not_a_positive_int_is_named(self, horizon):
+        with pytest.raises(ValueError, match="^horizon must be a positive int, got "):
+            reference_window(_linear_clip(), 0.0, horizon)
+
+    def test_numpy_integer_horizon_is_the_int_horizon(self):
+        clip = _linear_clip()
+        assert reference_window(clip, 0.25, np.int64(3)) is reference_window(clip, 0.25, 3)
+
+    def test_windows_are_memoized_and_read_only(self):
+        clip = _linear_clip()
+        window = reference_window(clip, 0.2, 4)
+        assert reference_window(clip, clip.frames[2].t, 4) is window  # same frame, same key
+        assert reference_window(clip, 0.2, 3) is not window
+        for table in (window.root_deltas, window.joint_deltas):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+            window.root_deltas.flags.writeable = True
+
 
 class TestFrameIndexAt:
     def test_matches_searchsorted(self):
@@ -275,10 +309,17 @@ class TestFrameIndexAt:
             ClipFrame(t, Pose.identity(), np.zeros(3), np.zeros(3), np.zeros(1)) for t in times
         )
         clip = ReferenceClip(frames)
-        queries = [-1.0, -np.inf, 0.0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.41, 7.0, np.inf, np.nan]
+        queries = [-1.0, -np.inf, 0.0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.41, 7.0, np.inf]
         for t in queries:
             expected = int(np.searchsorted(times, t, side="right")) - 1
             assert clip.frame_index_at(t) == min(max(expected, 0), len(times) - 1), t
+
+    def test_nan_time_raises_naming_t(self):
+        clip = _linear_clip()
+        with pytest.raises(ValueError, match="^t must not be NaN, got nan$"):
+            clip.frame_index_at(np.nan)
+        with pytest.raises(ValueError, match="^t must not be NaN, got nan$"):
+            reference_window(clip, float("nan"), 5)
 
 
 class TestClipIo:

@@ -138,3 +138,18 @@ def test_reference_window_matches_per_frame_oracle(clip, t, horizon):
     for frame_array in (clip.frames[0].q, clip.frames[0].root_lin, clip.frames[0].root.position):
         with pytest.raises(ValueError, match="read-only"):
             frame_array[...] = 1.0
+
+
+@given(clips(), st.lists(st.floats(-2.0, 4.0), min_size=1, max_size=6), st.integers(1, 8))
+def test_memoized_window_equals_one_from_a_fresh_clip(clip, ts, horizon):
+    """At any t, before, inside or past the clip, a memoized window holds the bytes that a
+    freshly built clip gives, both arrays are read-only, and a second query returns the same
+    object. Each frame's own time is queried too, after the drawn times."""
+    for t in ts + [f.t for f in clip.frames]:
+        window = reference_window(clip, t, horizon)
+        fresh = reference_window(ReferenceClip(clip.frames), t, horizon)
+        for memo, built in ((window.root_deltas, fresh.root_deltas),
+                            (window.joint_deltas, fresh.joint_deltas)):
+            assert memo.shape == built.shape and memo.tobytes() == built.tobytes()
+            assert not memo.flags.writeable
+        assert reference_window(clip, t, horizon) is window

@@ -1,9 +1,16 @@
+import ast
+import hashlib
+import inspect
 import math
+import textwrap
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import humanoid_chain
+from shuttlekit import amp, reward
+from shuttlekit.amp import DEFAULT_EE_ORDER, AmpConfig, assemble_history, frame_features
 from shuttlekit.goal import RobotState
 from shuttlekit.reward import (
     HitQualityConfig,
@@ -21,7 +28,7 @@ from shuttlekit.reward import (
     total_reward,
 )
 from shuttlekit.shuttle import CourtResult
-from shuttlekit.spatial import Pose, Twist, quat_from_rotvec
+from shuttlekit.spatial import Pose, Twist, forward_kinematics, quat_from_rotvec
 
 CFG = RewardConfig(
     hit_weights=[0.6, 0.4],
@@ -210,6 +217,34 @@ class TestTotalReward:
             )
 
 
+class TestRewardConfigArrays:
+    def test_config_holds_read_only_copies_of_its_arrays(self):
+        """The scales are checked once, at construction, so the config keeps its own copies,
+        which no later write can make negative; the caller's arrays stay writable."""
+        given = {name: np.array(getattr(CFG, name))
+                 for name in ("hit_weights", "hit_scales", "rec_weights", "rec_scales")}
+        cfg = RewardConfig(**given, sigma_time=0.5, epsilon=0.05)
+        for name, array in given.items():
+            held = getattr(cfg, name)
+            assert held is not array and not np.shares_memory(held, array)
+            assert not held.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = -1.0
+            array[0] = -1.0  # the caller's array is still theirs to change
+            assert held.tolist() == getattr(CFG, name).tolist()
+        assert hit_tracking_reward([np.zeros(3), np.zeros(3)], 0.0, cfg) == 1.0
+
+    @pytest.mark.parametrize("reward_fn, tth", [
+        (hit_tracking_reward, 0.0), (sparse_hit_tracking_reward, 0.0),
+        (recovery_tracking_reward, -0.1),
+    ], ids=["hit", "sparse-hit", "recovery"])
+    def test_a_nan_delta_still_raises(self, reward_fn, tth):
+        deltas = [np.zeros(3), np.array([0.0, np.nan, 0.0]), np.zeros(3)]
+        n = len(CFG.rec_weights if reward_fn is recovery_tracking_reward else CFG.hit_weights)
+        with pytest.raises(ValueError, match="^squared error must be non-negative$"):
+            reward_fn(deltas[:n], tth, CFG)
+
+
 def _robot_state(height=0.8, tilt_rad=0.0, position=(0.0, 0.0, 0.8)):
     quat = quat_from_rotvec([tilt_rad, 0.0, 0.0])
     return RobotState(
@@ -356,10 +391,74 @@ class TestConfigAndBatch:
          "row 1 has a non-finite value"),
         (["t,tth,hit_sq_0,hit_sq_1,rec_sq_0,rec_sq_1,rec_sq_2,d", "0.0,0.0,0,0,0,0,0,inf"],
          "row 1 has a non-finite value"),
-    ], ids=["no-hit_sq_1", "cell-abc", "short-row", "nan-tth", "inf-d"])
+        (["t,tth,hit_sq_0,hit_sq_1,rec_sq_0,rec_sq_1,rec_sq_2", "0.0,0.0,0,-1,0,0,0"],
+         "row 1: squared error must be non-negative"),
+        (["t,tth,hit_sq_0,hit_sq_1,rec_sq_0,rec_sq_1,rec_sq_2", "0.0,-0.5,0,0,0,nan,0"],
+         "row 1: squared error must be non-negative"),
+    ], ids=["no-hit_sq_1", "cell-abc", "short-row", "nan-tth", "inf-d", "negative-hit_sq",
+            "nan-rec_sq"])
     def test_score_episode_csv_bad_input_names_file_and_row(self, tmp_path, lines, message):
         path = tmp_path / "episode.csv"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as info:
             score_episode_csv(path, CFG)
         assert str(info.value).startswith(f"{path}: {message}"), info.value
+
+
+def _tick_kernel_digest() -> str:
+    """SHA-256 over tobytes() of seeded `frame_features`, `assemble_history`, tracking-reward
+    and `termination_check` returns, as one control tick calls them. The draws cover both
+    phases, the open and the closed gates and every termination reason, and some deltas
+    are lists or 2-D arrays."""
+    rng, digest = np.random.default_rng(32), hashlib.sha256()
+    chain, history_cfg = humanoid_chain(), AmpConfig(history_length=4)
+    cfg = RewardConfig(hit_weights=[0.6, 0.4], hit_scales=[0.05, 0.2],
+                       rec_weights=[0.5, 0.3, 0.2], rec_scales=[0.1, 0.3, 0.02],
+                       sigma_time=0.5, epsilon=0.02)
+    term_cfg = TerminationConfig(0.5, 0.8, 1.0)
+    buffer, gates, reasons = [], set(), set()
+    for k in range(300):
+        root = Pose(rng.normal(0.0, 0.3, 3) + [0.0, 0.0, 0.9],
+                    quat_from_rotvec(rng.normal(0.0, 0.5, 3)))
+        state = RobotState(root, Twist(rng.normal(size=3), rng.normal(size=3)),
+                           q=rng.normal(size=2), qd=rng.normal(size=2),
+                           projected_gravity=rng.normal(size=3), last_action=np.zeros(2),
+                           base_height=rng.uniform(0.3, 1.2), feet_contacts=np.ones(2))
+        fk = forward_kinematics(chain, root, state.q)
+        frame = frame_features(state, {n: fk[n] for n in DEFAULT_EE_ORDER},
+                               {n: rng.normal(size=3) for n in DEFAULT_EE_ORDER}, chain)
+        buffer = (buffer + [frame])[-3:]
+        history = assemble_history(buffer, history_cfg)
+        tth = rng.uniform(-0.03, 0.03) if k % 3 else rng.uniform(-1.0, 1.0)
+        hit = [rng.normal(0.0, 0.3, 3), rng.normal(0.0, 0.3, 3)]
+        rec = [rng.normal(0.0, 0.3, 3), rng.normal(0.0, 0.3, 3), rng.normal(0.0, 0.1, 3)]
+        if k % 7 == 0:
+            hit, rec = [d.tolist() for d in hit], [d.reshape(1, 3) for d in rec]
+        rewards = np.array([hit_tracking_reward(hit, tth, cfg),
+                            recovery_tracking_reward(rec, tth, cfg),
+                            sparse_hit_tracking_reward(hit, tth, cfg)])
+        ref_root = Pose(rng.normal(0.0, 0.6, 3) + [0.0, 0.0, 0.9], quat_from_rotvec(np.zeros(3)))
+        result = termination_check(state, ref_root, term_cfg)
+        digest.update(frame.features.tobytes() + history.features.tobytes() + rewards.tobytes()
+                      + repr((result.terminate, result.reason)).encode())
+        gates.add((tth >= 0.0, abs(tth) < cfg.epsilon))
+        reasons.add(result.reason)
+    assert len(gates) == 4 and reasons == {None, "height", "tilt", "deviation"}
+    return digest.hexdigest()
+
+
+def test_tick_kernels_match_their_pinned_digest():
+    """The digest was taken when `frame_features` built its rows through `to_base_frame` and
+    each reward component ran `exp_kernel`'s checks."""
+    assert _tick_kernel_digest() == (
+        "282836e67fd2ffe83d462fa4032b22cbee706d713293c15157a399490f4c941b")
+
+
+def test_tick_kernels_call_no_per_call_wrapper():
+    """`set`, `to_base_frame`, `np.linalg.norm` and a per-component `exp_kernel` each build
+    objects or run checks that the tick has done already: `frame_features`, `_kernel_sum` and
+    `termination_check` stay free of them."""
+    for fn in (amp.frame_features, reward._kernel_sum, reward.termination_check):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert not calls & {"np.linalg.norm", "set", "to_base_frame", "exp_kernel"}, fn.__name__
