@@ -16,7 +16,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .goal import RobotState
-from .spatial import KinematicChain, Pose, _record, _vec3, quat_to_matrix
+from .spatial import (NON_NEGATIVE, KinematicChain, Pose, _check_fields, _kind, _record, _vec3,
+                      quat_to_matrix)
 
 Array = np.ndarray
 
@@ -25,14 +26,13 @@ DEFAULT_EE_ORDER = ("left_ankle", "right_ankle", "left_hand", "right_hand")
 
 @dataclass(frozen=True)
 class AmpConfig:
-    history_length: int = 5
-    grad_penalty_weight: float = 10.0
+    history_length: int = _kind(int, 5)
+    grad_penalty_weight: float = _kind(NON_NEGATIVE, 10.0)
 
     def __post_init__(self):
+        _check_fields(self)
         if self.history_length < 1:
             raise ValueError("history_length must be at least 1")
-        if not self.grad_penalty_weight >= 0:  # NaN fails too
-            raise ValueError("grad_penalty_weight must be non-negative")
 
 
 @dataclass(frozen=True)

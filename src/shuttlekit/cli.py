@@ -120,8 +120,7 @@ def _config_from_dict(data) -> tuple:
         key = "volume.size"
         box = None if volume is None else Box(volume["center"], volume["size"])
         key = "height_band"
-        criteria = estimator.HitCriteria(
-            tuple(track["height_band"].tolist()), box, track["preference"])
+        criteria = estimator.HitCriteria(track["height_band"], box, track["preference"])
     except ValueError as exc:
         raise ValueError(f"track.{key}: {exc}") from exc
     return values, noise, criteria

@@ -22,7 +22,8 @@ import numpy as np
 from .goal import StrikeTarget
 from .shuttle import (ShuttleParams, Trajectory, _check_dt, _finite_states, _rk4_step,
                       transition_jacobian)
-from .spatial import Box, Pose, _csv_records, _quat, _record, _write_csv, quat_identity
+from .spatial import (NON_NEGATIVE, Box, Pose, _check_fields, _csv_records, _kind, _quat, _record,
+                      _write_csv, quat_identity)
 
 Array = np.ndarray
 
@@ -77,21 +78,14 @@ def _checked(mean: Array, cov: Array, exactly_symmetric: bool = False) -> tuple[
 class NoiseConfig:
     """Filter tuning: white-noise acceleration PSD and measurement covariance."""
 
-    process_psd: float
-    measurement_cov: Array
+    process_psd: float = _kind(NON_NEGATIVE)
+    measurement_cov: Array = _kind((3, 3))
 
     def __post_init__(self):
-        if not self.process_psd >= 0:  # NaN fails too
-            raise ValueError(f"process_psd must be non-negative, got {self.process_psd}")
-        if not math.isfinite(self.process_psd):
-            raise ValueError(f"process_psd must be finite, got {self.process_psd}")
-        r = np.asarray(self.measurement_cov, dtype=np.float64)
-        if r.shape != (3, 3):
-            raise ValueError("measurement_cov must have shape (3, 3)")
-        if (not all(map(math.isfinite, r.ravel().tolist())) or not np.max(np.abs(r - r.T)) <= 1e-9
-                or np.min(np.linalg.eigvalsh(r)) < -1e-12):
+        _check_fields(self)
+        r = self.measurement_cov
+        if not np.max(np.abs(r - r.T)) <= 1e-9 or np.min(np.linalg.eigvalsh(r)) < -1e-12:
             raise ValueError("measurement_cov must be finite and symmetric PSD")
-        object.__setattr__(self, "measurement_cov", r)
 
     @staticmethod
     def isotropic(process_psd: float, measurement_std: float) -> "NoiseConfig":
@@ -210,18 +204,16 @@ class HitCriteria:
     height_band and, if a reachable volume is given, it falls inside it. The racket orientation
     and recovery root pose are carried through into the resulting strike target."""
 
-    height_band: tuple[float, float]
+    height_band: tuple[float, float] = _kind((float, float))
     volume: Optional[Box] = None
-    preference: str = "earliest"
+    preference: str = _kind(("earliest", "apex"), "earliest")
     racket_quat: Array = field(default_factory=quat_identity)
     recovery_root: Pose = field(default_factory=Pose.identity)
 
     def __post_init__(self):
-        lo, hi = self.height_band
-        if not lo < hi:
+        _check_fields(self)
+        if not self.height_band[0] < self.height_band[1]:
             raise ValueError("height band must satisfy lo < hi")
-        if self.preference not in ("earliest", "apex"):
-            raise ValueError("preference must be 'earliest' or 'apex'")
         _quat(self.racket_quat, "racket_quat")  # checked only: the value is stored as given
 
 

@@ -20,11 +20,12 @@ from .spatial import (
     Pose,
     Twist,
     _check,
+    _check_fields,
+    _kind,
     _matrix_entries,
     _record,
     _round_floats,
     _rotvec_between,
-    _value,
 )
 
 Array = np.ndarray
@@ -43,12 +44,11 @@ PHASE_RECOVERY = "recovery"
 class StrikeTarget:
     """Planned impact: when to hit, racket pose at impact, root pose to recover to."""
 
-    hit_time: float
+    hit_time: float = _kind(float)
     hit_racket_pose: Pose
     recovery_root_pose: Pose
 
-    def __post_init__(self):
-        object.__setattr__(self, "hit_time", _value(self.hit_time, float, "hit_time"))
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,11 @@ class RobotState:
     qd: Array
     projected_gravity: Array
     last_action: Array
-    base_height: float
+    base_height: float = _kind(float)
     feet_contacts: Array
 
     def __post_init__(self):
+        _check_fields(self)
         for name in ("q", "qd", "projected_gravity", "last_action", "feet_contacts"):
             value = np.asarray(getattr(self, name), dtype=np.float64)
             if not all(map(math.isfinite, value.ravel().tolist())):
@@ -72,7 +73,6 @@ class RobotState:
             object.__setattr__(self, name, value)
         if self.q.shape != self.qd.shape:
             raise ValueError("q and qd must have matching length")
-        object.__setattr__(self, "base_height", _value(self.base_height, float, "base_height"))
 
 
 class GoalObservation(NamedTuple):

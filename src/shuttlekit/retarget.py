@@ -27,10 +27,13 @@ from .spatial import (
     KinematicChain,
     Pose,
     _check,
+    _check_fields,
+    _kind,
     _matrix_entries,
     _numbers,
     _quat,
     _rotvec_between,
+    _table,
     _value,
     _vec3,
     chain_from_dict,
@@ -52,16 +55,14 @@ _LM_REL_TOL = 1e-8  # stop once an accepted step lowers the cost by less than th
 
 @dataclass(frozen=True)
 class RetargetWeights:
-    global_pos: float = 1.0
-    local_shape: float = 1.0
-    ee_rotation: float = 1.0
-    collision: float = 1.0
-    joint_limit: float = 1.0
-    smoothness: float = 1.0
+    global_pos: float = _kind(NON_NEGATIVE, 1.0)
+    local_shape: float = _kind(NON_NEGATIVE, 1.0)
+    ee_rotation: float = _kind(NON_NEGATIVE, 1.0)
+    collision: float = _kind(NON_NEGATIVE, 1.0)
+    joint_limit: float = _kind(NON_NEGATIVE, 1.0)
+    smoothness: float = _kind(NON_NEGATIVE, 1.0)
 
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, _value(getattr(self, f.name), NON_NEGATIVE, f.name))
+    __post_init__ = _check_fields
 
     def for_term(self, term: str) -> float:
         return getattr(self, fields(self)[TERM_ORDER.index(term)].name)  # fields in TERM_ORDER
@@ -84,16 +85,11 @@ class CollisionSphere:
 class KeypointFrame:
     """Per-frame targets: named keypoint positions and frame orientations (4 numbers each)."""
 
-    t: float
-    keypoints: dict[str, Array]
-    rotations: dict[str, Array] = field(default_factory=dict)
+    t: float = _kind(float)
+    keypoints: dict[str, Array] = _kind({str: (3,)})
+    rotations: dict[str, Array] = _kind({str: (4,)}, default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", _value(self.t, float, "t"))
-        keypoints = {k: _vec3(v, f"keypoint {k!r}") for k, v in self.keypoints.items()}
-        object.__setattr__(self, "keypoints", keypoints)
-        rotations = {k: _numbers(v, (4,), f"rotations.{k}") for k, v in self.rotations.items()}
-        object.__setattr__(self, "rotations", rotations)
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -169,10 +165,11 @@ class RetargetProblem:
 class RetargetSolution:
     root_poses: tuple[Pose, ...]
     joint_angles: Array  # (frames, n_joints)
-    global_scale: float = 1.0
+    global_scale: float = _kind(POSITIVE, 1.0)
     local_scales: Array = field(default_factory=lambda: np.ones(0))
 
     def __post_init__(self):
+        _check_fields(self)
         object.__setattr__(self, "root_poses", tuple(self.root_poses))
         q = np.asarray(self.joint_angles, dtype=np.float64)
         if q.ndim == 1:
@@ -184,10 +181,9 @@ class RetargetSolution:
             raise ValueError(f"joint_angles of frame {i} must be finite, got {q[i].tolist()}")
         object.__setattr__(self, "joint_angles", q)
         scales = np.asarray(self.local_scales, dtype=np.float64)
-        for name, scale in (("global_scale", self.global_scale), *(
-                (f"local_scales[{i}]", v) for i, v in enumerate(scales.ravel().tolist()))):
+        for i, scale in enumerate(scales.ravel().tolist()):
             if not 0.0 < scale < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {scale}")
+                raise ValueError(f"local_scales[{i}] must be positive and finite, got {scale}")
         object.__setattr__(self, "local_scales", scales)
 
     @property
@@ -607,10 +603,8 @@ def solution_to_clip(
 # File formats
 
 
-FRAME = {  # racket_quat targets the orientation of the problem's racket_frame
-    "t": (REQUIRED, float), "keypoints": (REQUIRED, {str: (3,)}),
-    "rotations": ({}, {str: (4,)}), "racket_quat": (None, (4,)),
-}
+# racket_quat targets the orientation of the problem's racket_frame
+FRAME = {**_table(KeypointFrame), "racket_quat": (None, (4,))}
 SPHERE = {"frame": (REQUIRED, str), "offset": (REQUIRED, (3,)), "radius": (REQUIRED, POSITIVE)}
 INIT = {  # absent joint angles start mid-range
     "q": (None, [float]), "root_pos": ((0.0, 0.0, 0.0), (3,)),
@@ -620,7 +614,7 @@ PROBLEM = {
     "chain": (None, CHAIN), "chain_file": (None, str),
     "keypoint_map": (REQUIRED, {str: str}), "frames": (REQUIRED, [FRAME]),
     "segments": ([], [[str]]),
-    "weights": ({}, {f.name: (f.default, NON_NEGATIVE) for f in fields(RetargetWeights)}),
+    "weights": ({}, _table(RetargetWeights)),
     "collision_spheres": ([], [SPHERE]), "racket_frame": (None, str),
     "optimize_scales": (False, bool), "fix_root": (False, bool), "init": ({}, INIT),
 }

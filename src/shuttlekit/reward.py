@@ -17,7 +17,7 @@ import numpy as np
 
 from .goal import RobotState
 from .shuttle import CourtResult
-from .spatial import Pose, _csv_records
+from .spatial import NON_NEGATIVE, POSITIVE, Pose, _check_fields, _csv_records, _kind
 
 Array = np.ndarray
 
@@ -32,16 +32,17 @@ class RewardConfig:
     and w_style mix the task and style rewards.
     """
 
-    hit_weights: Array
-    hit_scales: Array
-    rec_weights: Array
-    rec_scales: Array
-    sigma_time: float
-    epsilon: float
-    w_task: float = 1.0
-    w_style: float = 1.0
+    hit_weights: Array = _kind([NON_NEGATIVE])
+    hit_scales: Array = _kind([POSITIVE])
+    rec_weights: Array = _kind([NON_NEGATIVE])
+    rec_scales: Array = _kind([POSITIVE])
+    sigma_time: float = _kind(POSITIVE)
+    epsilon: float = _kind(POSITIVE)
+    w_task: float = _kind(NON_NEGATIVE, 1.0)
+    w_style: float = _kind(NON_NEGATIVE, 1.0)
 
     def __post_init__(self):
+        _check_fields(self)
         for name in ("hit_weights", "hit_scales", "rec_weights", "rec_scales"):
             value = np.array(getattr(self, name), dtype=np.float64)  # the caller keeps theirs
             value.flags.writeable = False  # checked once, here, so it must not change later
@@ -50,28 +51,15 @@ class RewardConfig:
             raise ValueError("hit_weights and hit_scales must have matching length")
         if self.rec_weights.shape != self.rec_scales.shape:
             raise ValueError("rec_weights and rec_scales must have matching length")
-        if not (np.all(self.hit_scales > 0) and np.all(self.rec_scales > 0)):  # NaN fails too
-            raise ValueError("kernel scales must be positive")
-        if not (np.all(self.hit_weights >= 0) and np.all(self.rec_weights >= 0)):
-            raise ValueError("weights must be non-negative")
-        if not self.sigma_time > 0:
-            raise ValueError("sigma_time must be positive")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not (self.w_task >= 0 and self.w_style >= 0):
-            raise ValueError("mixing weights must be non-negative")
 
 
 @dataclass(frozen=True)
 class TerminationConfig:
-    min_base_height: float
-    max_base_tilt: float
-    max_ref_deviation: float
+    min_base_height: float = _kind(POSITIVE)
+    max_base_tilt: float = _kind(POSITIVE)
+    max_ref_deviation: float = _kind(POSITIVE)
 
-    def __post_init__(self):
-        if not all(v > 0 for v in (self.min_base_height, self.max_base_tilt,
-                                     self.max_ref_deviation)):  # NaN fails too
-            raise ValueError("termination thresholds must be positive")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -159,11 +147,9 @@ class HitQualityConfig:
     the net.
     """
 
-    speed_scale: float
+    speed_scale: float = _kind(POSITIVE)
 
-    def __post_init__(self):
-        if not self.speed_scale > 0:  # NaN fails too
-            raise ValueError("speed_scale must be positive")
+    __post_init__ = _check_fields
 
 
 def hit_quality_reward(

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .shuttle import DEFAULT_DT, CourtGeometry, ShuttleParams, ShuttleState, _rk4_step
-from .spatial import REQUIRED, Box, _csv_records, _load_json, _numbers, _record, _round9, _value
+from .spatial import (REQUIRED, Box, _check_fields, _csv_records, _kind, _load_json, _numbers,
+                      _record, _round9, _value)
 
 Array = np.ndarray
 
@@ -48,14 +49,11 @@ def strike_volume(mode: str, center=DEFAULT_VOLUME_CENTER) -> Box:
 class ManifoldPoint:
     """A strike target: a finite (3,) position, a finite time offset and an integer source."""
 
-    position: Array
-    time_offset: float
-    source: int
+    position: Array = _kind((3,))
+    time_offset: float = _kind(float)
+    source: int = _kind(int)
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", _numbers(self.position, (3,), "position"))
-        object.__setattr__(self, "time_offset", _value(self.time_offset, float, "time_offset"))
-        object.__setattr__(self, "source", _value(self.source, int, "source"))
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -156,19 +154,20 @@ class RandomizationTable:
     gain scale, friction, and restitution are dimensionless.
     """
 
-    base_mass: tuple[float, float] = (-3.0, 5.0)
-    hand_mass: tuple[float, float] = (-0.05, 0.15)
-    racket_mass: tuple[float, float] = (-0.005, 0.005)
-    com_offset_xy: tuple[float, float] = (-0.05, 0.05)
-    com_offset_z: tuple[float, float] = (-0.03, 0.03)
-    pd_gain_scale: tuple[float, float] = (0.9, 1.1)
-    control_latency_ms: tuple[float, float] = (5.0, 30.0)
-    ground_friction: tuple[float, float] = (0.5, 1.0)
-    restitution: tuple[float, float] = (0.0, 0.2)
-    base_velocity: tuple[float, float] = (-0.4, 0.4)
-    terrain_height_noise: tuple[float, float] = (0.0, 0.05)
+    base_mass: tuple[float, float] = _kind((float, float), (-3.0, 5.0))
+    hand_mass: tuple[float, float] = _kind((float, float), (-0.05, 0.15))
+    racket_mass: tuple[float, float] = _kind((float, float), (-0.005, 0.005))
+    com_offset_xy: tuple[float, float] = _kind((float, float), (-0.05, 0.05))
+    com_offset_z: tuple[float, float] = _kind((float, float), (-0.03, 0.03))
+    pd_gain_scale: tuple[float, float] = _kind((float, float), (0.9, 1.1))
+    control_latency_ms: tuple[float, float] = _kind((float, float), (5.0, 30.0))
+    ground_friction: tuple[float, float] = _kind((float, float), (0.5, 1.0))
+    restitution: tuple[float, float] = _kind((float, float), (0.0, 0.2))
+    base_velocity: tuple[float, float] = _kind((float, float), (-0.4, 0.4))
+    terrain_height_noise: tuple[float, float] = _kind((float, float), (0.0, 0.05))
 
     def __post_init__(self):
+        _check_fields(self)
         ranges = self.ranges()
         for name, (lo, hi) in ranges.items():
             if lo > hi:
@@ -183,21 +182,9 @@ class RandomizationTable:
         object.__setattr__(self, "_spans", spans)
 
     def ranges(self) -> dict[str, tuple[float, float]]:
-        """Per-parameter ranges; the shared x/y offset range is expanded."""
-        return {
-            "base_mass": self.base_mass,
-            "hand_mass": self.hand_mass,
-            "racket_mass": self.racket_mass,
-            "com_offset_x": self.com_offset_xy,
-            "com_offset_y": self.com_offset_xy,
-            "com_offset_z": self.com_offset_z,
-            "pd_gain_scale": self.pd_gain_scale,
-            "control_latency_ms": self.control_latency_ms,
-            "ground_friction": self.ground_friction,
-            "restitution": self.restitution,
-            "base_velocity": self.base_velocity,
-            "terrain_height_noise": self.terrain_height_noise,
-        }
+        """Per-parameter ranges, in field order; the shared x/y offset range is expanded."""
+        return {key: getattr(self, name) for name in self.__dataclass_fields__
+                for key in ((name[:-1], name[:-2] + "y") if name.endswith("_xy") else (name,))}
 
 
 def sample_randomization(
@@ -214,15 +201,14 @@ class ServeConfig:
     """Launch-point geometry for synthetic serves. The solver's limits are the module
     constants `_SERVE_TOLERANCE` and `_SERVE_MAX_ITERATIONS`."""
 
-    origin: Array = field(default_factory=lambda: np.array([6.0, 0.0, 2.0]))
-    origin_jitter: Array = field(default_factory=lambda: np.zeros(3))
+    origin: Array = _kind((3,), default_factory=lambda: np.array([6.0, 0.0, 2.0]))
+    origin_jitter: Array = _kind((3,), default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", _numbers(self.origin, (3,), "origin"))
-        jitter = _numbers(self.origin_jitter, (3,), "origin_jitter")
-        if not (jitter >= 0.0).all():
-            raise ValueError(f"origin_jitter must be non-negative, got {jitter.tolist()}")
-        object.__setattr__(self, "origin_jitter", jitter)
+        _check_fields(self)
+        if not (self.origin_jitter >= 0.0).all():
+            raise ValueError(
+                f"origin_jitter must be non-negative, got {self.origin_jitter.tolist()}")
 
 
 def _position_at(origin: Array, v0: Array, p: ShuttleParams, t_end: float, dt: float) -> Array:
@@ -296,21 +282,21 @@ def serve_trajectory(
 class EpisodeRecord:
     """Outcome of one serve: interception, impact offset, and return result."""
 
-    serve_id: int
+    serve_id: int = _kind(int)
     intercepted: bool
     impact_offset: Optional[Array]  # racket sweet spot -> ball, at impact
     landed: bool = False
     in_bounds: bool = False
     cleared_net: bool = False
-    return_speed: float = 0.0
+    return_speed: float = _kind(float, 0.0)
 
     def __post_init__(self):
+        _check_fields(self)
         if self.intercepted != (self.impact_offset is not None):
             raise ValueError("impact offset must be present iff intercepted")
         if self.impact_offset is not None:
             offset = _numbers(self.impact_offset, (3,), "impact_offset")
             object.__setattr__(self, "impact_offset", offset)
-        object.__setattr__(self, "return_speed", _value(self.return_speed, float, "return_speed"))
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ racket impact uses (head-first vs skirt-first).
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .spatial import REQUIRED, Pose, Twist, _check, _load_json, _record, _vec3, _write_csv
+from .spatial import (NON_NEGATIVE, POSITIVE, Pose, Twist, _check, _check_fields, _kind, _load_json,
+                      _record, _table, _vec3, _write_csv)
 
 Array = np.ndarray
 
@@ -35,27 +36,17 @@ class ShuttleParams:
     against a specific shuttle; treat them as placeholders for config.
     """
 
-    mass: float
-    drag_coeff: float
-    axis_damping: float = 0.0
-    gravity: float = 9.81
-    restitution_head: float = 0.85
-    restitution_skirt: float = 0.5
+    mass: float = _kind(POSITIVE)
+    drag_coeff: float = _kind(NON_NEGATIVE)
+    axis_damping: float = _kind(NON_NEGATIVE, 0.0)
+    gravity: float = _kind(float, 9.81)
+    restitution_head: float = _kind(float, 0.85)
+    restitution_skirt: float = _kind(float, 0.5)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
-        if self.drag_coeff < 0:
-            raise ValueError("drag_coeff must be non-negative")
-        if self.axis_damping < 0:
-            raise ValueError("axis_damping must be non-negative")
+        _check_fields(self)
         for name in ("restitution_head", "restitution_skirt"):
-            e = getattr(self, name)
-            if not 0.0 <= e <= 1.0:
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
     def terminal_speed(self) -> float:
@@ -90,18 +81,15 @@ def _unit_axis(ax: float, ay: float, az: float) -> Array:
 class CourtGeometry:
     """Net location and the opponent half the return should land in."""
 
-    net_height: float
-    net_x: float
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
+    net_height: float = _kind(POSITIVE)
+    net_x: float = _kind(float)
+    x_min: float = _kind(float)
+    x_max: float = _kind(float)
+    y_min: float = _kind(float)
+    y_max: float = _kind(float)
 
     def __post_init__(self):
-        if not self.net_height > 0:  # NaN fails too
-            raise ValueError("net_height must be positive")
-        if not math.isfinite(self.net_x):
-            raise ValueError(f"net_x must be finite, got {self.net_x}")
+        _check_fields(self)
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be less than x_max")
         if not self.y_min < self.y_max:
@@ -393,8 +381,7 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
                np.column_stack((traj.times, traj.positions, traj.velocities)))
 
 
-PARAMS = {f.name: (REQUIRED if f.default is MISSING else f.default, float)
-          for f in fields(ShuttleParams)}
+PARAMS = _table(ShuttleParams)
 
 
 def load_params(path) -> ShuttleParams:

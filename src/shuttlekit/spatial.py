@@ -8,6 +8,8 @@ Every JSON input is read by `_load_json`, each object in it by `_check`
 against a key table, and every CSV input by `_csv_records`, by the cell index
 each header name resolves to; every float written goes through `_round9`, and
 every CSV row through `_write_csv`: the input and the output side of each format.
+A record field declares its key-table kind once, as `_kind(...)`; `_check_fields`
+checks it at construction, and `_table` reads the declarations as a key table.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import csv
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -58,6 +60,19 @@ def _record(cls, *values):
     record = object.__new__(cls)
     vars(record).update(zip(cls.__dataclass_fields__, values))
     return record
+
+
+def _kind(kind, default=MISSING, **kw):
+    """A dataclass field of the key-table kind `kind`, which `_check_fields` checks."""
+    return field(default=default, metadata={"kind": kind}, **kw)
+
+
+def _check_fields(record) -> None:
+    """Store `_value` of each field of the dataclass `record` that `_kind` declares: a
+    ValueError names the field. Cross-field rules run after this call."""
+    for name, f in record.__dataclass_fields__.items():
+        if "kind" in f.metadata:
+            vars(record)[name] = _value(vars(record)[name], f.metadata["kind"], name)
 
 
 def quat_identity() -> Array:
@@ -254,22 +269,20 @@ def to_base_frame(world_vec: Array, base: Pose, is_point: bool) -> Array:
 class Joint:
     """Revolute joint: fixed offset from the parent frame, then rotation about axis."""
 
-    name: str
-    parent: int  # index of parent joint, -1 for the root
+    name: str = _kind(str)
+    parent: int = _kind(int)  # index of parent joint, -1 for the root
     offset: Pose
-    axis: Array
-    limits: tuple[float, float]
+    axis: Array = _kind((3,))
+    limits: tuple[float, float] = _kind((float, float))
 
     def __post_init__(self):
-        axis = _vec3(self.axis, "axis")
-        n = np.linalg.norm(axis)
+        _check_fields(self)
+        n = np.linalg.norm(self.axis)
         if n < _EPS:
             raise ValueError(f"joint {self.name!r} has zero rotation axis")
-        object.__setattr__(self, "axis", axis / n)
-        lo, hi = self.limits
-        if not lo < hi:
+        object.__setattr__(self, "axis", self.axis / n)
+        if not self.limits[0] < self.limits[1]:
             raise ValueError(f"joint {self.name!r} limits must satisfy lo < hi")
-        object.__setattr__(self, "limits", (float(lo), float(hi)))
 
 
 @dataclass(frozen=True)
@@ -443,11 +456,20 @@ def _round_floats(obj):
 # REQUIRED, None (the key reads as None when absent or null) or the value an
 # absent key takes. The kinds: float, POSITIVE or NON_NEGATIVE, a finite number;
 # int, an integer; bool and str; a tuple of strings, one of them; a tuple of
-# ints, finite numbers of that shape as an array; a key table, a nested object,
-# where null reads as absent; [kind], a list; {str: kind}, an object of free
-# keys. A number or integer may be given as a string, never as true or false.
+# ints, finite numbers of that shape as an array; (float, float), two finite
+# numbers as a tuple of floats; a key table, a nested object, where null reads
+# as absent; [kind], a list (a tuple or an array reads as one); {str: kind}, an
+# object of free keys. A number or integer may be given as a string, never as
+# true or false.
 REQUIRED = object()
 POSITIVE, NON_NEGATIVE = "positive", "non-negative"
+
+
+def _table(cls) -> dict:
+    """The key table of the dataclass `cls`'s declared fields, by field name and default."""
+    return {f.name: (f.default_factory() if f.default_factory is not MISSING else
+                     REQUIRED if f.default is MISSING else f.default, f.metadata["kind"])
+            for f in fields(cls) if "kind" in f.metadata}
 
 
 def _check(table, spec: dict, name: str = "") -> dict:
@@ -478,7 +500,8 @@ def _value(value, kind, name: str):
     if isinstance(kind, dict) and str not in kind:
         return _check(value, kind, name)
     if isinstance(kind, (dict, list)):
-        if not isinstance(value, type(kind)):
+        value = value.tolist() if isinstance(value, Array) else value  # an array reads as a list
+        if not isinstance(value, dict if isinstance(kind, dict) else (list, tuple)):
             what = "an object" if isinstance(kind, dict) else "a list"
             raise ValueError(f"{name or 'top level'} must be {what}, got {type(value).__name__}")
         if isinstance(kind, dict):
@@ -486,8 +509,12 @@ def _value(value, kind, name: str):
         return [_value(v, kind[0], f"{name}[{i}]") for i, v in enumerate(value)]
     if isinstance(kind, tuple) and isinstance(kind[0], int):
         return _numbers(value, kind, name)
+    if kind == (float, float):
+        return tuple(_numbers(value, (2,), name).tolist())
     if isinstance(kind, tuple) or kind in (str, bool):
-        if value in kind if isinstance(kind, tuple) else isinstance(value, kind):
+        # a choice is a string first: `in` would compare an array with each choice
+        if isinstance(value, kind) if kind in (str, bool) else (
+                isinstance(value, str) and value in kind):
             return value
         what = {str: "a string", bool: "true or false"}.get(kind, f"one of {kind}")
         raise ValueError(f"{name} must be {what}, got {value!r}")
@@ -498,7 +525,8 @@ def _value(value, kind, name: str):
     try:
         value = int(value) if kind is int else float(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name} must be {what}: {exc}") from exc
+        raise ValueError(f"{name} must be {what}" + (f", got {value!r}" if kind is int
+                                                     else f": {exc}")) from exc
     if kind is not int and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     if kind == POSITIVE and not value > 0 or kind == NON_NEGATIVE and not value >= 0:
@@ -507,22 +535,20 @@ def _value(value, kind, name: str):
 
 
 def _numbers(value, shape: tuple, name: str) -> Array:
-    """`value` as finite floats of `shape`; a JSON true/false is not a number."""
-    if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).ravel()):
-        raise ValueError(f"{name} must hold numbers, got {value!r}")
+    """`value` as finite floats of `shape`; a bool is not a number (a float64 array holds none)."""
     try:
         out = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must hold numbers: {exc}") from exc
+    items = value if out.ndim == 1 else np.asarray(value, object).ravel()  # a flat sequence as is
+    if out is not value and any(isinstance(v, bool) for v in items):
+        raise ValueError(f"{name} must hold numbers, got {value!r}")
     if out.shape != shape or not all(map(math.isfinite, out.ravel().tolist())):
         raise ValueError(f"{name} must be finite numbers of shape {shape}")
     return out
 
 
-JOINT = {
-    "name": (REQUIRED, str), "parent": (REQUIRED, int), "offset_pos": (REQUIRED, (3,)),
-    "offset_quat": (REQUIRED, (4,)), "axis": (REQUIRED, (3,)), "limits": (REQUIRED, (2,)),
-}
+JOINT = {**_table(Joint), "offset_pos": (REQUIRED, (3,)), "offset_quat": (REQUIRED, (4,))}
 END_EFFECTOR = {key: JOINT[key] for key in ("name", "parent", "offset_pos", "offset_quat")}
 CHAIN = {"joints": (REQUIRED, [JOINT]), "end_effectors": ([], [END_EFFECTOR])}
 
@@ -530,7 +556,7 @@ CHAIN = {"joints": (REQUIRED, [JOINT]), "end_effectors": ([], [END_EFFECTOR])}
 def chain_from_dict(data: Mapping) -> KinematicChain:
     chain = _check(data, CHAIN)
     joints = tuple(Joint(j["name"], j["parent"], Pose(j["offset_pos"], j["offset_quat"]),
-                         j["axis"], tuple(j["limits"])) for j in chain["joints"])
+                         j["axis"], j["limits"]) for j in chain["joints"])
     end_effectors = tuple(
         EndEffector(e["name"], e["parent"], Pose(e["offset_pos"], e["offset_quat"]))
         for e in chain["end_effectors"])

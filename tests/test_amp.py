@@ -396,7 +396,7 @@ class TestDiscriminatorLoss:
         assert out.loss == pytest.approx(0.0, abs=1e-12)
 
     def test_nan_penalty_weight_rejected(self):
-        with pytest.raises(ValueError, match="^grad_penalty_weight must be non-negative$"):
+        with pytest.raises(ValueError, match="^grad_penalty_weight must be finite, got nan$"):
             AmpConfig(grad_penalty_weight=math.nan)
 
     def test_zero_discriminator_loss_two(self):

@@ -504,9 +504,9 @@ class TestScales:
         assert costs["total"] < 1e-8
 
     @pytest.mark.parametrize("global_scale, local_scales, message", [
-        (np.inf, [1.0], "global_scale must be positive and finite, got inf"),
-        (np.nan, [1.0], "global_scale must be positive and finite, got nan"),
-        (0.0, [1.0], "global_scale must be positive and finite, got 0.0"),
+        (np.inf, [1.0], "global_scale must be finite, got inf"),
+        (np.nan, [1.0], "global_scale must be finite, got nan"),
+        (0.0, [1.0], "global_scale must be positive, got 0.0"),
         (1.0, [1.0, np.inf], r"local_scales\[1\] must be positive and finite, got inf"),
         (1.0, [np.nan], r"local_scales\[0\] must be positive and finite, got nan"),
         (1.0, [1.0, -0.5], r"local_scales\[1\] must be positive and finite, got -0.5"),

@@ -314,18 +314,23 @@ class TestConfigAndBatch:
             RewardConfig([1.0, 1.0], [1.0], [1.0], [1.0], 0.5, 0.05)
 
     @pytest.mark.parametrize("build, message", [
-        (lambda: replace(CFG, sigma_time=math.nan), "sigma_time must be positive"),
-        (lambda: replace(CFG, epsilon=math.nan), "epsilon must be positive"),
-        (lambda: replace(CFG, hit_scales=[0.5, math.nan]), "kernel scales must be positive"),
-        (lambda: replace(CFG, rec_scales=[math.nan, 0.3, 0.2]), "kernel scales must be positive"),
-        (lambda: replace(CFG, hit_weights=[math.nan, 0.4]), "weights must be non-negative"),
-        (lambda: replace(CFG, rec_weights=[1.0, 0.5, math.nan]), "weights must be non-negative"),
-        (lambda: replace(CFG, w_task=math.nan), "mixing weights must be non-negative"),
-        (lambda: replace(CFG, w_style=math.nan), "mixing weights must be non-negative"),
-        (lambda: TerminationConfig(math.nan, 0.8, 1.0), "termination thresholds must be positive"),
-        (lambda: TerminationConfig(0.5, math.nan, 1.0), "termination thresholds must be positive"),
-        (lambda: TerminationConfig(0.5, 0.8, math.nan), "termination thresholds must be positive"),
-        (lambda: HitQualityConfig(speed_scale=math.nan), "speed_scale must be positive"),
+        (lambda: replace(CFG, sigma_time=math.nan), "sigma_time must be finite, got nan"),
+        (lambda: replace(CFG, epsilon=math.nan), "epsilon must be finite, got nan"),
+        (lambda: replace(CFG, hit_scales=[0.5, math.nan]),
+         r"hit_scales\[1\] must be finite, got nan"),
+        (lambda: replace(CFG, rec_scales=[math.nan, 0.3, 0.2]),
+         r"rec_scales\[0\] must be finite, got nan"),
+        (lambda: replace(CFG, hit_weights=[math.nan, 0.4]),
+         r"hit_weights\[0\] must be finite, got nan"),
+        (lambda: replace(CFG, rec_weights=[1.0, 0.5, math.nan]),
+         r"rec_weights\[2\] must be finite, got nan"),
+        (lambda: replace(CFG, w_task=math.nan), "w_task must be finite, got nan"),
+        (lambda: replace(CFG, w_style=math.nan), "w_style must be finite, got nan"),
+        (lambda: TerminationConfig(math.nan, 0.8, 1.0), "min_base_height must be finite, got nan"),
+        (lambda: TerminationConfig(0.5, math.nan, 1.0), "max_base_tilt must be finite, got nan"),
+        (lambda: TerminationConfig(0.5, 0.8, math.nan),
+         "max_ref_deviation must be finite, got nan"),
+        (lambda: HitQualityConfig(speed_scale=math.nan), "speed_scale must be finite, got nan"),
     ], ids=["sigma_time", "epsilon", "hit_scales", "rec_scales", "hit_weights", "rec_weights",
             "w_task", "w_style", "min_base_height", "max_base_tilt", "max_ref_deviation",
             "speed_scale"])

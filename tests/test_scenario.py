@@ -169,8 +169,10 @@ class TestRandomization:
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
             RandomizationTable(ground_friction=(1.0, 0.5))
-        for bad in ((0.0, np.inf), (np.nan, 1.0), (-1e308, 1e308)):
-            with pytest.raises(ValueError, match="restitution is not finite"):
+        for bad, message in (((0.0, np.inf), "restitution must be finite numbers of shape (2,)"),
+                             ((np.nan, 1.0), "restitution must be finite numbers of shape (2,)"),
+                             ((-1e308, 1e308), "restitution is not finite")):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 RandomizationTable(restitution=bad)
 
     def test_draw_matches_uniform_on_the_same_stream(self):

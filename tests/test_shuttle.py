@@ -298,7 +298,8 @@ class TestLandsInCourt:
     )
 
     @pytest.mark.parametrize("field, message", [
-        ("net_height", "net_height must be positive"), ("net_x", "net_x must be finite, got nan"),
+        ("net_height", "net_height must be finite, got nan"),
+        ("net_x", "net_x must be finite, got nan"),
     ], ids=["net_height", "net_x"])
     def test_nan_net_rejected(self, field, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
